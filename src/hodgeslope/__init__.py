@@ -2,159 +2,4 @@
 opers, and filtered connections, cross-validated by a brute-force
 destabilizer search."""
 
-from .slope_core import (
-    BundleData,
-    GeometricContext,
-    Rational,
-    SubsheafMode,
-    direct_sum,
-    format_rational,
-    max_subsheaf_degree,
-    slope,
-    tensor,
-)
-from .profiles import SubsystemProfile, certificate_json
-from .hodge_system import (
-    Answer,
-    Declared,
-    HodgeSystem,
-    ISOMORPHISMS,
-    Isomorphisms,
-    Verdict,
-    criterion_semistable,
-    criterion_stable,
-    derive_components,
-    partial_slope,
-    system_from_json,
-    system_to_json,
-    total_slope,
-    tower_component,
-    transport_subsystem,
-    verdict_json,
-)
-from .inequalities import (
-    InequalityCheck,
-    SequencePair,
-    chebyshev_lower,
-    chebyshev_upper,
-    geometric_sum,
-    hodge_sum_inequality,
-    hodge_sum_sweep,
-    make_pair,
-    weighted_power_sum,
-)
-from .search_oracle import (
-    BudgetExceededError,
-    ConstraintMode,
-    DEFAULT_PROFILE_BUDGET,
-    check_declared,
-    enumerate_profiles,
-    max_slope_profile,
-    profile_space_size,
-    verdict_from_search,
-)
-from .hn_profiles import (
-    HNProfile,
-    HNValidation,
-    hn_polygon,
-    is_strictly_concave,
-    tensor_hn,
-    validate_hn,
-)
-from .oper import (
-    ConnectionPair,
-    GriffithsFiltration,
-    OperCheck,
-    connection_verdict,
-    filtration_hn_profile,
-    graded_of_filtration,
-    is_generalized_oper,
-    oper_semistability,
-    pair_from_json,
-    pair_to_json,
-)
-from .gallery import (
-    GalleryEntry,
-    build_entry,
-    default_entries,
-    example_injective_not_iso,
-    example_strictly_semistable,
-    example_surjective_not_iso,
-    example_unstable_component,
-    recompute_verdict,
-    unstable_component_hn,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Answer",
-    "BudgetExceededError",
-    "BundleData",
-    "ConnectionPair",
-    "ConstraintMode",
-    "DEFAULT_PROFILE_BUDGET",
-    "Declared",
-    "GalleryEntry",
-    "GeometricContext",
-    "GriffithsFiltration",
-    "HNProfile",
-    "HNValidation",
-    "HodgeSystem",
-    "ISOMORPHISMS",
-    "InequalityCheck",
-    "Isomorphisms",
-    "OperCheck",
-    "Rational",
-    "SequencePair",
-    "SubsheafMode",
-    "SubsystemProfile",
-    "Verdict",
-    "build_entry",
-    "certificate_json",
-    "chebyshev_lower",
-    "chebyshev_upper",
-    "check_declared",
-    "connection_verdict",
-    "criterion_semistable",
-    "criterion_stable",
-    "default_entries",
-    "derive_components",
-    "direct_sum",
-    "enumerate_profiles",
-    "example_injective_not_iso",
-    "example_strictly_semistable",
-    "example_surjective_not_iso",
-    "example_unstable_component",
-    "filtration_hn_profile",
-    "format_rational",
-    "geometric_sum",
-    "graded_of_filtration",
-    "hn_polygon",
-    "hodge_sum_inequality",
-    "hodge_sum_sweep",
-    "is_generalized_oper",
-    "is_strictly_concave",
-    "make_pair",
-    "max_slope_profile",
-    "max_subsheaf_degree",
-    "oper_semistability",
-    "pair_from_json",
-    "pair_to_json",
-    "partial_slope",
-    "profile_space_size",
-    "recompute_verdict",
-    "slope",
-    "system_from_json",
-    "system_to_json",
-    "tensor",
-    "tensor_hn",
-    "total_slope",
-    "tower_component",
-    "transport_subsystem",
-    "unstable_component_hn",
-    "validate_hn",
-    "verdict_from_search",
-    "verdict_json",
-    "weighted_power_sum",
-]

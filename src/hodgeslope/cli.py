@@ -17,37 +17,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import search_oracle
 from .gallery import BUILDERS, build_entry, recompute_verdict
 from .hn_profiles import HNProfile, hn_polygon, tensor_hn
-from .hodge_system import (
-    Answer,
-    HodgeSystem,
-    Isomorphisms,
-    PROV_INCONCLUSIVE,
-    Verdict,
-    criterion_semistable,
-    criterion_stable,
-    system_to_json,
-    system_from_json,
-    total_slope,
-    verdict_json,
-)
+from .hodge_system import Verdict, system_to_json, system_from_json, total_slope, verdict_json
 from .inequalities import hodge_sum_sweep
-from .oper import (
-    graded_of_filtration,
-    connection_verdict,
-    GriffithsFiltration,
-    is_generalized_oper,
-    oper_semistability,
-    pair_from_json,
-)
-from .search_oracle import (
-    BudgetExceededError,
-    ConstraintMode,
-    DEFAULT_PROFILE_BUDGET,
-    check_declared,
-    verdict_from_search,
-)
+from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
+from .search_oracle import ConstraintMode, DEFAULT_PROFILE_BUDGET, InconsistencyError
 from .slope_core import (
     BundleData,
     SubsheafMode,
@@ -59,10 +35,6 @@ from .slope_core import (
 )
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
-
-
-class InconsistencyError(RuntimeError):
-    """Criterion and oracle disagree on a definite verdict."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +56,8 @@ def _load_document(path: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"document is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValueError("document nests too deeply to parse")
     _check_keys(obj, "document", set(), set(PAYLOAD_KEYS) | {"search_options"})
     present = [key for key in PAYLOAD_KEYS if key in obj]
     if len(present) != 1:
@@ -106,7 +80,6 @@ def _search_options(doc: dict, args: argparse.Namespace) -> dict:
         "mode": ConstraintMode.MONOTONE,
         "subsheaf": SubsheafMode.SEMISTABLE,
         "budget": DEFAULT_PROFILE_BUDGET,
-        "parallel": False,
     }
     raw = doc.get("search_options")
     if raw is not None:
@@ -134,34 +107,7 @@ def _search_options(doc: dict, args: argparse.Namespace) -> dict:
         if args.budget < 1:
             raise ValueError("budget must be positive")
         options["budget"] = args.budget
-    if getattr(args, "parallel", False):
-        options["parallel"] = True
     return options
-
-
-def _merge_verdicts(primary: Verdict, secondary: Verdict) -> Verdict:
-    semistable = (
-        primary.semistable if primary.semistable is not Answer.UNKNOWN else secondary.semistable
-    )
-    stable = primary.stable if primary.stable is not Answer.UNKNOWN else secondary.stable
-    # a certificate is only meaningful when it justifies a surviving no
-    certificate = None
-    if semistable is Answer.NO:
-        for v in (primary, secondary):
-            if v.semistable is Answer.NO and v.certificate is not None:
-                certificate = v.certificate
-                break
-    elif stable is Answer.NO:
-        for v in (primary, secondary):
-            if v.stable is Answer.NO and v.certificate is not None:
-                certificate = v.certificate
-                break
-    parts: list[str] = []
-    for v in (primary, secondary):
-        if v.provenance and v.provenance != PROV_INCONCLUSIVE and v.provenance not in parts:
-            parts.append(v.provenance)
-    provenance = "; ".join(parts) if parts else PROV_INCONCLUSIVE
-    return Verdict(semistable, stable, certificate, provenance)
 
 
 def _verdict_report(verdict: Verdict, mu_total) -> dict:
@@ -177,50 +123,12 @@ def _summary(command: str, verdict: Verdict) -> str:
     )
 
 
-def _declared_verdict(system: HodgeSystem) -> Verdict:
-    profiles = system.theta.profiles
-    if not profiles:
-        return Verdict(provenance="no declared profiles")
-    verdicts = [check_declared(system, p) for p in profiles]
-    for v in verdicts:
-        if v.semistable is Answer.NO:
-            return v
-    for v in verdicts:
-        if v.stable is Answer.NO:
-            return v
-    return Verdict(provenance="declared profiles do not destabilize")
-
-
 def _cmd_check_system(args: argparse.Namespace) -> int:
     doc = _load_document(args.document)
     system = system_from_json(_payload(doc, "hodge_system", "check-system"))
     options = _search_options(doc, args)
-    mu = total_slope(system)
-    if isinstance(system.theta, Isomorphisms):
-        verdict = criterion_semistable(system)
-        if system.context.omega_degree > 0:
-            verdict = _merge_verdicts(verdict, criterion_stable(system))
-        if all(c.semistable is True for c in system.components):
-            try:
-                oracle = verdict_from_search(
-                    system, options["mode"], SubsheafMode.SEMISTABLE, options["budget"]
-                )
-            except BudgetExceededError:
-                oracle = None
-            if oracle is not None:
-                definite = {Answer.YES, Answer.NO}
-                if (
-                    verdict.semistable in definite
-                    and oracle.semistable in definite
-                    and verdict.semistable is not oracle.semistable
-                ):
-                    raise InconsistencyError(
-                        "criterion and oracle disagree on semistability"
-                    )
-                verdict = _merge_verdicts(verdict, oracle)
-    else:
-        verdict = _declared_verdict(system)
-    _emit(_verdict_report(verdict, mu), _summary("check-system", verdict))
+    verdict = search_oracle.system_verdict(system, options["mode"], options["budget"])
+    _emit(_verdict_report(verdict, total_slope(system)), _summary("check-system", verdict))
     return 0
 
 
@@ -228,12 +136,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     doc = _load_document(args.document)
     system = system_from_json(_payload(doc, "hodge_system", "search"))
     options = _search_options(doc, args)
-    verdict = verdict_from_search(
-        system,
-        options["mode"],
-        options["subsheaf"],
-        options["budget"],
-        parallel=options["parallel"],
+    verdict = search_oracle.verdict_from_search(
+        system, options["mode"], options["subsheaf"], options["budget"]
     )
     _emit(_verdict_report(verdict, total_slope(system)), _summary("search", verdict))
     return 0
@@ -244,11 +148,7 @@ def _cmd_check_oper(args: argparse.Namespace) -> int:
     filtration = GriffithsFiltration.from_json(
         _payload(doc, "griffiths_filtration", "check-oper")
     )
-    check = is_generalized_oper(filtration)
-    if check.ok:
-        verdict = oper_semistability(filtration)
-    else:
-        verdict = Verdict(provenance="not a generalized oper")
+    check, verdict = oper_verdict(filtration)
     mu = slope(direct_sum(filtration.graded))
     report = _verdict_report(verdict, mu)
     report["generalized_oper"] = check.ok
@@ -261,21 +161,7 @@ def _cmd_check_oper(args: argparse.Namespace) -> int:
 def _cmd_check_connection(args: argparse.Namespace) -> int:
     doc = _load_document(args.document)
     pair, ambient = pair_from_json(_payload(doc, "connection_pair", "check-connection"))
-    graded_verdict: Optional[Verdict] = None
-    filtration = pair.filtration
-    if (
-        filtration is not None
-        and filtration.transversal
-        and filtration.theta_squares_to_zero
-        and filtration.theta_iso
-        and filtration.context.omega_degree >= 0
-    ):
-        graded = graded_of_filtration(filtration)
-        graded_verdict = criterion_semistable(graded)
-        if filtration.context.omega_degree > 0:
-            graded_verdict = _merge_verdicts(graded_verdict, criterion_stable(graded))
-    characteristic = ambient.characteristic if ambient is not None else None
-    verdict = connection_verdict(pair, graded_verdict, characteristic=characteristic)
+    verdict = pair_verdict(pair, ambient)
     _emit(
         _verdict_report(verdict, slope(pair.total)),
         _summary("check-connection", verdict),
@@ -368,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
     p.add_argument("--subsheaf", choices=sorted(_SUBSHEAVES), default=None)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true", help="accepted and ignored")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("check-oper", help="generalized-oper recognition and verdict")

@@ -289,6 +289,47 @@ def criterion_stable(
     return Verdict(semistable_side, Answer.UNKNOWN, provenance=provenance)
 
 
+def merge_verdicts(primary: Verdict, secondary: Verdict) -> Verdict:
+    """Combine two verdicts on the same object side by side.
+
+    Each side takes the primary's answer unless that is unknown.  The
+    certificate is one that justifies a surviving no, and the provenance
+    lists every source that decided something, in order.
+    """
+    semistable = (
+        primary.semistable if primary.semistable is not Answer.UNKNOWN else secondary.semistable
+    )
+    stable = primary.stable if primary.stable is not Answer.UNKNOWN else secondary.stable
+    # a certificate is only meaningful when it justifies a surviving no
+    certificate = None
+    if semistable is Answer.NO:
+        for v in (primary, secondary):
+            if v.semistable is Answer.NO and v.certificate is not None:
+                certificate = v.certificate
+                break
+    elif stable is Answer.NO:
+        for v in (primary, secondary):
+            if v.stable is Answer.NO and v.certificate is not None:
+                certificate = v.certificate
+                break
+    parts: list[str] = []
+    for v in (primary, secondary):
+        if v.provenance and v.provenance != PROV_INCONCLUSIVE and v.provenance not in parts:
+            parts.append(v.provenance)
+    provenance = "; ".join(parts) if parts else PROV_INCONCLUSIVE
+    return Verdict(semistable, stable, certificate, provenance)
+
+
+def criteria_verdict(sys: HodgeSystem) -> Verdict:
+    """The criteria's joint verdict on an isomorphism tower: the
+    semistability criterion, merged with the stability criterion when the
+    cotangent degree is positive."""
+    verdict = criterion_semistable(sys)
+    if sys.context.omega_degree > 0:
+        verdict = merge_verdicts(verdict, criterion_stable(sys))
+    return verdict
+
+
 def system_to_json(sys: HodgeSystem) -> dict:
     if isinstance(sys.theta, Isomorphisms):
         theta: object = "isomorphisms"

@@ -28,7 +28,9 @@ from .hodge_system import (
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
+    criteria_verdict,
     criterion_semistable,
+    tower_component,
 )
 from .slope_core import (
     BundleData,
@@ -41,6 +43,7 @@ PROV_OPER = "generalized oper reduction"
 PROV_GRADED_TRANSFER = "graded semistability transfer"
 PROV_FLAT_CHAR_ZERO = "flat connection in characteristic zero"
 PROV_NO_TRANSFER = "no applicable transfer"
+PROV_NOT_OPER = "not a generalized oper"
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,8 @@ class GriffithsFiltration:
 
     When every graded map is attested an isomorphism, consecutive pieces
     must satisfy rank(gr^i) = d * rank(gr^(i-1)) and degree(gr^i) =
-    d * degree(gr^(i-1)) + rank(gr^(i-1)) * w; inconsistent values are
-    rejected at construction.
+    d * degree(gr^(i-1)) + rank(gr^(i-1)) * w, that is, form the tensor
+    tower over gr^0; inconsistent values are rejected at construction.
     """
 
     context: GeometricContext
@@ -68,12 +71,8 @@ class GriffithsFiltration:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")
         if self.theta_iso:
-            d = self.context.dim
-            w = self.context.omega_degree
-            for i in range(1, len(graded)):
-                prev, cur = graded[i - 1], graded[i]
-                want_rank = d * prev.rank
-                want_degree = d * prev.degree + prev.rank * w
+            for i, cur in enumerate(graded):
+                want_rank, want_degree = tower_component(graded[0], self.context, i)
                 if (cur.rank, cur.degree) != (want_rank, want_degree):
                     raise ValueError(
                         f"graded piece {i} violates the isomorphism relation: "
@@ -184,6 +183,15 @@ def is_generalized_oper(f: GriffithsFiltration) -> OperCheck:
     return OperCheck(ok, tuple(reasons), classical)
 
 
+def oper_verdict(f: GriffithsFiltration) -> tuple[OperCheck, Verdict]:
+    """Recognition outcome and verdict: the oper reduction for a
+    generalized oper, an unknown verdict for anything else."""
+    check = is_generalized_oper(f)
+    if not check:
+        return check, Verdict(provenance=PROV_NOT_OPER)
+    return check, oper_semistability(f)
+
+
 def oper_semistability(f: GriffithsFiltration) -> Verdict:
     """Semistability of the graded system of a generalized oper."""
     check = is_generalized_oper(f)
@@ -226,6 +234,30 @@ def connection_verdict(
         sources.append(PROV_FLAT_CHAR_ZERO)
     provenance = "; ".join(sources) if sources else PROV_NO_TRANSFER
     return Verdict(semistable, stable, provenance=provenance)
+
+
+def pair_verdict(
+    pair: ConnectionPair, ambient: Optional[GeometricContext] = None
+) -> Verdict:
+    """Decide a connection pair.
+
+    A filtration that induces an isomorphism tower of nonnegative
+    cotangent degree contributes the criteria's verdict on that tower;
+    ``connection_verdict`` then applies the transfers, reading the
+    characteristic from ``ambient`` when there is no filtration.
+    """
+    graded_verdict = None
+    f = pair.filtration
+    if (
+        f is not None
+        and f.transversal
+        and f.theta_squares_to_zero
+        and f.theta_iso
+        and f.context.omega_degree >= 0
+    ):
+        graded_verdict = criteria_verdict(graded_of_filtration(f))
+    characteristic = ambient.characteristic if ambient is not None else None
+    return connection_verdict(pair, graded_verdict, characteristic=characteristic)
 
 
 def filtration_hn_profile(f: GriffithsFiltration) -> HNProfile:

@@ -17,11 +17,14 @@ rank(F_i) <= d * rank(F_{i-1}).  The monotone mode is the default; the
 conservative mode exists to hunt for discrepancies, and any system where
 the conservative search finds a violating profile that the monotone search
 misses should be treated as a finding, never silently resolved.
+
+The module also decides whole systems (``system_verdict``): a declared
+system by its declared profiles, an isomorphism tower by the criteria
+cross-checked against the search.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -31,9 +34,11 @@ from .hodge_system import (
     HodgeSystem,
     Isomorphisms,
     Verdict,
+    criteria_verdict,
+    merge_verdicts,
     total_slope,
 )
-from .profiles import SubsystemProfile, certificate_json  # noqa: F401  (re-export)
+from .profiles import SubsystemProfile
 from .slope_core import SubsheafMode, max_subsheaf_degree
 
 PROV_ORACLE = "oracle"
@@ -46,6 +51,10 @@ DEFAULT_PROFILE_BUDGET = 10_000_000
 
 class BudgetExceededError(ValueError):
     """The profile space is larger than the configured search budget."""
+
+
+class InconsistencyError(RuntimeError):
+    """Criterion and oracle disagree on a definite verdict."""
 
 
 class ConstraintMode(Enum):
@@ -90,7 +99,6 @@ def _profiles(
     sys: HodgeSystem,
     bounds: list[list[int]],
     mode: ConstraintMode,
-    first_rank: Optional[int] = None,
 ) -> Iterator[SubsystemProfile]:
     ranks = [c.rank for c in sys.components]
     d = sys.context.dim
@@ -102,16 +110,12 @@ def _profiles(
             yield acc
             return
         if grade == 0:
-            lo, hi = 1, ranks[0]
-            if first_rank is not None:
-                if first_rank > ranks[0]:
-                    return
-                lo = hi = first_rank
+            hi = ranks[0]
         else:
             prev = acc[-1][0]
             cap = prev if monotone else d * prev
-            lo, hi = 1, min(ranks[grade], cap)
-        for rk in range(lo, hi + 1):
+            hi = min(ranks[grade], cap)
+        for rk in range(1, hi + 1):
             yield from extend(grade + 1, top, acc + ((rk, bounds[grade][rk]),))
 
     for top in range(n + 1):
@@ -143,45 +147,19 @@ def _better(cand: SubsystemProfile, best: SubsystemProfile) -> bool:
     return cand.entries < best.entries
 
 
-def _scan(profiles: Iterator[SubsystemProfile]) -> Optional[SubsystemProfile]:
-    best: Optional[SubsystemProfile] = None
-    for p in profiles:
-        if best is None or _better(p, best):
-            best = p
-    return best
-
-
 def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
     budget: int = DEFAULT_PROFILE_BUDGET,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Optional[tuple[SubsystemProfile, Fraction]]:
     """The enumerated profile of maximal slope, or None when no proper
-    profile exists.
-
-    With ``parallel`` the search is partitioned over the base-grade rank
-    (disjoint subtrees); the tie-break is a total order, so the merged
-    result is independent of scheduling.
-    """
+    profile exists."""
     bounds = _degree_bounds(sys, subsheaf_mode, budget)
-    if not parallel:
-        best = _scan(_profiles(sys, bounds, mode))
-    else:
-        base_rank = sys.components[0].rank
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            locals_ = list(
-                executor.map(
-                    lambda r0: _scan(_profiles(sys, bounds, mode, first_rank=r0)),
-                    range(1, base_rank + 1),
-                )
-            )
-        best = None
-        for candidate in locals_:
-            if candidate is not None and (best is None or _better(candidate, best)):
-                best = candidate
+    best: Optional[SubsystemProfile] = None
+    for p in _profiles(sys, bounds, mode):
+        if best is None or _better(p, best):
+            best = p
     if best is None:
         return None
     return best, best.slope
@@ -192,7 +170,6 @@ def verdict_from_search(
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
     budget: int = DEFAULT_PROFILE_BUDGET,
-    parallel: bool = False,
 ) -> Verdict:
     """Ground-truth verdict within the enumerated profile class.
 
@@ -205,8 +182,8 @@ def verdict_from_search(
     """
     mu = total_slope(sys)
     if subsheaf_mode is SubsheafMode.STABLE:
-        return _verdict_stable_bounds(sys, mode, budget, parallel, mu)
-    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget, parallel)
+        return _verdict_stable_bounds(sys, mode, budget, mu)
+    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
     if best is None:
         return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
     profile, s = best
@@ -218,13 +195,13 @@ def verdict_from_search(
 
 
 def _verdict_stable_bounds(
-    sys: HodgeSystem, mode: ConstraintMode, budget: int, parallel: bool, mu: Fraction
+    sys: HodgeSystem, mode: ConstraintMode, budget: int, mu: Fraction
 ) -> Verdict:
-    best_ss = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget, parallel)
+    best_ss = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
     if best_ss is not None and best_ss[1] > mu:
         # would contradict the semistability criterion; surface it loudly
         return Verdict(Answer.NO, Answer.NO, best_ss[0], PROV_ORACLE)
-    best_st = max_slope_profile(sys, mode, SubsheafMode.STABLE, budget, parallel)
+    best_st = max_slope_profile(sys, mode, SubsheafMode.STABLE, budget)
     if best_st is None:
         return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
     profile, s = best_st
@@ -237,8 +214,9 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     """Judge one declared invariant profile against the total slope.
 
     The profile must be entrywise plausible: ranks dominated by the
-    component ranks and, wherever a component carries a semistable
-    attestation, degree within the subsheaf bound.  A strictly larger
+    component ranks, wherever a component carries a semistable
+    attestation degree within the subsheaf bound, and at full rank degree
+    at most the component's (the quotient is torsion).  A strictly larger
     slope refutes semistability; an equal slope refutes stability unless
     the profile is the whole system; anything else is inconclusive.
     """
@@ -253,6 +231,11 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
             raise ValueError(
                 f"degree at grade {i} exceeds the semistable subsheaf bound"
             )
+        if rk == comp.rank and dg > comp.degree:
+            raise ValueError(
+                f"degree at grade {i} exceeds the component degree at full rank: "
+                f"{dg} > {comp.degree}"
+            )
     mu = total_slope(sys)
     s = profile.slope
     if s > mu:
@@ -265,3 +248,52 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
             return Verdict(provenance=PROV_DECLARED_FULL)
         return Verdict(Answer.UNKNOWN, Answer.NO, profile, PROV_DECLARED)
     return Verdict(provenance=PROV_DECLARED_SLACK)
+
+
+def declared_verdict(sys: HodgeSystem) -> Verdict:
+    """Judge every declared profile; the first that refutes semistability
+    wins, then the first that refutes stability."""
+    profiles = sys.theta.profiles
+    if not profiles:
+        return Verdict(provenance="no declared profiles")
+    verdicts = [check_declared(sys, p) for p in profiles]
+    for v in verdicts:
+        if v.semistable is Answer.NO:
+            return v
+    for v in verdicts:
+        if v.stable is Answer.NO:
+            return v
+    return Verdict(provenance="declared profiles do not destabilize")
+
+
+def system_verdict(
+    sys: HodgeSystem,
+    mode: ConstraintMode = ConstraintMode.MONOTONE,
+    budget: int = DEFAULT_PROFILE_BUDGET,
+) -> Verdict:
+    """Decide a system of Hodge bundles.
+
+    A declared system is judged by its declared profiles.  An isomorphism
+    tower gets the criteria's verdict; when every component is attested
+    semistable, the oracle under semistable bounds cross-checks it and
+    fills in what the criteria leave unknown.  A tower past the search
+    budget keeps the criteria's verdict alone.  A definite disagreement on
+    semistability raises InconsistencyError.
+    """
+    if not isinstance(sys.theta, Isomorphisms):
+        return declared_verdict(sys)
+    verdict = criteria_verdict(sys)
+    if not all(c.semistable is True for c in sys.components):
+        return verdict
+    try:
+        oracle = verdict_from_search(sys, mode, SubsheafMode.SEMISTABLE, budget)
+    except BudgetExceededError:
+        return verdict
+    definite = {Answer.YES, Answer.NO}
+    if (
+        verdict.semistable in definite
+        and oracle.semistable in definite
+        and verdict.semistable is not oracle.semistable
+    ):
+        raise InconsistencyError("criterion and oracle disagree on semistability")
+    return merge_verdicts(verdict, oracle)

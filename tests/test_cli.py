@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from hodgeslope import cli
+from hodgeslope import cli, search_oracle
 from hodgeslope.gallery import example_strictly_semistable, example_surjective_not_iso
-from hodgeslope.hodge_system import Verdict, system_to_json
+from hodgeslope.hodge_system import Declared, HodgeSystem, Verdict, system_to_json
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, pair_to_json
+from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
 
@@ -63,7 +64,7 @@ class TestCheckSystem:
             BundleData(2, 2, semistable=True, stable=True),
             BundleData(2, 6, semistable=True, stable=True),
         )
-        from hodgeslope.hodge_system import HodgeSystem, ISOMORPHISMS
+        from hodgeslope.hodge_system import ISOMORPHISMS
 
         doc = write_doc(
             tmp_path,
@@ -77,16 +78,30 @@ class TestCheckSystem:
 
     def test_inconsistency_exits_two(self, capsys, tower_doc, monkeypatch):
         from hodgeslope.hodge_system import Answer
-        from hodgeslope.profiles import SubsystemProfile
 
         fake = Verdict(
             Answer.NO, Answer.NO, SubsystemProfile(((1, 5),)), "oracle"
         )
-        monkeypatch.setattr(cli, "verdict_from_search", lambda *a, **k: fake)
+        monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a, **k: fake)
         code, report, err = run(capsys, ["check-system", tower_doc])
         assert code == 2
         assert "disagree" in report["error"]
         assert "internal inconsistency" in err
+
+    @pytest.mark.parametrize("semistable", [None, True])
+    def test_full_rank_declared_degree_above_component(self, capsys, tmp_path, semistable):
+        # a full-rank subsheaf has a torsion quotient, so its degree is at
+        # most the component's whatever the attestations say
+        system = HodgeSystem(
+            curve(2),
+            (BundleData(2, 0, semistable=semistable), BundleData(1, 0)),
+            Declared((SubsystemProfile(((2, 5),)),)),
+        )
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        code, report, err = run(capsys, ["check-system", doc])
+        assert code == 1
+        assert "exceeds" in report["error"]
+        assert "invalid input" in err
 
 
 class TestSearch:
@@ -288,6 +303,14 @@ class TestDocumentValidation:
         code, report, _ = run(capsys, ["check-system", "/nonexistent/doc.json"])
         assert code == 1
         assert "cannot read" in report["error"]
+
+    def test_deep_nesting_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, report, err = run(capsys, ["check-system", str(path)])
+        assert code == 1
+        assert "nests too deeply" in report["error"]
+        assert "invalid input" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

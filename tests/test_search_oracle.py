@@ -177,12 +177,6 @@ class TestMaxSlope:
                 assert actual[0].entries == expected[0].entries
                 assert actual[1] == expected[1]
 
-    def test_parallel_equals_sequential(self):
-        for sys in (example_tower(), semistable_tower(3, 2, 2, 3, 2)):
-            sequential = max_slope_profile(sys)
-            parallel = max_slope_profile(sys, parallel=True)
-            assert sequential == parallel
-
 
 class TestVerdictFromSearch:
     def test_example_tower(self):
@@ -268,6 +262,16 @@ class TestCheckDeclared:
         sys = example_tower()
         with pytest.raises(ValueError, match="exceeds the semistable subsheaf bound"):
             check_declared(sys, SubsystemProfile(((1, 0),)))
+
+    def test_full_rank_degree_bounded_by_component(self):
+        # the quotient of a full-rank subsheaf is torsion, so no attestation
+        # is needed for this bound
+        sys = HodgeSystem(curve(2), (BundleData(2, 0), BundleData(1, 0)), Declared())
+        with pytest.raises(ValueError, match="exceeds the component degree at full rank"):
+            check_declared(sys, SubsystemProfile(((2, 5),)))
+        with pytest.raises(ValueError, match="exceeds the component degree at full rank"):
+            check_declared(sys, SubsystemProfile(((1, 9), (1, 1))))
+        assert check_declared(sys, SubsystemProfile(((2, 0),))).semistable is Answer.UNKNOWN
 
     def test_degree_unchecked_without_flag(self):
         e0 = BundleData(1, 1, semistable=True, stable=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hodgeslope.slope_core import (
     BundleData,
     GeometricContext,
     SubsheafMode,
+    _is_prime,
     direct_sum,
     format_rational,
     max_subsheaf_degree,
@@ -58,6 +60,31 @@ class TestGeometricContext:
         for char in (1, 4, 6, 9, -2):
             with pytest.raises(ValueError):
                 GeometricContext(char, 1, 0)
+
+    @pytest.mark.parametrize(
+        "char, accepted",
+        [
+            (10**18 + 3, True),
+            ((10**9 + 7) * (10**9 + 9), False),
+            (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+            (2**64, False),
+        ],
+    )
+    def test_large_characteristic_decided_fast(self, char, accepted):
+        start = time.perf_counter()
+        if accepted:
+            GeometricContext(char, 1, 0)
+        else:
+            with pytest.raises(ValueError, match="characteristic must be"):
+                GeometricContext(char, 1, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+        for char in range(1, 20_000):
+            assert _is_prime(char) is trial(char), char
 
     def test_dim_positive(self):
         with pytest.raises(ValueError):
