@@ -250,7 +250,7 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     return Verdict(provenance=PROV_DECLARED_SLACK)
 
 
-def declared_verdict(sys: HodgeSystem) -> Verdict:
+def _declared_verdict(sys: HodgeSystem) -> Verdict:
     """Judge every declared profile; the first that refutes semistability
     wins, then the first that refutes stability."""
     profiles = sys.theta.profiles
@@ -281,7 +281,7 @@ def system_verdict(
     semistability raises InconsistencyError.
     """
     if not isinstance(sys.theta, Isomorphisms):
-        return declared_verdict(sys)
+        return _declared_verdict(sys)
     verdict = criteria_verdict(sys)
     if not all(c.semistable is True for c in sys.components):
         return verdict
