@@ -26,13 +26,12 @@ from .hodge_system import (
 )
 from .profiles import SubsystemProfile
 from .search_oracle import (
-    DEFAULT_PROFILE_BUDGET,
     PROV_DECLARED,
     PROV_ORACLE,
     check_declared,
     verdict_from_search,
 )
-from .slope_core import BundleData, GeometricContext, direct_sum
+from .slope_core import BundleData, GeometricContext, InconsistencyError, direct_sum
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,23 @@ def default_entries() -> list[GalleryEntry]:
     return [builder() for builder in BUILDERS.values()]
 
 
-def recompute_verdict(entry: GalleryEntry, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def recompute_verdict(entry: GalleryEntry, budget: Optional[int] = None) -> Verdict:
     """Reproduce the entry's verdict by search (isomorphism towers) or by
     judging the declared subobject."""
     if isinstance(entry.system.theta, Isomorphisms):
         return verdict_from_search(entry.system, budget=budget)
     assert entry.declared_subobject is not None
     return check_declared(entry.system, entry.declared_subobject)
+
+
+def checked_entry(name: str, **params: int) -> tuple[GalleryEntry, Verdict]:
+    """Build an entry and reproduce its verdict; a verdict that drifted
+    from the recorded expectation raises InconsistencyError."""
+    entry = build_entry(name, **params)
+    recomputed = recompute_verdict(entry)
+    if (recomputed.semistable, recomputed.stable) != (
+        entry.expected.semistable,
+        entry.expected.stable,
+    ):
+        raise InconsistencyError("gallery verdict drifted from the recorded expectation")
+    return entry, recomputed

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .slope_core import InconsistencyError
+
 Number = Union[int, Fraction]
+
+#: Largest sweep hodge_sum_sweep runs; each check costs O(n) big-integer
+#: terms, so an unbounded sweep could run for minutes.
+MAX_SWEEP_CHECKS = 20_000
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,13 @@ def hodge_sum_sweep(
     """Exhaustively evaluate the power-sum inequality for 1 <= d <= d_max
     and 0 <= r <= n <= n_max.  Returns one (d, checked, failures) row per
     d, where failures lists the offending (r, n) pairs (expected empty).
+    A sweep of more than MAX_SWEEP_CHECKS checks is refused.
     """
     if d_max < 1 or n_max < 0:
         raise ValueError("need d_max >= 1 and n_max >= 0")
+    checks = d_max * (n_max + 1) * (n_max + 2) // 2
+    if checks > MAX_SWEEP_CHECKS:
+        raise ValueError(f"sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}")
     rows = []
     for d in range(1, d_max + 1):
         checked = 0
@@ -127,6 +137,15 @@ def hodge_sum_sweep(
                     failures.append((r, n))
         rows.append((d, checked, failures))
     return rows
+
+
+def verify_hodge_sums(d_max: int, n_max: int) -> list[tuple[int, int]]:
+    """Run the sweep and return one (d, checked) row per d; a failure of
+    the proved inequality raises InconsistencyError."""
+    rows = hodge_sum_sweep(d_max, n_max)
+    if any(failures for _, _, failures in rows):
+        raise InconsistencyError("a proved inequality failed on the sweep")
+    return [(d, checked) for d, checked, _ in rows]
 
 
 def make_pair(a: Iterable[Number], b: Iterable[Number]) -> SequencePair:

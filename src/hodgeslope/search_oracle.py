@@ -1,13 +1,22 @@
-"""Brute-force destabilizer search over invariant subobject profiles.
+"""Destabilizer search over invariant subobject profiles.
 
-Independent of the criteria, this module enumerates every admissible
-graded subobject profile of an isomorphism tower and maximizes slope.
-Admissibility means: contiguous support starting at grade 0, positive
-ranks bounded by the component ranks, a rank-chain constraint, and at each
-grade the largest degree the component's attestation allows (slope
-maximization never benefits from a smaller degree, which collapses the
-search to a finite one).  The whole system is excluded, mirroring the
-proper-subsheaf quantifier.
+Independent of the criteria, this module finds the admissible graded
+subobject profile of largest slope of an isomorphism tower.  Admissibility
+means: contiguous support starting at grade 0, positive ranks bounded by
+the component ranks, a rank-chain constraint, and at each grade the largest
+degree the component's attestation allows (slope maximization never
+benefits from a smaller degree, which collapses the search to a finite
+one).  The whole system is excluded, mirroring the proper-subsheaf
+quantifier.
+
+The maximum is exact and takes polynomial time, by Dinkelbach's parametric
+method (W. Dinkelbach, *On nonlinear fractional programming*, Management
+Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
+(grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
+chains.  A positive maximum is reached by a chain of larger slope, which
+becomes the next candidate; a zero maximum proves the candidate optimal.
+``enumerate_profiles`` streams every profile one by one and is kept as the
+brute-force reference the solver is tested against.
 
 Two rank-chain modes are provided.  The monotone mode requires
 rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .hodge_system import (
@@ -39,26 +49,28 @@ from .hodge_system import (
     total_slope,
 )
 from .profiles import SubsystemProfile
-from .slope_core import SubsheafMode, max_subsheaf_degree
+from .slope_core import InconsistencyError, SubsheafMode, max_subsheaf_degree
 
 PROV_ORACLE = "oracle"
 PROV_DECLARED = "declared invariant profile"
 PROV_DECLARED_FULL = "declared profile equals the whole system"
 PROV_DECLARED_SLACK = "declared profile does not destabilize"
 
+#: Default budget of ``enumerate_profiles``, which visits every profile.
 DEFAULT_PROFILE_BUDGET = 10_000_000
+
+#: The solver's own limit: (grade, rank) cells it tabulates.  Its work is
+#: linear in them per Dinkelbach step, so a larger search is refused rather
+#: than left to run for seconds.
+MAX_RANK_CELLS = 1 << 18
 
 
 class BudgetExceededError(ValueError):
-    """The profile space is larger than the configured search budget."""
-
-
-class InconsistencyError(RuntimeError):
-    """Criterion and oracle disagree on a definite verdict."""
+    """The search is larger than its budget or the solver's cell limit."""
 
 
 class ConstraintMode(Enum):
-    """Rank-chain constraint imposed on enumerated profiles."""
+    """Rank-chain constraint imposed on admissible profiles."""
 
     # values are the CLI/document tokens (--mode paper|conservative)
     MONOTONE = "paper"
@@ -73,25 +85,48 @@ def profile_space_size(sys: HodgeSystem) -> int:
     return size
 
 
+def _rank_step(sys: HodgeSystem, mode: ConstraintMode) -> int:
+    """The rank at grade i is at most this factor times the rank at grade i-1."""
+    return 1 if mode is ConstraintMode.MONOTONE else sys.context.dim
+
+
 def _degree_bounds(
-    sys: HodgeSystem, subsheaf_mode: SubsheafMode, budget: int
+    sys: HodgeSystem,
+    mode: ConstraintMode,
+    subsheaf_mode: SubsheafMode,
+    budget: Optional[int],
 ) -> list[list[int]]:
-    """Validate oracle preconditions and tabulate degree bounds per grade and rank."""
+    """Validate oracle preconditions and tabulate degree bounds per grade
+    and rank, for the ranks a chain can reach (entry 0 is rank 0).
+
+    An explicit budget caps the rank assignments prod(rank(E_i) + 1); the
+    table itself is capped at MAX_RANK_CELLS cells.
+    """
     if not isinstance(sys.theta, Isomorphisms):
         raise ValueError("oracle requires isomorphism structure")
-    size = profile_space_size(sys)
-    if size > budget:
+    if budget is not None:
+        size = profile_space_size(sys)
+        if size > budget:
+            raise BudgetExceededError(
+                f"budget exceeded: {size} rank assignments, budget is {budget}"
+            )
+    step = _rank_step(sys, mode)
+    caps = [sys.components[0].rank]
+    for comp in sys.components[1:]:
+        caps.append(min(comp.rank, step * caps[-1]))
+    cells = sum(caps)
+    if cells > MAX_RANK_CELLS:
         raise BudgetExceededError(
-            f"budget exceeded: {size} rank assignments, budget is {budget}"
+            f"search too large: {cells} rank cells, the solver's limit is {MAX_RANK_CELLS}"
         )
     bounds = []
-    for i, comp in enumerate(sys.components):
+    for i, (comp, cap) in enumerate(zip(sys.components, caps)):
         flag = comp.semistable if subsheaf_mode is SubsheafMode.SEMISTABLE else comp.stable
         if flag is not True:
             raise ValueError(
                 f"flag precondition violated: component {i} is not flagged {subsheaf_mode.value}"
             )
-        bounds.append([0] + [max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, comp.rank + 1)])
+        bounds.append([0] + [max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, cap + 1)])
     return bounds
 
 
@@ -101,20 +136,14 @@ def _profiles(
     mode: ConstraintMode,
 ) -> Iterator[SubsystemProfile]:
     ranks = [c.rank for c in sys.components]
-    d = sys.context.dim
+    step = _rank_step(sys, mode)
     n = sys.n
-    monotone = mode is ConstraintMode.MONOTONE
 
     def extend(grade: int, top: int, acc: tuple[tuple[int, int], ...]) -> Iterator[tuple[tuple[int, int], ...]]:
         if grade > top:
             yield acc
             return
-        if grade == 0:
-            hi = ranks[0]
-        else:
-            prev = acc[-1][0]
-            cap = prev if monotone else d * prev
-            hi = min(ranks[grade], cap)
+        hi = ranks[0] if grade == 0 else min(ranks[grade], step * acc[-1][0])
         for rk in range(1, hi + 1):
             yield from extend(grade + 1, top, acc + ((rk, bounds[grade][rk]),))
 
@@ -132,46 +161,109 @@ def enumerate_profiles(
     budget: int = DEFAULT_PROFILE_BUDGET,
 ) -> Iterator[SubsystemProfile]:
     """Stream every admissible proper profile in a fixed deterministic
-    order (by support length, then rank vector lexicographically)."""
-    bounds = _degree_bounds(sys, subsheaf_mode, budget)
+    order (by support length, then rank vector lexicographically).  The
+    brute-force reference for ``max_slope_profile``."""
+    bounds = _degree_bounds(sys, mode, subsheaf_mode, budget)
     return _profiles(sys, bounds, mode)
 
 
-def _better(cand: SubsystemProfile, best: SubsystemProfile) -> bool:
-    """Strict total order: larger slope wins, ties go to the
-    lexicographically smallest entry list."""
-    lhs = cand.degree * best.rank
-    rhs = best.degree * cand.rank
-    if lhs != rhs:
-        return lhs > rhs
-    return cand.entries < best.entries
+def _tables(
+    bounds: list[list[int]], step: int, whole: bool, p: int, q: int
+) -> tuple[list[list[int]], list[Optional[int]]]:
+    """Suffix tables of the chain value sum(q * degree_i - p * rank_i).
+
+    values[i][r] is the best value of a chain from grade i on that has rank
+    r at grade i.  full[i] is the same for r = rank(E_i) along a chain equal
+    to the whole system through grade i, which must leave it before the top
+    grade (None when it cannot); it exists only when the whole system is
+    admissible (``whole``).
+    """
+    n = len(bounds) - 1
+    values: list[list[int]] = [[]] * (n + 1)
+    full: list[Optional[int]] = [None] * (n + 1)
+    below: list[int] = []  # prefix maxima of the next grade's values; index 0 is stopping
+    for i in range(n, -1, -1):
+        b = bounds[i]
+        if i == n:
+            v = [q * b[r] - p * r for r in range(len(b))]
+        else:
+            h = len(below) - 1
+            v = [q * b[r] - p * r + below[min(h, step * r)] for r in range(len(b))]
+            if whole:
+                rest = below[h - 1] if full[i + 1] is None else max(below[h - 1], full[i + 1])
+                full[i] = q * b[-1] - p * (len(b) - 1) + rest
+        values[i] = v
+        below = list(accumulate(v, max))
+    return values, full
+
+
+def _best_chain(
+    bounds: list[list[int]], step: int, whole: bool, p: int, q: int
+) -> Optional[tuple[int, list[int]]]:
+    """The largest value sum(q * degree_i - p * rank_i) of a proper chain,
+    with the lexicographically smallest rank chain reaching it, or None
+    when no proper chain exists.
+
+    Comparing entry lists is comparing rank vectors, and a prefix sorts
+    before its extensions, so the chain stops as soon as it meets the
+    maximum and otherwise takes the smallest rank that can still meet it.
+    """
+    values, full = _tables(bounds, step, whole, p, q)
+    first = values[0][1:]
+    if whole:
+        first[-1] = full[0]
+    target = max((v for v in first if v is not None), default=None)
+    if target is None:
+        return None  # a single line bundle: the only chain is the whole system
+    ranks: list[int] = []
+    acc, cap = 0, len(bounds[0]) - 1
+    for i, v in enumerate(values):
+        if ranks and acc == target:
+            break
+        top = len(v) - 1
+        for r in range(1, min(top, cap) + 1):
+            value = full[i] if whole and r == top else v[r]
+            if value is not None and acc + value == target:
+                break
+        ranks.append(r)
+        acc += q * bounds[i][r] - p * r
+        whole = whole and r == top  # the chain so far is still the whole system's
+        cap = step * r
+    return target, ranks
 
 
 def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    budget: Optional[int] = None,
 ) -> Optional[tuple[SubsystemProfile, Fraction]]:
-    """The enumerated profile of maximal slope, or None when no proper
-    profile exists."""
-    bounds = _degree_bounds(sys, subsheaf_mode, budget)
-    best: Optional[SubsystemProfile] = None
-    for p in _profiles(sys, bounds, mode):
-        if best is None or _better(p, best):
-            best = p
-    if best is None:
-        return None
-    return best, best.slope
+    """The admissible proper profile of maximal slope, ties going to the
+    lexicographically smallest entry list, or None when no proper profile
+    exists."""
+    bounds = _degree_bounds(sys, mode, subsheaf_mode, budget)
+    step = _rank_step(sys, mode)
+    whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
+    best = Fraction(bounds[0][1])  # slope of the chain of one rank-1 piece
+    while True:
+        found = _best_chain(bounds, step, whole, best.numerator, best.denominator)
+        if found is None:
+            return None
+        excess, ranks = found
+        if excess == 0:
+            break
+        best = Fraction(sum(b[r] for b, r in zip(bounds, ranks)), sum(ranks))
+    profile = SubsystemProfile(tuple((r, b[r]) for b, r in zip(bounds, ranks)))
+    return profile, profile.slope
 
 
 def verdict_from_search(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    budget: Optional[int] = None,
 ) -> Verdict:
-    """Ground-truth verdict within the enumerated profile class.
+    """Ground-truth verdict within the admissible profile class.
 
     Under semistable bounds: a profile above the total slope refutes
     semistability; one meeting it refutes stability; otherwise both hold
@@ -195,7 +287,7 @@ def verdict_from_search(
 
 
 def _verdict_stable_bounds(
-    sys: HodgeSystem, mode: ConstraintMode, budget: int, mu: Fraction
+    sys: HodgeSystem, mode: ConstraintMode, budget: Optional[int], mu: Fraction
 ) -> Verdict:
     best_ss = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
     if best_ss is not None and best_ss[1] > mu:
@@ -266,34 +358,40 @@ def _declared_verdict(sys: HodgeSystem) -> Verdict:
     return Verdict(provenance="declared profiles do not destabilize")
 
 
+def _require_agreement(criterion: Answer, oracle: Answer, side: str) -> None:
+    if Answer.UNKNOWN not in (criterion, oracle) and criterion is not oracle:
+        raise InconsistencyError(f"criterion and oracle disagree on {side}")
+
+
 def system_verdict(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    budget: Optional[int] = None,
 ) -> Verdict:
     """Decide a system of Hodge bundles.
 
     A declared system is judged by its declared profiles.  An isomorphism
     tower gets the criteria's verdict; when every component is attested
-    semistable, the oracle under semistable bounds cross-checks it and
-    fills in what the criteria leave unknown.  A tower past the search
-    budget keeps the criteria's verdict alone.  A definite disagreement on
-    semistability raises InconsistencyError.
+    semistable, the oracle cross-checks it and fills in what the criteria
+    leave unknown.  The oracle runs under semistable bounds, or under
+    stable bounds when the cotangent degree is positive and every
+    component is attested stable, so that its stability side is a check
+    too.  A tower past the search budget or the solver's limit keeps the
+    criteria's verdict alone.  A definite disagreement on either side
+    raises InconsistencyError.
     """
     if not isinstance(sys.theta, Isomorphisms):
         return _declared_verdict(sys)
     verdict = criteria_verdict(sys)
     if not all(c.semistable is True for c in sys.components):
         return verdict
+    check_stable = sys.context.omega_degree > 0 and all(c.stable is True for c in sys.components)
+    subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
     try:
-        oracle = verdict_from_search(sys, mode, SubsheafMode.SEMISTABLE, budget)
+        oracle = verdict_from_search(sys, mode, subsheaf_mode, budget)
     except BudgetExceededError:
         return verdict
-    definite = {Answer.YES, Answer.NO}
-    if (
-        verdict.semistable in definite
-        and oracle.semistable in definite
-        and verdict.semistable is not oracle.semistable
-    ):
-        raise InconsistencyError("criterion and oracle disagree on semistability")
+    _require_agreement(verdict.semistable, oracle.semistable, "semistability")
+    if check_stable:
+        _require_agreement(verdict.stable, oracle.stable, "stability")
     return merge_verdicts(verdict, oracle)

@@ -80,6 +80,11 @@ def _as_bool(value: object, what: str) -> bool:
     return value
 
 
+class InconsistencyError(RuntimeError):
+    """Two independent computations disagree on a definite answer, or a
+    proved inequality fails: always a bug, never a property of the input."""
+
+
 class SubsheafMode(Enum):
     """Which attestation a subsheaf degree bound may lean on."""
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,29 @@ class TestCheckSystem:
         code, report, err = run(capsys, ["check-system", tower_doc])
         assert code == 2
         assert "disagree" in report["error"]
+        assert "internal inconsistency" in err
+
+    def test_stability_cross_checked_under_stable_bounds(self, capsys, tmp_path, monkeypatch):
+        # every component stable, positive cotangent degree: the stable-bounds
+        # oracle agrees with the criterion's stable=yes, which the
+        # semistable-bounds oracle would contradict with [[1, 0], [1, 2]]
+        from hodgeslope.hodge_system import ISOMORPHISMS, Answer
+
+        components = (
+            BundleData(2, 0, semistable=True, stable=True),
+            BundleData(2, 4, semistable=True, stable=True),
+        )
+        system = HodgeSystem(curve(2), components, ISOMORPHISMS)
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        code, report, _ = run(capsys, ["check-system", doc])
+        assert code == 0
+        assert (report["semistable"], report["stable"]) == ("yes", "yes")
+        assert report["provenance"].endswith("; oracle")
+        fake = Verdict(Answer.YES, Answer.NO, SubsystemProfile(((1, 0), (1, 2))), "oracle")
+        monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a, **k: fake)
+        code, report, err = run(capsys, ["check-system", doc])
+        assert code == 2
+        assert report["error"] == "criterion and oracle disagree on stability"
         assert "internal inconsistency" in err
 
     @pytest.mark.parametrize("semistable", [None, True])
@@ -257,6 +281,14 @@ class TestVerifyInequalities:
         assert report["all_hold"] is True
         assert report["checked"] == 3 * (7 * 8 // 2)
         assert "d=3" in err
+
+    def test_oversized_sweep_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, report, err = run(capsys, ["verify-inequalities", "--d-max", "3", "--n-max", "300"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "sweep too large" in report["error"]
+        assert "invalid input" in err
 
 
 class TestGalleryCommand:

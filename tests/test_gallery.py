@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeslope import gallery
 from hodgeslope.gallery import (
     build_entry,
+    checked_entry,
     default_entries,
     example_injective_not_iso,
     example_strictly_semistable,
@@ -15,8 +17,8 @@ from hodgeslope.gallery import (
     unstable_component_hn,
 )
 from hodgeslope.hn_profiles import validate_hn
-from hodgeslope.hodge_system import Answer, total_slope
-from hodgeslope.slope_core import slope
+from hodgeslope.hodge_system import Answer, Verdict, total_slope
+from hodgeslope.slope_core import InconsistencyError, slope
 
 
 class TestStrictlySemistable:
@@ -147,3 +149,10 @@ class TestRegistry:
     def test_wrong_parameter(self):
         with pytest.raises(ValueError, match="does not accept"):
             build_entry("strictly-semistable", d0=3)
+
+    def test_checked_entry_reports_drift(self, monkeypatch):
+        entry, verdict = checked_entry("strictly-semistable", g=3)
+        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.NO)
+        monkeypatch.setattr(gallery, "recompute_verdict", lambda entry: Verdict(Answer.YES, Answer.YES))
+        with pytest.raises(InconsistencyError, match="drifted"):
+            checked_entry("strictly-semistable", g=3)

@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeslope import inequalities
 from hodgeslope.hodge_system import derive_components, partial_slope
 from hodgeslope.inequalities import (
+    InequalityCheck,
+    MAX_SWEEP_CHECKS,
     chebyshev_lower,
     chebyshev_upper,
     geometric_sum,
     hodge_sum_inequality,
     hodge_sum_sweep,
     make_pair,
+    verify_hodge_sums,
     weighted_power_sum,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext, slope
+from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError, slope
 
 
 def monotone_pair(rng: random.Random, length: int, a_increasing: bool):
@@ -103,6 +107,18 @@ class TestHodgeSum:
         rows = hodge_sum_sweep(4, 8)
         assert all(not failures for _, _, failures in rows)
         assert sum(checked for _, checked, _ in rows) == 4 * (9 * 10 // 2)
+
+    def test_sweep_size_limit(self):
+        # 3 * 101 * 102 / 2 = 15,453 checks run; 3 * 301 * 302 / 2 do not
+        assert sum(c for _, c in verify_hodge_sums(3, 100)) == 15_453 <= MAX_SWEEP_CHECKS
+        with pytest.raises(ValueError, match="sweep too large: 136353 checks"):
+            hodge_sum_sweep(3, 300)
+
+    def test_failed_check_is_an_inconsistency(self, monkeypatch):
+        failing = InequalityCheck(False, Fraction(1), Fraction(0))
+        monkeypatch.setattr(inequalities, "hodge_sum_inequality", lambda d, r, n: failing)
+        with pytest.raises(InconsistencyError, match="proved inequality failed"):
+            verify_hodge_sums(1, 2)
 
     def test_matches_partial_slope_monotonicity(self):
         # the inequality is exactly monotonicity of partial tower slopes

@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hodgeslope import search_oracle
 from hodgeslope.hodge_system import (
     Answer,
     Declared,
     HodgeSystem,
     ISOMORPHISMS,
+    criteria_verdict,
     derive_components,
     total_slope,
     transport_subsystem,
@@ -19,10 +24,12 @@ from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.search_oracle import (
     BudgetExceededError,
     ConstraintMode,
+    MAX_RANK_CELLS,
     check_declared,
     enumerate_profiles,
     max_slope_profile,
     profile_space_size,
+    system_verdict,
     verdict_from_search,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, slope
@@ -52,10 +59,15 @@ def example_tower(g: int = 2) -> HodgeSystem:
     return semistable_tower(2, -(2 * g - 2), 1, 2 * g - 2, 1)
 
 
-def brute_max(sys: HodgeSystem, mode: ConstraintMode, subsheaf_mode: SubsheafMode):
+def brute_max(
+    sys: HodgeSystem,
+    mode: ConstraintMode,
+    subsheaf_mode: SubsheafMode,
+    budget: int = search_oracle.DEFAULT_PROFILE_BUDGET,
+):
     """Independent maximum: materialize the stream, compare with Fractions."""
     best = None
-    for p in enumerate_profiles(sys, mode, subsheaf_mode):
+    for p in enumerate_profiles(sys, mode, subsheaf_mode, budget):
         key = (-p.slope, p.entries)
         if best is None or key < best[0]:
             best = (key, p)
@@ -176,6 +188,85 @@ class TestMaxSlope:
             else:
                 assert actual[0].entries == expected[0].entries
                 assert actual[1] == expected[1]
+
+
+@st.composite
+def towers(draw, stable: bool):
+    """Attested towers small enough to enumerate: the height is cut until
+    prod(rank + 1) is at most 20,000."""
+    r0, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    e0, w = draw(st.integers(-8, 8)), draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4))
+    build = stable_tower if stable else semistable_tower
+    sys = build(r0, e0, d, w, n)
+    while profile_space_size(sys) > 20_000:
+        n -= 1
+        sys = build(r0, e0, d, w, n)
+    return sys
+
+
+def same_result(actual, expected) -> bool:
+    if expected is None or actual is None:
+        return actual is expected
+    return actual[0].entries == expected[0].entries and actual[1] == expected[1]
+
+
+class TestSolverAgainstBruteForce:
+    """The Dinkelbach solver agrees with brute-force enumeration: the same
+    maximal slope, the same tie-broken certificate, the same verdict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(ConstraintMode))
+    def test_max_slope_profile(self, sys, mode):
+        subsheaf_modes = [SubsheafMode.SEMISTABLE]
+        if all(c.stable is True for c in sys.components):
+            subsheaf_modes.append(SubsheafMode.STABLE)
+        for subsheaf_mode in subsheaf_modes:
+            expected = brute_max(sys, mode, subsheaf_mode)
+            assert same_result(max_slope_profile(sys, mode, subsheaf_mode), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sys=towers(stable=True), mode=st.sampled_from(ConstraintMode),
+           subsheaf_mode=st.sampled_from(SubsheafMode))
+    def test_verdict_from_search(self, sys, mode, subsheaf_mode):
+        fast = verdict_from_search(sys, mode, subsheaf_mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search_oracle, "max_slope_profile", lambda s, m, sm, b: brute_max(s, m, sm))
+            slow = verdict_from_search(sys, mode, subsheaf_mode)
+        assert fast == slow
+
+    def test_past_the_old_gate(self):
+        # 24,309 chains among 9^9 rank assignments: the default enumeration
+        # budget refuses it, an explicit one lets the brute force run
+        sys = semistable_tower(8, -3, 1, 2, 8)
+        assert profile_space_size(sys) > search_oracle.DEFAULT_PROFILE_BUDGET
+        for mode in ConstraintMode:
+            expected = brute_max(sys, mode, SubsheafMode.SEMISTABLE, budget=10**9)
+            assert same_result(max_slope_profile(sys, mode), expected)
+
+    def test_tall_tower_is_fast(self):
+        sys = stable_tower(50, 1, 1, 2, 50)
+        start = time.perf_counter()
+        verdict = verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
+        assert time.perf_counter() - start < 1.0
+        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+
+    def test_cell_limit(self):
+        # ranks 3^i: 7,174,453 reachable cells in conservative mode, 15 in paper mode
+        sys = semistable_tower(1, 0, 3, 2, 14)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="search too large"):
+            max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
+        assert time.perf_counter() - start < 0.1
+        assert sum(c.rank for c in sys.components) > MAX_RANK_CELLS
+        assert system_verdict(sys, ConstraintMode.CONSERVATIVE) == criteria_verdict(sys)
+        assert max_slope_profile(sys, ConstraintMode.MONOTONE) is not None
+
+    def test_explicit_budget_keeps_its_meaning(self):
+        sys = semistable_tower(3, 0, 2, 1, 3)
+        with pytest.raises(BudgetExceededError, match="budget exceeded: 9100 rank assignments"):
+            max_slope_profile(sys, budget=9_099)
+        assert max_slope_profile(sys, budget=9_100) == max_slope_profile(sys)
 
 
 class TestVerdictFromSearch:
