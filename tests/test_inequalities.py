@@ -8,7 +8,6 @@ import pytest
 from hodgeslope import inequalities
 from hodgeslope.hodge_system import derive_components, partial_slope
 from hodgeslope.inequalities import (
-    InequalityCheck,
     MAX_SWEEP_CHECKS,
     chebyshev_lower,
     chebyshev_upper,
@@ -20,6 +19,17 @@ from hodgeslope.inequalities import (
     weighted_power_sum,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError, slope
+
+
+def reference_weighted_power_sum(d: int, k: int) -> int:
+    """Term-by-term sum over i = 0..k of i * d^(i-1), the reference for
+    the closed form."""
+    return sum(i * d ** (i - 1) for i in range(1, k + 1))
+
+
+def reference_geometric_sum(d: int, k: int) -> int:
+    """Term-by-term sum over j = 0..k of d^j."""
+    return sum(d**j for j in range(k + 1))
 
 
 def monotone_pair(rng: random.Random, length: int, a_increasing: bool):
@@ -85,6 +95,17 @@ class TestHodgeSum:
         assert weighted_power_sum(1, 0) == 0
         assert weighted_power_sum(5, 0) == 0
 
+    def test_closed_forms_match_term_sums(self):
+        # empty sums (k < 0) stay the int 0, where the closed forms alone
+        # would give a float (d > 1) or a wrong value (d = 1)
+        for d in range(1, 9):
+            for k in range(-2, 151):
+                w = weighted_power_sum(d, k)
+                s = geometric_sum(d, k)
+                assert type(w) is int and type(s) is int
+                assert w == reference_weighted_power_sum(d, k), (d, k)
+                assert s == reference_geometric_sum(d, k), (d, k)
+
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
         assert check.holds and (check.lhs, check.rhs) == (7, 15)
@@ -108,6 +129,26 @@ class TestHodgeSum:
         assert all(not failures for _, _, failures in rows)
         assert sum(checked for _, checked, _ in rows) == 4 * (9 * 10 // 2)
 
+    def test_sweep_equals_per_pair_checks(self):
+        rows = []
+        for d in range(1, 5):
+            pairs = [(r, n) for n in range(13) for r in range(n + 1)]
+            failures = [(r, n) for r, n in pairs if not hodge_sum_inequality(d, r, n)]
+            rows.append((d, len(pairs), failures))
+        assert hodge_sum_sweep(4, 12) == rows
+
+    def test_sweep_tabulates_sums_once_per_degree(self, monkeypatch):
+        calls = []
+
+        def counted(d, k):
+            calls.append((d, k))
+            return weighted_power_sum(d, k)
+
+        monkeypatch.setattr(inequalities, "weighted_power_sum", counted)
+        rows = hodge_sum_sweep(3, 40)
+        assert sum(checked for _, checked, _ in rows) == 3 * 41 * 42 // 2
+        assert len(calls) <= 3 * 41
+
     def test_sweep_size_limit(self):
         # 3 * 101 * 102 / 2 = 15,453 checks run; 3 * 301 * 302 / 2 do not
         assert sum(c for _, c in verify_hodge_sums(3, 100)) == 15_453 <= MAX_SWEEP_CHECKS
@@ -115,8 +156,7 @@ class TestHodgeSum:
             hodge_sum_sweep(3, 300)
 
     def test_failed_check_is_an_inconsistency(self, monkeypatch):
-        failing = InequalityCheck(False, Fraction(1), Fraction(0))
-        monkeypatch.setattr(inequalities, "hodge_sum_inequality", lambda d, r, n: failing)
+        monkeypatch.setattr(inequalities, "_hodge_sides", lambda *sums: (1, 0))
         with pytest.raises(InconsistencyError, match="proved inequality failed"):
             verify_hodge_sums(1, 2)
 
