@@ -12,6 +12,7 @@ rationals are rendered canonically as "p/q".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -76,6 +77,14 @@ _MODES = {m.value: m for m in ConstraintMode}
 _SUBSHEAVES = {m.value: m for m in SubsheafMode}
 
 
+def _choice(data: dict, key: str, table: dict):
+    value = data[key]
+    # a list or object is unhashable, so test the type before the lookup
+    if not isinstance(value, str) or value not in table:
+        raise ValueError(f"{key} must be one of {sorted(table)}")
+    return table[value]
+
+
 def _search_options(doc: dict, args: argparse.Namespace) -> dict:
     options = {
         "mode": ConstraintMode.MONOTONE,
@@ -88,13 +97,9 @@ def _search_options(doc: dict, args: argparse.Namespace) -> dict:
             raw, "search_options", set(), {"constraint_mode", "subsheaf_mode", "budget"}
         )
         if "constraint_mode" in data:
-            if data["constraint_mode"] not in _MODES:
-                raise ValueError(f"constraint_mode must be one of {sorted(_MODES)}")
-            options["mode"] = _MODES[data["constraint_mode"]]
+            options["mode"] = _choice(data, "constraint_mode", _MODES)
         if "subsheaf_mode" in data:
-            if data["subsheaf_mode"] not in _SUBSHEAVES:
-                raise ValueError(f"subsheaf_mode must be one of {sorted(_SUBSHEAVES)}")
-            options["subsheaf"] = _SUBSHEAVES[data["subsheaf_mode"]]
+            options["subsheaf"] = _choice(data, "subsheaf_mode", _SUBSHEAVES)
         if "budget" in data:
             budget = _as_int(data["budget"], "budget")
             if budget < 1:
@@ -230,7 +235,11 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one.  Nothing may change it after it is built: each parse fills a
+    fresh namespace, so no option leaks from one call into the next."""
     parser = _Parser(prog="hodgeslope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -290,3 +299,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import copy
+import gc
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeslope import cli, search_oracle
 from hodgeslope.gallery import example_strictly_semistable, example_surjective_not_iso
@@ -20,10 +29,28 @@ def write_doc(tmp_path: Path, payload: dict, name: str = "doc.json") -> str:
     return str(path)
 
 
-def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
+def run_raw(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = cli.main(argv)
     captured = capsys.readouterr()
-    return code, json.loads(captured.out), captured.err
+    return code, captured.out, captured.err
+
+
+def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
+    code, out, err = run_raw(capsys, argv)
+    return code, json.loads(out), err
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package's source directory on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def curve(w: int, char: int = 0) -> GeometricContext:
@@ -167,6 +194,19 @@ class TestSearch:
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("command", ["search", "check-system"])
+    @pytest.mark.parametrize("key", ["constraint_mode", "subsheaf_mode"])
+    @pytest.mark.parametrize("value", [[], {}, ["paper"], {"paper": 1}])
+    def test_non_string_option_is_invalid_input(self, capsys, tmp_path, command, key, value):
+        system = example_strictly_semistable(2).system
+        doc = write_doc(
+            tmp_path, {"hodge_system": system_to_json(system), "search_options": {key: value}}
+        )
+        code, report, err = run(capsys, [command, doc])
+        assert code == 1
+        assert report["error"].startswith(f"{key} must be one of [")
+        assert "invalid input" in err
+
 
 class TestCheckOper:
     def test_classical_tower(self, capsys, tmp_path):
@@ -291,6 +331,9 @@ class TestVerifyInequalities:
         assert "invalid input" in err
 
 
+HUGE = 10**3999  # 4,000 digits
+
+
 class TestGalleryCommand:
     def test_default_entry(self, capsys):
         code, report, _ = run(capsys, ["gallery", "strictly-semistable"])
@@ -309,6 +352,34 @@ class TestGalleryCommand:
         code, report, _ = run(capsys, ["gallery", "surjective-not-iso", "--d-line", "1"])
         assert code == 1
         assert "d > 2g-2" in report["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strictly-semistable", "--g", str(HUGE)],
+            ["surjective-not-iso", "--g", str(HUGE), "--d-line", str(2 * HUGE)],
+            ["surjective-not-iso", "--d-line", str(HUGE)],
+            ["injective-not-iso", "--g", str(HUGE), "--d0", str(HUGE)],
+            ["unstable-component", "--g", str(HUGE), "--d0", str(HUGE)],
+        ],
+    )
+    def test_huge_parameters_are_decided_quickly(self, capsys, argv):
+        # the parameters have no size limit of their own; 4,000 digits stays
+        # fast because every entry is a handful of big-integer operations
+        start = time.perf_counter()
+        code, report, _ = run(capsys, ["gallery", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert report["recomputed"] == report["entry"]["expected"]
+
+    @pytest.mark.parametrize("flag", ["--g", "--d-line", "--d0"])
+    def test_parameter_past_the_int_string_limit_is_invalid_input(self, capsys, flag):
+        # Python refuses to convert decimal strings longer than its
+        # int-string limit (4,300 digits by default); argparse reports that
+        code, report, err = run(capsys, ["gallery", "unstable-component", flag, "1" * 5000])
+        assert code == 1
+        assert "invalid int value" in report["error"]
+        assert "invalid input" in err
 
 
 class TestDocumentValidation:
@@ -355,3 +426,153 @@ class TestDocumentValidation:
         code, report, _ = run(capsys, ["search"])
         assert code == 1
         assert "error" in report
+
+
+class TestParserReuse:
+    def test_warm_call_leaves_no_cyclic_garbage(self, tower_doc):
+        assert cli.main(["check-system", tower_doc]) == 0
+        gc.collect()
+        assert cli.main(["check-system", tower_doc]) == 0
+        assert gc.collect() == 0
+
+    def test_parser_is_built_on_first_call_only(self):
+        # count constructions in a fresh interpreter: importing builds no
+        # parser, and a second call reuses the one the first call built
+        script = "\n".join(
+            [
+                "import argparse, contextlib, io",
+                "built = []",
+                "init = argparse.ArgumentParser.__init__",
+                "def counting(self, *args, **kwargs):",
+                "    built.append(self)",
+                "    init(self, *args, **kwargs)",
+                "argparse.ArgumentParser.__init__ = counting",
+                "from hodgeslope import cli",
+                "counts = [len(built)]",
+                "for _ in range(2):",
+                "    with contextlib.redirect_stdout(io.StringIO()):",
+                "        with contextlib.redirect_stderr(io.StringIO()):",
+                "            cli.main(['verify-inequalities', '--d-max', '1', '--n-max', '2'])",
+                "    counts.append(len(built))",
+                "print(*counts)",
+            ]
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        after_import, after_first, after_second = map(int, result.stdout.split())
+        assert after_import == 0
+        assert after_first > 0
+        assert after_second == after_first
+
+    def test_no_option_leaks_between_calls(self, capsys, tower_doc):
+        fresh = run_python("-c", "from hodgeslope.cli import entry; entry()", "search", tower_doc)
+        plain = (fresh.returncode, fresh.stdout, fresh.stderr)
+        code, _, _ = run_raw(capsys, ["search", tower_doc, "--mode", "bogus"])
+        assert code == 1
+        argv = ["search", tower_doc, "--mode", "paper", "--subsheaf", "stable", "--budget", "5"]
+        assert run_raw(capsys, argv) != plain
+        assert run_raw(capsys, ["search", tower_doc]) == plain
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command(self):
+        result = run_python(
+            "-m", "hodgeslope.cli", "verify-inequalities", "--d-max", "1", "--n-max", "2"
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["all_hold"] is True
+        assert report["checked"] == 6
+        assert result.stderr == "d=1: 6/6 hold (all hold)\n"
+
+
+def _fuzz_seeds() -> list[tuple[str, dict]]:
+    options = {"constraint_mode": "paper", "subsheaf_mode": "semistable", "budget": 1000}
+    tower = {
+        "hodge_system": system_to_json(example_strictly_semistable(2).system),
+        "search_options": options,
+    }
+    declared = {
+        "hodge_system": system_to_json(example_surjective_not_iso(2, 3).system),
+        "search_options": options,
+    }
+    filtration = GriffithsFiltration(
+        curve(2, char=5),
+        (BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)),
+        transversal=True,
+        theta_squares_to_zero=True,
+        theta_iso=True,
+    )
+    graded = ConnectionPair(BundleData(2, 2), flat=True, filtration=filtration)
+    bare = ConnectionPair(BundleData(3, 0), flat=True)
+    hn = {
+        "profile": [
+            {"rank": 1, "degree": 5, "semistable": True},
+            {"rank": 2, "degree": 2, "semistable": True},
+        ],
+        "tensor_with": {"rank": 2, "degree": 0, "semistable": True},
+    }
+    return [
+        ("check-system", tower),
+        ("check-system", declared),
+        ("search", tower),
+        ("check-oper", {"griffiths_filtration": filtration.to_json()}),
+        ("check-connection", {"connection_pair": pair_to_json(graded)}),
+        ("check-connection", {"connection_pair": pair_to_json(bare, context=curve(2))}),
+        ("hn-tensor", {"hn_request": hn}),
+    ]
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+JUNK = st.one_of(
+    st.lists(st.sampled_from(["paper", 1, None]), max_size=2),
+    st.dictionaries(st.sampled_from(["rank", "degree", "paper"]), st.integers(-2, 2), max_size=2),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([10**40, -(10**40), 2**64, -1, 0]),
+)
+
+
+def _mutate(data, node) -> None:
+    """Replace or drop one entry of the JSON container ``node``, add one
+    beside it, or descend into a child container and mutate there.  Each
+    child is equally likely at every level, so a short section such as
+    ``search_options`` is hit as often as a long payload."""
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    child = node[key]
+    if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+        _mutate(data, child)
+        return
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        node[key] = data.draw(JUNK)
+    elif action == "drop":
+        del node[key]
+    elif isinstance(node, dict):
+        node[data.draw(st.sampled_from(["extra", "rank", "budget"]))] = data.draw(JUNK)
+    else:
+        node.append(data.draw(JUNK))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_document_ends_in_one_json_line(self, fuzz_path, data):
+        command, seed = data.draw(st.sampled_from(FUZZ_SEEDS))
+        doc = copy.deepcopy(seed)
+        for _ in range(data.draw(st.integers(1, 3))):
+            if doc:
+                _mutate(data, doc)
+        fuzz_path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, str(fuzz_path)])
+        assert code in (0, 1, 2)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0]), dict)
