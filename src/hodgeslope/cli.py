@@ -38,6 +38,11 @@ from .slope_core import (
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
 
+#: Longest command-line argument a usage error repeats in full.  argparse
+#: echoes offending arguments, so a longer one is cut to this many
+#: characters and marked with "…", which bounds the error report.
+MAX_ECHO = 100
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems are invalid input
@@ -284,10 +289,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+def _parse(argv: list[str]) -> argparse.Namespace:
     try:
-        args = parser.parse_args(argv)
+        return _build_parser().parse_args(argv)
+    except ValueError as exc:  # a usage error, which may echo arguments
+        message = str(exc)
+        for arg in argv:
+            if len(arg) > MAX_ECHO:
+                # argparse shows an argument as is or quoted by repr
+                cut = arg[:MAX_ECHO]
+                message = message.replace(arg, cut + "…")
+                message = message.replace(repr(arg)[1:-1], repr(cut)[1:-1] + "…")
+        raise ValueError(message) from None
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except InconsistencyError as exc:
         _emit({"error": str(exc)}, f"internal inconsistency: {exc}")

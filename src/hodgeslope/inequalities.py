@@ -3,12 +3,16 @@
 These are the arithmetic backbone of the semistability criterion: the
 Chebyshev inequalities bound the degree of a graded subobject by reordered
 sums, and the power-sum inequality says the partial tower slopes increase
-with the truncation grade.  Everything is evaluated exactly over rationals
-and reported with both side values as a witness.
+with the truncation grade.  Everything is evaluated exactly and reported
+with both side values as a witness.  The Chebyshev checks scale each
+sequence to integers over one common denominator, compare integers, and
+return the two sides as exact rationals.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -50,38 +54,47 @@ class InequalityCheck:
         return self.holds
 
 
-def _require_nonincreasing(seq: tuple[Fraction, ...], name: str) -> None:
-    for i in range(len(seq) - 1):
-        if seq[i] < seq[i + 1]:
-            raise ValueError(f"sequence {name} is not nonincreasing at index {i}")
+def _scaled(seq: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers A and one positive denominator D with seq[i] == A[i] / D,
+    D the lcm of the entries' denominators.  Order, sums and products of
+    the A[i] are those of the entries, scaled by positive powers of D."""
+    ratios = [x.as_integer_ratio() for x in seq]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
-def _require_nondecreasing(seq: tuple[Fraction, ...], name: str) -> None:
-    for i in range(len(seq) - 1):
-        if seq[i] > seq[i + 1]:
-            raise ValueError(f"sequence {name} is not nondecreasing at index {i}")
+def _require_monotone(seq: list[int], name: str, increasing: bool) -> None:
+    """Raise at the first index where seq breaks the order: nondecreasing
+    when ``increasing``, nonincreasing otherwise."""
+    broken = list(map(operator.gt if increasing else operator.lt, seq, seq[1:]))
+    if any(broken):
+        order = "nondecreasing" if increasing else "nonincreasing"
+        raise ValueError(f"sequence {name} is not {order} at index {broken.index(True)}")
+
+
+def _scaled_sums(p: SequencePair, a_increasing: bool) -> tuple[int, int, int]:
+    """n * sum(A_i B_i) and sum(A) * sum(B) over the integer scalings of
+    a (checked monotone in the given direction) and b (checked
+    nondecreasing), with the common denominator Da * Db of both."""
+    a, da = _scaled(p.a)
+    _require_monotone(a, "a", a_increasing)
+    b, db = _scaled(p.b)
+    _require_monotone(b, "b", True)
+    return len(a) * sum(map(operator.mul, a, b)), sum(a) * sum(b), da * db
 
 
 def chebyshev_upper(p: SequencePair) -> InequalityCheck:
     """For a nonincreasing and b nondecreasing:
     n * sum(a_i b_i) <= sum(a_i) * sum(b_j)."""
-    _require_nonincreasing(p.a, "a")
-    _require_nondecreasing(p.b, "b")
-    n = len(p.a)
-    lhs = n * sum(x * y for x, y in zip(p.a, p.b))
-    rhs = sum(p.a) * sum(p.b)
-    return InequalityCheck(lhs <= rhs, Fraction(lhs), Fraction(rhs))
+    cross, total, den = _scaled_sums(p, a_increasing=False)
+    return InequalityCheck(cross <= total, Fraction(cross, den), Fraction(total, den))
 
 
 def chebyshev_lower(p: SequencePair) -> InequalityCheck:
     """For a and b both nondecreasing:
     sum(b_j) * sum(a_i) <= n * sum(a_i b_i)."""
-    _require_nondecreasing(p.a, "a")
-    _require_nondecreasing(p.b, "b")
-    n = len(p.a)
-    lhs = sum(p.b) * sum(p.a)
-    rhs = n * sum(x * y for x, y in zip(p.a, p.b))
-    return InequalityCheck(lhs <= rhs, Fraction(lhs), Fraction(rhs))
+    cross, total, den = _scaled_sums(p, a_increasing=True)
+    return InequalityCheck(total <= cross, Fraction(total, den), Fraction(cross, den))
 
 
 def weighted_power_sum(d: int, k: int) -> int:

@@ -376,10 +376,34 @@ class TestGalleryCommand:
     def test_parameter_past_the_int_string_limit_is_invalid_input(self, capsys, flag):
         # Python refuses to convert decimal strings longer than its
         # int-string limit (4,300 digits by default); argparse reports that
-        code, report, err = run(capsys, ["gallery", "unstable-component", flag, "1" * 5000])
+        code, out, err = run_raw(capsys, ["gallery", "unstable-component", flag, "1" * 5000])
         assert code == 1
-        assert "invalid int value" in report["error"]
+        assert "invalid int value" in json.loads(out)["error"]
         assert "invalid input" in err
+        # the echoed value is cut, so the report does not repeat 5,000 digits
+        assert len(out.encode()) < 512 and len(err.encode()) < 512
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gallery", "unstable-component", "--g", "1\n" * 2500],
+            ["gallery", "y" * 5000],
+            ["verify-inequalities", "x" * 5000, "'" * 5000],
+        ],
+    )
+    def test_long_arguments_are_echoed_cut(self, capsys, argv):
+        # a value argparse quotes by repr (escaped newlines), an invalid
+        # choice, and unrecognized arguments shown as typed
+        code, out, err = run_raw(capsys, argv)
+        assert code == 1
+        assert "…" in json.loads(out)["error"] and "…" in err
+        assert len(out.encode()) < 512 and len(err.encode()) < 512
+
+    def test_arguments_up_to_the_limit_are_echoed_whole(self, capsys):
+        value = "z" * cli.MAX_ECHO
+        code, report, _ = run(capsys, ["gallery", "unstable-component", "--g", value])
+        assert code == 1
+        assert report["error"] == f"argument --g: invalid int value: '{value}'"
 
 
 class TestDocumentValidation:

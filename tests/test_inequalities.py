@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeslope import inequalities
 from hodgeslope.hodge_system import derive_components, partial_slope
 from hodgeslope.inequalities import (
     MAX_SWEEP_CHECKS,
+    InequalityCheck,
+    SequencePair,
     chebyshev_lower,
     chebyshev_upper,
     geometric_sum,
@@ -30,6 +34,71 @@ def reference_weighted_power_sum(d: int, k: int) -> int:
 def reference_geometric_sum(d: int, k: int) -> int:
     """Term-by-term sum over j = 0..k of d^j."""
     return sum(d**j for j in range(k + 1))
+
+
+def reference_nonincreasing(seq: tuple[Fraction, ...], name: str) -> None:
+    for i in range(len(seq) - 1):
+        if seq[i] < seq[i + 1]:
+            raise ValueError(f"sequence {name} is not nonincreasing at index {i}")
+
+
+def reference_nondecreasing(seq: tuple[Fraction, ...], name: str) -> None:
+    for i in range(len(seq) - 1):
+        if seq[i] > seq[i + 1]:
+            raise ValueError(f"sequence {name} is not nondecreasing at index {i}")
+
+
+def reference_upper(p: SequencePair) -> InequalityCheck:
+    """The upper inequality evaluated term by term over Fraction, the
+    reference for the integer evaluation."""
+    reference_nonincreasing(p.a, "a")
+    reference_nondecreasing(p.b, "b")
+    n = len(p.a)
+    lhs = n * sum(x * y for x, y in zip(p.a, p.b))
+    rhs = sum(p.a) * sum(p.b)
+    return InequalityCheck(lhs <= rhs, Fraction(lhs), Fraction(rhs))
+
+
+def reference_lower(p: SequencePair) -> InequalityCheck:
+    """The lower inequality evaluated term by term over Fraction."""
+    reference_nondecreasing(p.a, "a")
+    reference_nondecreasing(p.b, "b")
+    n = len(p.a)
+    lhs = sum(p.b) * sum(p.a)
+    rhs = n * sum(x * y for x, y in zip(p.a, p.b))
+    return InequalityCheck(lhs <= rhs, Fraction(lhs), Fraction(rhs))
+
+
+def outcome(check, pair: SequencePair):
+    """(holds, lhs, rhs) with the side types, or the ValueError text."""
+    try:
+        result = check(pair)
+    except ValueError as exc:
+        return str(exc)
+    return result.holds, result.lhs, result.rhs, type(result.lhs), type(result.rhs)
+
+
+# small integers repeat often, so equal entries and zeros are common
+RATIONALS = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def ordered_sequence(draw, length: int) -> list[Fraction]:
+    """A sequence sorted either way, or left as drawn (usually not monotone)."""
+    seq = draw(st.lists(RATIONALS, min_size=length, max_size=length))
+    order = draw(st.sampled_from(["ascending", "descending", "as drawn"]))
+    if order == "as drawn":
+        return seq
+    return sorted(seq, reverse=order == "descending")
+
+
+@st.composite
+def sequence_pairs(draw) -> SequencePair:
+    length = draw(st.integers(1, 12))
+    return make_pair(draw(ordered_sequence(length)), draw(ordered_sequence(length)))
 
 
 def monotone_pair(rng: random.Random, length: int, a_increasing: bool):
@@ -82,6 +151,14 @@ class TestChebyshev:
             length = rng.randint(1, 10)
             assert chebyshev_upper(monotone_pair(rng, length, a_increasing=False)).holds
             assert chebyshev_lower(monotone_pair(rng, length, a_increasing=True)).holds
+
+
+class TestChebyshevAgainstReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=sequence_pairs())
+    def test_same_sides_and_errors_as_the_fraction_reference(self, pair):
+        assert outcome(chebyshev_upper, pair) == outcome(reference_upper, pair)
+        assert outcome(chebyshev_lower, pair) == outcome(reference_lower, pair)
 
 
 class TestHodgeSum:
