@@ -15,8 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
-from typing import Optional
 
 from . import search_oracle
 from .gallery import BUILDERS, checked_entry
@@ -56,7 +54,8 @@ def _emit(report: dict, summary: str) -> None:
 
 def _load_document(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read document: {exc}")
     try:
@@ -303,7 +302,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         raise ValueError(message) from None
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)

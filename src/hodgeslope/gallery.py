@@ -12,8 +12,7 @@ only through the resulting integer degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .hn_profiles import HNProfile, validate_hn
 from .hodge_system import (
@@ -31,15 +30,24 @@ from .search_oracle import (
     check_declared,
     verdict_from_search,
 )
-from .slope_core import BundleData, GeometricContext, InconsistencyError, direct_sum
+from .slope_core import BundleData, Frozen, GeometricContext, InconsistencyError, direct_sum
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    system: HodgeSystem
-    declared_subobject: Optional[SubsystemProfile]
-    expected: Verdict
+class GalleryEntry(Frozen):
+    _fields = ("name", "system", "declared_subobject", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        system: HodgeSystem,
+        declared_subobject: SubsystemProfile | None,
+        expected: Verdict,
+    ) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["system"] = system
+        fields["declared_subobject"] = declared_subobject
+        fields["expected"] = expected
 
 
 def _curve_context(g: int) -> GeometricContext:
@@ -140,7 +148,8 @@ def example_unstable_component(g: int = 2, d0: int = 1) -> GalleryEntry:
     context = _curve_context(g)
     e0 = BundleData(1, d0, semistable=True, stable=True)
     l1, l2 = unstable_component_lines(g, d0)
-    e1 = replace(direct_sum([l1, l2]), semistable=False, stable=False)
+    summed = direct_sum([l1, l2])
+    e1 = BundleData(summed.rank, summed.degree, semistable=False, stable=False)
     hn = unstable_component_hn(g, d0)
     if not validate_hn(hn):
         raise ValueError("the component's Harder-Narasimhan data failed to validate")
@@ -171,7 +180,7 @@ def default_entries() -> list[GalleryEntry]:
     return [builder() for builder in BUILDERS.values()]
 
 
-def recompute_verdict(entry: GalleryEntry, budget: Optional[int] = None) -> Verdict:
+def recompute_verdict(entry: GalleryEntry, budget: int | None = None) -> Verdict:
     """Reproduce the entry's verdict by search (isomorphism towers) or by
     judging the declared subobject."""
     if isinstance(entry.system.theta, Isomorphisms):

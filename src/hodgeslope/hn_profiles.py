@@ -10,26 +10,27 @@ preserves the Harder-Narasimhan filtration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .slope_core import BundleData, slope, tensor
+from .slope_core import BundleData, Frozen, slope, tensor
 
 
-@dataclass(frozen=True)
-class HNValidation:
+class HNValidation(Frozen):
     """Outcome of a validity check; ``first_violation`` is the left index
     of the first adjacent pair whose slopes fail to strictly decrease."""
 
-    valid: bool
-    first_violation: Optional[int] = None
+    _fields = ("valid", "first_violation")
+
+    def __init__(self, valid: bool, first_violation: int | None = None) -> None:
+        fields = self.__dict__
+        fields["valid"] = valid
+        fields["first_violation"] = first_violation
 
     def __bool__(self) -> bool:
         return self.valid
 
 
-@dataclass(frozen=True)
-class HNProfile:
+class HNProfile(Frozen):
     """Quotient data of a filtration, top slope first.
 
     Every quotient must be attested semistable; the slope ordering is a
@@ -37,16 +38,16 @@ class HNProfile:
     represented and diagnosed.
     """
 
-    quotients: tuple[BundleData, ...]
+    _fields = ("quotients",)
 
-    def __post_init__(self) -> None:
-        quotients = tuple(self.quotients)
-        object.__setattr__(self, "quotients", quotients)
+    def __init__(self, quotients: tuple[BundleData, ...]) -> None:
+        quotients = tuple(quotients)
         if not quotients:
             raise ValueError("a profile needs at least one quotient")
         for i, q in enumerate(quotients):
             if q.semistable is not True:
                 raise ValueError(f"quotient {i} must be flagged semistable")
+        self.__dict__["quotients"] = quotients
 
 
 def validate_hn(p: HNProfile) -> HNValidation:
@@ -72,9 +73,8 @@ def tensor_hn(p: HNProfile, w: BundleData) -> HNProfile:
         raise ValueError(
             f"invalid profile: slopes do not strictly decrease at index {check.first_violation}"
         )
-    return HNProfile(
-        tuple(replace(tensor(q, w), semistable=True) for q in p.quotients)
-    )
+    products = (tensor(q, w) for q in p.quotients)
+    return HNProfile(tuple(BundleData(t.rank, t.degree, semistable=True) for t in products))
 
 
 def hn_polygon(p: HNProfile) -> list[tuple[int, int]]:

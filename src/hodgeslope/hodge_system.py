@@ -22,14 +22,13 @@ cotangent bundle by an arbitrary semistable bundle of nonnegative degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
 
 from .profiles import SubsystemProfile, certificate_json
 from .slope_core import (
     BundleData,
+    Frozen,
     GeometricContext,
     _check_keys,
     direct_sum,
@@ -49,24 +48,22 @@ class Answer(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Isomorphisms:
+class Isomorphisms(Frozen):
     """Every graded map is an isomorphism onto the next-lower piece
     tensored with the cotangent bundle."""
 
 
-@dataclass(frozen=True)
-class Declared:
+class Declared(Frozen):
     """No isomorphism structure is asserted; invariant subobjects are
     declared explicitly as profiles (possibly none)."""
 
-    profiles: tuple[SubsystemProfile, ...] = ()
+    _fields = ("profiles",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "profiles", tuple(self.profiles))
+    def __init__(self, profiles: tuple[SubsystemProfile, ...] = ()) -> None:
+        self.__dict__["profiles"] = tuple(profiles)
 
 
-ThetaMode = Union[Isomorphisms, Declared]
+ThetaMode = Isomorphisms | Declared
 ISOMORPHISMS = Isomorphisms()
 
 
@@ -86,8 +83,7 @@ def tower_component(base: BundleData, context: GeometricContext, i: int) -> tupl
     )
 
 
-@dataclass(frozen=True)
-class HodgeSystem:
+class HodgeSystem(Frozen):
     """Graded components E_0..E_n with the grade-lowering structure mode.
 
     In ``Isomorphisms`` mode the component invariants must satisfy the
@@ -95,35 +91,40 @@ class HodgeSystem:
     construction.
     """
 
-    context: GeometricContext
-    components: tuple[BundleData, ...]
-    theta: ThetaMode = ISOMORPHISMS
+    _fields = ("context", "components", "theta")
 
-    def __post_init__(self) -> None:
-        components = tuple(self.components)
-        object.__setattr__(self, "components", components)
+    def __init__(
+        self,
+        context: GeometricContext,
+        components: tuple[BundleData, ...],
+        theta: ThetaMode = ISOMORPHISMS,
+    ) -> None:
+        components = tuple(components)
         if not components:
             raise ValueError("a system needs at least one component")
-        if not isinstance(self.theta, (Isomorphisms, Declared)):
+        if not isinstance(theta, (Isomorphisms, Declared)):
             raise ValueError("theta must be an Isomorphisms or Declared mode")
-        if isinstance(self.theta, Isomorphisms):
+        if isinstance(theta, Isomorphisms):
             base = components[0]
             for i, comp in enumerate(components):
-                rank, degree = tower_component(base, self.context, i)
+                rank, degree = tower_component(base, context, i)
                 if (comp.rank, comp.degree) != (rank, degree):
                     raise ValueError(
                         f"component {i} is incompatible with the isomorphism tower: "
                         f"expected (rank {rank}, degree {degree}), "
                         f"got (rank {comp.rank}, degree {comp.degree})"
                     )
+        fields = self.__dict__
+        fields["context"] = context
+        fields["components"] = components
+        fields["theta"] = theta
 
     @property
     def n(self) -> int:
         return len(self.components) - 1
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Three-valued semistability/stability verdict with optional certificate.
 
     A ``semistable = no`` verdict always carries a destabilizing
@@ -131,22 +132,30 @@ class Verdict:
     lack a certificate when the witnessing datum was not supplied.
     """
 
-    semistable: Answer = Answer.UNKNOWN
-    stable: Answer = Answer.UNKNOWN
-    certificate: Optional[SubsystemProfile] = None
-    provenance: str = ""
+    _fields = ("semistable", "stable", "certificate", "provenance")
 
-    def __post_init__(self) -> None:
-        if self.stable is Answer.YES and self.semistable is not Answer.YES:
+    def __init__(
+        self,
+        semistable: Answer = Answer.UNKNOWN,
+        stable: Answer = Answer.UNKNOWN,
+        certificate: SubsystemProfile | None = None,
+        provenance: str = "",
+    ) -> None:
+        if stable is Answer.YES and semistable is not Answer.YES:
             raise ValueError("stable=yes forces semistable=yes")
-        if self.semistable is Answer.NO:
-            if self.stable is Answer.UNKNOWN:
-                object.__setattr__(self, "stable", Answer.NO)
-            if self.certificate is None:
+        if semistable is Answer.NO:
+            if stable is Answer.UNKNOWN:
+                stable = Answer.NO
+            if certificate is None:
                 raise ValueError("a semistable=no verdict needs a destabilizing certificate")
+        fields = self.__dict__
+        fields["semistable"] = semistable
+        fields["stable"] = stable
+        fields["certificate"] = certificate
+        fields["provenance"] = provenance
 
 
-def verdict_json(v: Verdict, mu_total: Optional[Fraction] = None) -> dict:
+def verdict_json(v: Verdict, mu_total: Fraction | None = None) -> dict:
     cert = None
     if v.certificate is not None:
         cert = certificate_json(
@@ -218,7 +227,7 @@ def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:
 
 
 def criterion_semistable(
-    sys: HodgeSystem, base_destabilizer: Optional[BundleData] = None
+    sys: HodgeSystem, base_destabilizer: BundleData | None = None
 ) -> Verdict:
     """Semistability verdict for an isomorphism tower of nonnegative
     cotangent degree.
@@ -252,7 +261,7 @@ def criterion_semistable(
 
 
 def criterion_stable(
-    sys: HodgeSystem, equal_slope_sub: Optional[BundleData] = None
+    sys: HodgeSystem, equal_slope_sub: BundleData | None = None
 ) -> Verdict:
     """Stability verdict for an isomorphism tower of positive cotangent
     degree.

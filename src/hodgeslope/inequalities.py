@@ -13,42 +13,45 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-from .slope_core import InconsistencyError
+from .slope_core import Frozen, InconsistencyError
 
-Number = Union[int, Fraction]
+Number = int | Fraction
 
 #: Largest sweep hodge_sum_sweep runs.  Every command line must end in
 #: bounded time, and the golden corpus and the tests record the refusal.
 MAX_SWEEP_CHECKS = 20_000
 
 
-@dataclass(frozen=True)
-class SequencePair:
+class SequencePair(Frozen):
     """Two rational sequences of equal positive length."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        if len(self.a) != len(self.b):
-            raise ValueError(f"sequence lengths differ: {len(self.a)} vs {len(self.b)}")
-        if not self.a:
+    def __init__(self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> None:
+        a = tuple(Fraction(x) for x in a)
+        b = tuple(Fraction(x) for x in b)
+        if len(a) != len(b):
+            raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
+        if not a:
             raise ValueError("sequences must be nonempty")
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(Frozen):
     """Outcome of one exact inequality evaluation, lhs <= rhs."""
 
-    holds: bool
-    lhs: Fraction
-    rhs: Fraction
+    _fields = ("holds", "lhs", "rhs")
+
+    def __init__(self, holds: bool, lhs: Fraction, rhs: Fraction) -> None:
+        fields = self.__dict__
+        fields["holds"] = holds
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
 
     def __bool__(self) -> bool:
         return self.holds

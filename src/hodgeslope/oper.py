@@ -18,9 +18,6 @@ verbatim to non-flat connections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .hn_profiles import HNProfile
 from .hodge_system import (
     Answer,
@@ -34,6 +31,7 @@ from .hodge_system import (
 )
 from .slope_core import (
     BundleData,
+    Frozen,
     GeometricContext,
     _as_bool,
     _check_keys,
@@ -46,8 +44,7 @@ PROV_NO_TRANSFER = "no applicable transfer"
 PROV_NOT_OPER = "not a generalized oper"
 
 
-@dataclass(frozen=True)
-class GriffithsFiltration:
+class GriffithsFiltration(Frozen):
     """Graded pieces gr^0..gr^(n-1) of a filtration plus its attestations.
 
     When every graded map is attested an isomorphism, consecutive pieces
@@ -56,29 +53,40 @@ class GriffithsFiltration:
     tower over gr^0; inconsistent values are rejected at construction.
     """
 
-    context: GeometricContext
-    graded: tuple[BundleData, ...]
-    transversal: bool
-    theta_squares_to_zero: bool
-    theta_iso: bool
+    _fields = ("context", "graded", "transversal", "theta_squares_to_zero", "theta_iso")
 
-    def __post_init__(self) -> None:
-        graded = tuple(self.graded)
-        object.__setattr__(self, "graded", graded)
+    def __init__(
+        self,
+        context: GeometricContext,
+        graded: tuple[BundleData, ...],
+        transversal: bool,
+        theta_squares_to_zero: bool,
+        theta_iso: bool,
+    ) -> None:
+        graded = tuple(graded)
         if not graded:
             raise ValueError("a filtration needs at least one graded piece")
-        for name in ("transversal", "theta_squares_to_zero", "theta_iso"):
-            if not isinstance(getattr(self, name), bool):
+        flags = {
+            "transversal": transversal,
+            "theta_squares_to_zero": theta_squares_to_zero,
+            "theta_iso": theta_iso,
+        }
+        for name, flag in flags.items():
+            if not isinstance(flag, bool):
                 raise ValueError(f"{name} must be a boolean")
-        if self.theta_iso:
+        if theta_iso:
             for i, cur in enumerate(graded):
-                want_rank, want_degree = tower_component(graded[0], self.context, i)
+                want_rank, want_degree = tower_component(graded[0], context, i)
                 if (cur.rank, cur.degree) != (want_rank, want_degree):
                     raise ValueError(
                         f"graded piece {i} violates the isomorphism relation: "
                         f"expected (rank {want_rank}, degree {want_degree}), "
                         f"got (rank {cur.rank}, degree {cur.degree})"
                     )
+        fields = self.__dict__
+        fields["context"] = context
+        fields["graded"] = graded
+        fields.update(flags)
 
     def to_json(self) -> dict:
         return {
@@ -109,43 +117,52 @@ class GriffithsFiltration:
         )
 
 
-@dataclass(frozen=True)
-class ConnectionPair:
+class ConnectionPair(Frozen):
     """A bundle with a connection, optionally filtered.
 
     ``flat`` attests vanishing curvature.  When a filtration is present
     its graded totals must match the total invariants.
     """
 
-    total: BundleData
-    flat: bool
-    filtration: Optional[GriffithsFiltration] = None
+    _fields = ("total", "flat", "filtration")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.flat, bool):
+    def __init__(
+        self,
+        total: BundleData,
+        flat: bool,
+        filtration: GriffithsFiltration | None = None,
+    ) -> None:
+        if not isinstance(flat, bool):
             raise ValueError("flat must be a boolean")
-        if self.filtration is not None:
-            rank_total = sum(g.rank for g in self.filtration.graded)
-            degree_total = sum(g.degree for g in self.filtration.graded)
-            if (self.total.rank, self.total.degree) != (rank_total, degree_total):
+        if filtration is not None:
+            rank_total = sum(g.rank for g in filtration.graded)
+            degree_total = sum(g.degree for g in filtration.graded)
+            if (total.rank, total.degree) != (rank_total, degree_total):
                 raise ValueError(
                     "total invariants do not match the graded pieces: "
                     f"expected (rank {rank_total}, degree {degree_total}), "
-                    f"got (rank {self.total.rank}, degree {self.total.degree})"
+                    f"got (rank {total.rank}, degree {total.degree})"
                 )
+        fields = self.__dict__
+        fields["total"] = total
+        fields["flat"] = flat
+        fields["filtration"] = filtration
 
 
-@dataclass(frozen=True)
-class OperCheck:
+class OperCheck(Frozen):
     """Recognition outcome with the failing clauses spelled out.
 
     ``classical`` refines a positive outcome: every graded piece is a
     line bundle.
     """
 
-    ok: bool
-    reasons: tuple[str, ...] = ()
-    classical: bool = False
+    _fields = ("ok", "reasons", "classical")
+
+    def __init__(self, ok: bool, reasons: tuple[str, ...] = (), classical: bool = False) -> None:
+        fields = self.__dict__
+        fields["ok"] = ok
+        fields["reasons"] = reasons
+        fields["classical"] = classical
 
     def __bool__(self) -> bool:
         return self.ok
@@ -205,8 +222,8 @@ def oper_semistability(f: GriffithsFiltration) -> Verdict:
 
 def connection_verdict(
     pair: ConnectionPair,
-    graded_verdict: Optional[Verdict] = None,
-    characteristic: Optional[int] = None,
+    graded_verdict: Verdict | None = None,
+    characteristic: int | None = None,
 ) -> Verdict:
     """Semistability of a connection pair via the available transfers.
 
@@ -237,7 +254,7 @@ def connection_verdict(
 
 
 def pair_verdict(
-    pair: ConnectionPair, ambient: Optional[GeometricContext] = None
+    pair: ConnectionPair, ambient: GeometricContext | None = None
 ) -> Verdict:
     """Decide a connection pair.
 
@@ -277,7 +294,7 @@ def filtration_hn_profile(f: GriffithsFiltration) -> HNProfile:
     return HNProfile(tuple(reversed(f.graded)))
 
 
-def pair_to_json(pair: ConnectionPair, context: Optional[GeometricContext] = None) -> dict:
+def pair_to_json(pair: ConnectionPair, context: GeometricContext | None = None) -> dict:
     out: dict = {"total": pair.total.to_json(), "flat": pair.flat}
     if pair.filtration is not None:
         out["filtration"] = pair.filtration.to_json()
@@ -286,7 +303,7 @@ def pair_to_json(pair: ConnectionPair, context: Optional[GeometricContext] = Non
     return out
 
 
-def pair_from_json(obj: object) -> tuple[ConnectionPair, Optional[GeometricContext]]:
+def pair_from_json(obj: object) -> tuple[ConnectionPair, GeometricContext | None]:
     """Parse a connection pair document.
 
     An optional ``context`` field supplies ambient data (in particular the

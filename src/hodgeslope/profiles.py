@@ -10,21 +10,25 @@ a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .slope_core import _as_int, format_rational
+from .slope_core import Frozen, _as_int, format_rational
 
 
-@dataclass(frozen=True)
-class SubsystemProfile:
+class SubsystemProfile(Frozen):
     """Graded (rank, degree) data of a candidate invariant subobject."""
 
-    entries: tuple[tuple[int, int], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__["entries"] = entries
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # a method of its own, so a tracer can count constructions by
+        # rebinding it on the class
         entries = tuple((pair[0], pair[1]) for pair in self.entries)
-        object.__setattr__(self, "entries", entries)
+        self.__dict__["entries"] = entries
         if not entries:
             raise ValueError("profile must have at least one graded piece")
         for i, (rank, degree) in enumerate(entries):

@@ -15,8 +15,8 @@ Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
 (grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
-``enumerate_profiles`` streams every profile one by one and is kept as the
-brute-force reference the solver is tested against.
+The tests keep a brute-force enumeration of every profile as the
+reference the solver is checked against.
 
 Two rank-chain modes are provided.  The monotone mode requires
 rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
@@ -37,7 +37,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional
 
 from .hodge_system import (
     Answer,
@@ -55,9 +54,6 @@ PROV_ORACLE = "oracle"
 PROV_DECLARED = "declared invariant profile"
 PROV_DECLARED_FULL = "declared profile equals the whole system"
 PROV_DECLARED_SLACK = "declared profile does not destabilize"
-
-#: Default budget of ``enumerate_profiles``, which visits every profile.
-DEFAULT_PROFILE_BUDGET = 10_000_000
 
 #: The solver's own limit: (grade, rank) cells it tabulates.  Its work is
 #: linear in them per Dinkelbach step, so a larger search is refused rather
@@ -94,7 +90,7 @@ def _degree_bounds(
     sys: HodgeSystem,
     mode: ConstraintMode,
     subsheaf_mode: SubsheafMode,
-    budget: Optional[int],
+    budget: int | None,
 ) -> list[list[int]]:
     """Validate oracle preconditions and tabulate degree bounds per grade
     and rank, for the ranks a chain can reach (entry 0 is rank 0).
@@ -130,46 +126,9 @@ def _degree_bounds(
     return bounds
 
 
-def _profiles(
-    sys: HodgeSystem,
-    bounds: list[list[int]],
-    mode: ConstraintMode,
-) -> Iterator[SubsystemProfile]:
-    ranks = [c.rank for c in sys.components]
-    step = _rank_step(sys, mode)
-    n = sys.n
-
-    def extend(grade: int, top: int, acc: tuple[tuple[int, int], ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if grade > top:
-            yield acc
-            return
-        hi = ranks[0] if grade == 0 else min(ranks[grade], step * acc[-1][0])
-        for rk in range(1, hi + 1):
-            yield from extend(grade + 1, top, acc + ((rk, bounds[grade][rk]),))
-
-    for top in range(n + 1):
-        for entries in extend(0, top, ()):
-            if top == n and all(entries[i][0] == ranks[i] for i in range(n + 1)):
-                continue  # the whole system is not a proper subobject
-            yield SubsystemProfile(entries)
-
-
-def enumerate_profiles(
-    sys: HodgeSystem,
-    mode: ConstraintMode = ConstraintMode.MONOTONE,
-    subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: int = DEFAULT_PROFILE_BUDGET,
-) -> Iterator[SubsystemProfile]:
-    """Stream every admissible proper profile in a fixed deterministic
-    order (by support length, then rank vector lexicographically).  The
-    brute-force reference for ``max_slope_profile``."""
-    bounds = _degree_bounds(sys, mode, subsheaf_mode, budget)
-    return _profiles(sys, bounds, mode)
-
-
 def _tables(
     bounds: list[list[int]], step: int, whole: bool, p: int, q: int
-) -> tuple[list[list[int]], list[Optional[int]]]:
+) -> tuple[list[list[int]], list[int | None]]:
     """Suffix tables of the chain value sum(q * degree_i - p * rank_i).
 
     values[i][r] is the best value of a chain from grade i on that has rank
@@ -180,7 +139,7 @@ def _tables(
     """
     n = len(bounds) - 1
     values: list[list[int]] = [[]] * (n + 1)
-    full: list[Optional[int]] = [None] * (n + 1)
+    full: list[int | None] = [None] * (n + 1)
     below: list[int] = []  # prefix maxima of the next grade's values; index 0 is stopping
     for i in range(n, -1, -1):
         b = bounds[i]
@@ -199,7 +158,7 @@ def _tables(
 
 def _best_chain(
     bounds: list[list[int]], step: int, whole: bool, p: int, q: int
-) -> Optional[tuple[int, list[int]]]:
+) -> tuple[int, list[int]] | None:
     """The largest value sum(q * degree_i - p * rank_i) of a proper chain,
     with the lexicographically smallest rank chain reaching it, or None
     when no proper chain exists.
@@ -236,8 +195,8 @@ def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: Optional[int] = None,
-) -> Optional[tuple[SubsystemProfile, Fraction]]:
+    budget: int | None = None,
+) -> tuple[SubsystemProfile, Fraction] | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
     exists."""
@@ -261,7 +220,7 @@ def verdict_from_search(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: Optional[int] = None,
+    budget: int | None = None,
 ) -> Verdict:
     """Ground-truth verdict within the admissible profile class.
 
@@ -287,7 +246,7 @@ def verdict_from_search(
 
 
 def _verdict_stable_bounds(
-    sys: HodgeSystem, mode: ConstraintMode, budget: Optional[int], mu: Fraction
+    sys: HodgeSystem, mode: ConstraintMode, budget: int | None, mu: Fraction
 ) -> Verdict:
     best_ss = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
     if best_ss is not None and best_ss[1] > mu:
@@ -366,7 +325,7 @@ def _require_agreement(criterion: Answer, oracle: Answer, side: str) -> None:
 def system_verdict(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
-    budget: Optional[int] = None,
+    budget: int | None = None,
 ) -> Verdict:
     """Decide a system of Hodge bundles.
 

@@ -10,10 +10,9 @@ something computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
 
 #: Miller-Rabin with these bases is exact below 3.1e23, which covers every
 #: accepted characteristic (those below 2^64).
@@ -92,8 +91,38 @@ class SubsheafMode(Enum):
     STABLE = "stable"
 
 
-@dataclass(frozen=True)
-class BundleData:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields``, and its own
+    ``__init__`` stores exactly those in the instance ``__dict__``.  After
+    that no attribute can be assigned or deleted.  Two values are equal
+    when their types and fields are, hash as the tuple of their fields, and
+    read back as ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BundleData(Frozen):
     """Numerical invariants of a nonzero torsion-free sheaf.
 
     ``semistable`` and ``stable`` are three-valued attestations supplied by
@@ -102,23 +131,31 @@ class BundleData:
     non-semistable one is not stable.
     """
 
-    rank: int
-    degree: int
-    semistable: Optional[bool] = None
-    stable: Optional[bool] = None
+    _fields = ("rank", "degree", "semistable", "stable")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        if self.stable is True:
-            if self.semistable is False:
+    def __init__(
+        self,
+        rank: int,
+        degree: int,
+        semistable: bool | None = None,
+        stable: bool | None = None,
+    ) -> None:
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise ValueError(f"degree must be an integer, got {degree!r}")
+        if stable is True:
+            if semistable is False:
                 raise ValueError("a stable bundle cannot be flagged not semistable")
-            if self.semistable is None:
-                object.__setattr__(self, "semistable", True)
-        if self.semistable is False and self.stable is None:
-            object.__setattr__(self, "stable", False)
+            if semistable is None:
+                semistable = True
+        if semistable is False and stable is None:
+            stable = False
+        fields = self.__dict__
+        fields["rank"] = rank
+        fields["degree"] = degree
+        fields["semistable"] = semistable
+        fields["stable"] = stable
 
     def to_json(self) -> dict:
         out: dict = {"rank": self.rank, "degree": self.degree}
@@ -141,8 +178,7 @@ class BundleData:
         )
 
 
-@dataclass(frozen=True)
-class GeometricContext:
+class GeometricContext(Frozen):
     """Ambient data of the polarized variety.
 
     ``dim`` doubles as the rank of the cotangent bundle; ``omega_degree`` is
@@ -150,23 +186,32 @@ class GeometricContext:
     semistability and stability.
     """
 
-    characteristic: int
-    dim: int
-    omega_degree: int
-    omega_semistable: bool = False
-    omega_stable: bool = False
+    _fields = ("characteristic", "dim", "omega_degree", "omega_semistable", "omega_stable")
 
-    def __post_init__(self) -> None:
-        char = _as_int(self.characteristic, "characteristic")
+    def __init__(
+        self,
+        characteristic: int,
+        dim: int,
+        omega_degree: int,
+        omega_semistable: bool = False,
+        omega_stable: bool = False,
+    ) -> None:
+        char = _as_int(characteristic, "characteristic")
         if char >= 2**64:
             raise ValueError(f"characteristic must be below 2^64, got {char}")
         if char != 0 and not _is_prime(char):
             raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        _as_int(self.omega_degree, "omega_degree")
-        if self.omega_stable and not self.omega_semistable:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        _as_int(omega_degree, "omega_degree")
+        if omega_stable and not omega_semistable:
             raise ValueError("omega_stable requires omega_semistable")
+        fields = self.__dict__
+        fields["characteristic"] = characteristic
+        fields["dim"] = dim
+        fields["omega_degree"] = omega_degree
+        fields["omega_semistable"] = omega_semistable
+        fields["omega_stable"] = omega_stable
 
     def to_json(self) -> dict:
         return {

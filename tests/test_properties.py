@@ -1,16 +1,21 @@
 """Hypothesis property tests: the transport identity over random towers,
-and JSON round trips of every wire type through serialized text."""
+JSON round trips of every wire type through serialized text, and the
+invariants every Verdict keeps."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgeslope.hodge_system import (
+    Answer,
     Declared,
     HodgeSystem,
+    Verdict,
     derive_components,
     system_from_json,
     system_to_json,
@@ -148,3 +153,28 @@ class TestJsonRoundTrips:
         pair, context = pair_and_context
         expected = context if pair.filtration is None else None
         assert pair_from_json(through_text(pair_to_json(pair, context))) == (pair, expected)
+
+
+class TestVerdictInvariants:
+    @pytest.mark.parametrize(
+        "semistable, stable, certified",
+        list(itertools.product(Answer, Answer, (False, True))),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(profile=profiles, provenance=st.text(max_size=20))
+    def test_construction(self, semistable, stable, certified, profile, provenance):
+        # stable=yes needs semistable=yes, semistable=no needs a
+        # certificate and forces stable=no, and nothing else changes
+        certificate = profile if certified else None
+        invalid = (stable is Answer.YES and semistable is not Answer.YES) or (
+            semistable is Answer.NO and certificate is None
+        )
+        if invalid:
+            with pytest.raises(ValueError):
+                Verdict(semistable, stable, certificate, provenance)
+            return
+        v = Verdict(semistable, stable, certificate, provenance)
+        assert v.semistable is semistable
+        assert v.stable is (Answer.NO if semistable is Answer.NO else stable)
+        assert v.certificate is certificate
+        assert v.provenance is provenance

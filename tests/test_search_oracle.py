@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -26,13 +27,53 @@ from hodgeslope.search_oracle import (
     ConstraintMode,
     MAX_RANK_CELLS,
     check_declared,
-    enumerate_profiles,
     max_slope_profile,
     profile_space_size,
     system_verdict,
     verdict_from_search,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, slope
+
+
+#: Default budget of ``enumerate_profiles``, which visits every profile.
+DEFAULT_PROFILE_BUDGET = 10_000_000
+
+
+def _profiles(
+    sys: HodgeSystem,
+    bounds: list[list[int]],
+    mode: ConstraintMode,
+) -> Iterator[SubsystemProfile]:
+    ranks = [c.rank for c in sys.components]
+    step = search_oracle._rank_step(sys, mode)
+    n = sys.n
+
+    def extend(grade: int, top: int, acc: tuple[tuple[int, int], ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if grade > top:
+            yield acc
+            return
+        hi = ranks[0] if grade == 0 else min(ranks[grade], step * acc[-1][0])
+        for rk in range(1, hi + 1):
+            yield from extend(grade + 1, top, acc + ((rk, bounds[grade][rk]),))
+
+    for top in range(n + 1):
+        for entries in extend(0, top, ()):
+            if top == n and all(entries[i][0] == ranks[i] for i in range(n + 1)):
+                continue  # the whole system is not a proper subobject
+            yield SubsystemProfile(entries)
+
+
+def enumerate_profiles(
+    sys: HodgeSystem,
+    mode: ConstraintMode = ConstraintMode.MONOTONE,
+    subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
+    budget: int = DEFAULT_PROFILE_BUDGET,
+) -> Iterator[SubsystemProfile]:
+    """Stream every admissible proper profile in a fixed deterministic
+    order (by support length, then rank vector lexicographically).  The
+    brute-force reference for ``max_slope_profile``."""
+    bounds = search_oracle._degree_bounds(sys, mode, subsheaf_mode, budget)
+    return _profiles(sys, bounds, mode)
 
 
 def curve(w: int, char: int = 0) -> GeometricContext:
@@ -63,7 +104,7 @@ def brute_max(
     sys: HodgeSystem,
     mode: ConstraintMode,
     subsheaf_mode: SubsheafMode,
-    budget: int = search_oracle.DEFAULT_PROFILE_BUDGET,
+    budget: int = DEFAULT_PROFILE_BUDGET,
 ):
     """Independent maximum: materialize the stream, compare with Fractions."""
     best = None
@@ -239,7 +280,7 @@ class TestSolverAgainstBruteForce:
         # 24,309 chains among 9^9 rank assignments: the default enumeration
         # budget refuses it, an explicit one lets the brute force run
         sys = semistable_tower(8, -3, 1, 2, 8)
-        assert profile_space_size(sys) > search_oracle.DEFAULT_PROFILE_BUDGET
+        assert profile_space_size(sys) > DEFAULT_PROFILE_BUDGET
         for mode in ConstraintMode:
             expected = brute_max(sys, mode, SubsheafMode.SEMISTABLE, budget=10**9)
             assert same_result(max_slope_profile(sys, mode), expected)
