@@ -27,7 +27,6 @@ from .slope_core import (
     BundleData,
     InconsistencyError,
     SubsheafMode,
-    _as_int,
     _check_keys,
     direct_sum,
     format_rational,
@@ -93,30 +92,20 @@ def _search_options(doc: dict, args: argparse.Namespace) -> dict:
     options = {
         "mode": ConstraintMode.MONOTONE,
         "subsheaf": SubsheafMode.SEMISTABLE,
-        "budget": None,
     }
     raw = doc.get("search_options")
     if raw is not None:
         data = _check_keys(
-            raw, "search_options", set(), {"constraint_mode", "subsheaf_mode", "budget"}
+            raw, "search_options", set(), {"constraint_mode", "subsheaf_mode"}
         )
         if "constraint_mode" in data:
             options["mode"] = _choice(data, "constraint_mode", _MODES)
         if "subsheaf_mode" in data:
             options["subsheaf"] = _choice(data, "subsheaf_mode", _SUBSHEAVES)
-        if "budget" in data:
-            budget = _as_int(data["budget"], "budget")
-            if budget < 1:
-                raise ValueError("budget must be positive")
-            options["budget"] = budget
     if getattr(args, "mode", None) is not None:
         options["mode"] = _MODES[args.mode]
     if getattr(args, "subsheaf", None) is not None:
         options["subsheaf"] = _SUBSHEAVES[args.subsheaf]
-    if getattr(args, "budget", None) is not None:
-        if args.budget < 1:
-            raise ValueError("budget must be positive")
-        options["budget"] = args.budget
     return options
 
 
@@ -137,7 +126,7 @@ def _cmd_check_system(args: argparse.Namespace) -> int:
     doc = _load_document(args.document)
     system = system_from_json(_payload(doc, "hodge_system", "check-system"))
     options = _search_options(doc, args)
-    verdict = search_oracle.system_verdict(system, options["mode"], options["budget"])
+    verdict = search_oracle.system_verdict(system, options["mode"])
     _emit(_verdict_report(verdict, total_slope(system)), _summary("check-system", verdict))
     return 0
 
@@ -147,7 +136,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     system = system_from_json(_payload(doc, "hodge_system", "search"))
     options = _search_options(doc, args)
     verdict = search_oracle.verdict_from_search(
-        system, options["mode"], options["subsheaf"], options["budget"]
+        system, options["mode"], options["subsheaf"]
     )
     _emit(_verdict_report(verdict, total_slope(system)), _summary("search", verdict))
     return 0
@@ -250,14 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-system", help="criteria verdict for a graded system")
     p.add_argument("document")
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_check_system)
 
     p = sub.add_parser("search", help="oracle verdict with certificate")
     p.add_argument("document")
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
     p.add_argument("--subsheaf", choices=sorted(_SUBSHEAVES), default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--parallel", action="store_true", help="accepted and ignored")
     p.set_defaults(func=_cmd_search)
 

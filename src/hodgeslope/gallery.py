@@ -180,11 +180,11 @@ def default_entries() -> list[GalleryEntry]:
     return [builder() for builder in BUILDERS.values()]
 
 
-def recompute_verdict(entry: GalleryEntry, budget: int | None = None) -> Verdict:
+def recompute_verdict(entry: GalleryEntry) -> Verdict:
     """Reproduce the entry's verdict by search (isomorphism towers) or by
     judging the declared subobject."""
     if isinstance(entry.system.theta, Isomorphisms):
-        return verdict_from_search(entry.system, budget=budget)
+        return verdict_from_search(entry.system)
     assert entry.declared_subobject is not None
     return check_declared(entry.system, entry.declared_subobject)
 

@@ -62,7 +62,7 @@ MAX_RANK_CELLS = 1 << 18
 
 
 class BudgetExceededError(ValueError):
-    """The search is larger than its budget or the solver's cell limit."""
+    """The search is larger than the solver's cell limit."""
 
 
 class ConstraintMode(Enum):
@@ -71,14 +71,6 @@ class ConstraintMode(Enum):
     # values are the CLI/document tokens (--mode paper|conservative)
     MONOTONE = "paper"
     CONSERVATIVE = "conservative"
-
-
-def profile_space_size(sys: HodgeSystem) -> int:
-    """Upper bound on the number of rank assignments: prod(rank(E_i) + 1)."""
-    size = 1
-    for comp in sys.components:
-        size *= comp.rank + 1
-    return size
 
 
 def _rank_step(sys: HodgeSystem, mode: ConstraintMode) -> int:
@@ -90,22 +82,14 @@ def _degree_bounds(
     sys: HodgeSystem,
     mode: ConstraintMode,
     subsheaf_mode: SubsheafMode,
-    budget: int | None,
 ) -> list[list[int]]:
     """Validate oracle preconditions and tabulate degree bounds per grade
     and rank, for the ranks a chain can reach (entry 0 is rank 0).
 
-    An explicit budget caps the rank assignments prod(rank(E_i) + 1); the
-    table itself is capped at MAX_RANK_CELLS cells.
+    The table is capped at MAX_RANK_CELLS cells.
     """
     if not isinstance(sys.theta, Isomorphisms):
         raise ValueError("oracle requires isomorphism structure")
-    if budget is not None:
-        size = profile_space_size(sys)
-        if size > budget:
-            raise BudgetExceededError(
-                f"budget exceeded: {size} rank assignments, budget is {budget}"
-            )
     step = _rank_step(sys, mode)
     caps = [sys.components[0].rank]
     for comp in sys.components[1:]:
@@ -195,12 +179,11 @@ def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: int | None = None,
 ) -> tuple[SubsystemProfile, Fraction] | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
     exists."""
-    bounds = _degree_bounds(sys, mode, subsheaf_mode, budget)
+    bounds = _degree_bounds(sys, mode, subsheaf_mode)
     step = _rank_step(sys, mode)
     whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
     best = Fraction(bounds[0][1])  # slope of the chain of one rank-1 piece
@@ -220,44 +203,26 @@ def verdict_from_search(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    budget: int | None = None,
 ) -> Verdict:
     """Ground-truth verdict within the admissible profile class.
 
-    Under semistable bounds: a profile above the total slope refutes
-    semistability; one meeting it refutes stability; otherwise both hold
-    within the class.  Under stable bounds the stability side uses the
-    strict bounds, while the semistability side is still judged against
-    the semistable bounds (both attestations are available, since stable
-    components are semistable).
+    A profile above the total slope under semistable bounds refutes
+    semistability.  Otherwise a profile meeting the total slope refutes
+    stability, and without one both hold within the class.  Under stable
+    bounds the stability side uses the strict bounds, while the
+    semistability side is still judged against the semistable bounds (both
+    attestations are available, since stable components are semistable).
     """
     mu = total_slope(sys)
+    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE)
+    if best is not None and best[1] > mu:
+        # under stable bounds this contradicts the semistability criterion;
+        # surface it loudly
+        return Verdict(Answer.NO, Answer.NO, best[0], PROV_ORACLE)
     if subsheaf_mode is SubsheafMode.STABLE:
-        return _verdict_stable_bounds(sys, mode, budget, mu)
-    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
-    if best is None:
-        return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
-    profile, s = best
-    if s > mu:
-        return Verdict(Answer.NO, Answer.NO, profile, PROV_ORACLE)
-    if s == mu:
-        return Verdict(Answer.YES, Answer.NO, profile, PROV_ORACLE)
-    return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
-
-
-def _verdict_stable_bounds(
-    sys: HodgeSystem, mode: ConstraintMode, budget: int | None, mu: Fraction
-) -> Verdict:
-    best_ss = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, budget)
-    if best_ss is not None and best_ss[1] > mu:
-        # would contradict the semistability criterion; surface it loudly
-        return Verdict(Answer.NO, Answer.NO, best_ss[0], PROV_ORACLE)
-    best_st = max_slope_profile(sys, mode, SubsheafMode.STABLE, budget)
-    if best_st is None:
-        return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
-    profile, s = best_st
-    if s >= mu:
-        return Verdict(Answer.YES, Answer.NO, profile, PROV_ORACLE)
+        best = max_slope_profile(sys, mode, SubsheafMode.STABLE)
+    if best is not None and best[1] >= mu:
+        return Verdict(Answer.YES, Answer.NO, best[0], PROV_ORACLE)
     return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
 
 
@@ -325,7 +290,6 @@ def _require_agreement(criterion: Answer, oracle: Answer, side: str) -> None:
 def system_verdict(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
-    budget: int | None = None,
 ) -> Verdict:
     """Decide a system of Hodge bundles.
 
@@ -335,9 +299,9 @@ def system_verdict(
     leave unknown.  The oracle runs under semistable bounds, or under
     stable bounds when the cotangent degree is positive and every
     component is attested stable, so that its stability side is a check
-    too.  A tower past the search budget or the solver's limit keeps the
-    criteria's verdict alone.  A definite disagreement on either side
-    raises InconsistencyError.
+    too.  A tower past the solver's cell limit keeps the criteria's verdict
+    alone.  A definite disagreement on either side raises
+    InconsistencyError.
     """
     if not isinstance(sys.theta, Isomorphisms):
         return _declared_verdict(sys)
@@ -347,7 +311,7 @@ def system_verdict(
     check_stable = sys.context.omega_degree > 0 and all(c.stable is True for c in sys.components)
     subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
     try:
-        oracle = verdict_from_search(sys, mode, subsheaf_mode, budget)
+        oracle = verdict_from_search(sys, mode, subsheaf_mode)
     except BudgetExceededError:
         return verdict
     _require_agreement(verdict.semistable, oracle.semistable, "semistability")

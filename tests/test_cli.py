@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from hodgeslope import cli, search_oracle
 from hodgeslope.gallery import example_strictly_semistable, example_surjective_not_iso
-from hodgeslope.hodge_system import Declared, HodgeSystem, Verdict, system_to_json
+from hodgeslope.hodge_system import (
+    ISOMORPHISMS,
+    Declared,
+    HodgeSystem,
+    Verdict,
+    criteria_verdict,
+    derive_components,
+    system_to_json,
+)
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, pair_to_json
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
@@ -61,6 +69,13 @@ def curve(w: int, char: int = 0) -> GeometricContext:
 def tower_doc(tmp_path):
     system = example_strictly_semistable(2).system
     return write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+
+
+def cell_limit_tower() -> HodgeSystem:
+    """Ranks 3^i up to grade 14: 7,174,453 (grade, rank) cells in
+    conservative mode, past the solver's limit; 15 in paper mode."""
+    ctx = GeometricContext(0, 3, 2, omega_semistable=True)
+    return derive_components(BundleData(1, 0, semistable=True), ctx, 14)
 
 
 class TestCheckSystem:
@@ -139,6 +154,19 @@ class TestCheckSystem:
         assert report["error"] == "criterion and oracle disagree on stability"
         assert "internal inconsistency" in err
 
+    def test_past_the_cell_limit_keeps_the_criteria_verdict(self, capsys, tmp_path):
+        system = cell_limit_tower()
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        code, report, _ = run(capsys, ["check-system", doc, "--mode", "conservative"])
+        assert code == 0
+        criteria = criteria_verdict(system)
+        assert (report["semistable"], report["stable"], report["provenance"]) == (
+            criteria.semistable.value,
+            criteria.stable.value,
+            criteria.provenance,
+        )
+        assert "oracle" not in report["provenance"]
+
     @pytest.mark.parametrize("semistable", [None, True])
     def test_full_rank_declared_degree_above_component(self, capsys, tmp_path, semistable):
         # a full-rank subsheaf has a torsion quotient, so its degree is at
@@ -163,25 +191,43 @@ class TestSearch:
         assert report["stable"] == "no"
         assert report["provenance"] == "oracle"
 
-    def test_budget_exceeded(self, capsys, tower_doc):
-        code, report, err = run(capsys, ["search", tower_doc, "--budget", "2"])
+    @pytest.mark.parametrize("command", ["search", "check-system"])
+    def test_budget_is_not_an_option(self, capsys, tmp_path, tower_doc, command):
+        code, report, err = run(capsys, [command, tower_doc, "--budget", "1000"])
         assert code == 1
-        assert "budget exceeded" in report["error"]
+        assert "unrecognized arguments: --budget 1000" in report["error"]
         assert "invalid input" in err
-
-    def test_document_options_and_flag_override(self, capsys, tmp_path):
         system = example_strictly_semistable(2).system
         doc = write_doc(
             tmp_path,
+            {"hodge_system": system_to_json(system), "search_options": {"budget": 1000}},
+            name="budget.json",
+        )
+        code, report, _ = run(capsys, [command, doc])
+        assert code == 1
+        assert report["error"] == "search_options has unknown field(s): budget"
+
+    def test_document_options_and_flag_override(self, capsys, tmp_path):
+        doc = write_doc(
+            tmp_path,
             {
-                "hodge_system": system_to_json(system),
-                "search_options": {"budget": 2, "constraint_mode": "conservative"},
+                "hodge_system": system_to_json(cell_limit_tower()),
+                "search_options": {"constraint_mode": "conservative"},
             },
         )
         code, report, _ = run(capsys, ["search", doc])
-        assert code == 1 and "budget exceeded" in report["error"]
-        code, report, _ = run(capsys, ["search", doc, "--budget", "1000"])
-        assert code == 0
+        assert code == 1 and "search too large" in report["error"]
+        code, report, _ = run(capsys, ["search", doc, "--mode", "paper"])
+        assert code == 0 and report["provenance"] == "oracle"
+
+    def test_past_the_cell_limit_is_refused_at_once(self, capsys, tmp_path):
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(cell_limit_tower())})
+        start = time.perf_counter()
+        code, report, err = run(capsys, ["search", doc, "--mode", "conservative"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "search too large" in report["error"]
+        assert "invalid input" in err
 
     def test_byte_determinism_with_parallel(self, capsys, tower_doc):
         outputs = set()
@@ -488,14 +534,22 @@ class TestParserReuse:
         assert after_first > 0
         assert after_second == after_first
 
-    def test_no_option_leaks_between_calls(self, capsys, tower_doc):
-        fresh = run_python("-c", "from hodgeslope.cli import entry; entry()", "search", tower_doc)
+    def test_no_option_leaks_between_calls(self, capsys, tmp_path):
+        # every component stable, so the strict bounds decide stability
+        ctx = GeometricContext(0, 1, 2, omega_semistable=True, omega_stable=True)
+        components = (
+            BundleData(2, -4, semistable=True, stable=True),
+            BundleData(2, 0, semistable=True, stable=True),
+        )
+        system = HodgeSystem(ctx, components, ISOMORPHISMS)
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        fresh = run_python("-c", "from hodgeslope.cli import entry; entry()", "search", doc)
         plain = (fresh.returncode, fresh.stdout, fresh.stderr)
-        code, _, _ = run_raw(capsys, ["search", tower_doc, "--mode", "bogus"])
+        code, _, _ = run_raw(capsys, ["search", doc, "--mode", "bogus"])
         assert code == 1
-        argv = ["search", tower_doc, "--mode", "paper", "--subsheaf", "stable", "--budget", "5"]
-        assert run_raw(capsys, argv) != plain
-        assert run_raw(capsys, ["search", tower_doc]) == plain
+        optioned = run_raw(capsys, ["search", doc, "--mode", "paper", "--subsheaf", "stable"])
+        assert optioned[0] == 0 and optioned != plain
+        assert run_raw(capsys, ["search", doc]) == plain
 
 
 class TestModuleEntryPoint:
@@ -511,7 +565,7 @@ class TestModuleEntryPoint:
 
 
 def _fuzz_seeds() -> list[tuple[str, dict]]:
-    options = {"constraint_mode": "paper", "subsheaf_mode": "semistable", "budget": 1000}
+    options = {"constraint_mode": "paper", "subsheaf_mode": "semistable"}
     tower = {
         "hodge_system": system_to_json(example_strictly_semistable(2).system),
         "search_options": options,
@@ -584,6 +638,13 @@ def fuzz_path(tmp_path_factory) -> Path:
 
 
 class TestFuzz:
+    @pytest.mark.parametrize("command, seed", FUZZ_SEEDS, ids=[c for c, _ in FUZZ_SEEDS])
+    def test_seed_is_a_valid_document(self, capsys, fuzz_path, command, seed):
+        # a mutation should turn a valid document into a near miss
+        fuzz_path.write_text(json.dumps(seed), encoding="utf-8")
+        code, report, _ = run(capsys, [command, str(fuzz_path)])
+        assert code == 0, report
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mutated_document_ends_in_one_json_line(self, fuzz_path, data):

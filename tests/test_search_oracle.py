@@ -28,7 +28,6 @@ from hodgeslope.search_oracle import (
     MAX_RANK_CELLS,
     check_declared,
     max_slope_profile,
-    profile_space_size,
     system_verdict,
     verdict_from_search,
 )
@@ -37,6 +36,14 @@ from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, sl
 
 #: Default budget of ``enumerate_profiles``, which visits every profile.
 DEFAULT_PROFILE_BUDGET = 10_000_000
+
+
+def profile_space_size(sys: HodgeSystem) -> int:
+    """Upper bound on the number of rank assignments: prod(rank(E_i) + 1)."""
+    size = 1
+    for comp in sys.components:
+        size *= comp.rank + 1
+    return size
 
 
 def _profiles(
@@ -72,7 +79,10 @@ def enumerate_profiles(
     """Stream every admissible proper profile in a fixed deterministic
     order (by support length, then rank vector lexicographically).  The
     brute-force reference for ``max_slope_profile``."""
-    bounds = search_oracle._degree_bounds(sys, mode, subsheaf_mode, budget)
+    size = profile_space_size(sys)
+    if size > budget:
+        raise BudgetExceededError(f"budget exceeded: {size} rank assignments, budget is {budget}")
+    bounds = search_oracle._degree_bounds(sys, mode, subsheaf_mode)
     return _profiles(sys, bounds, mode)
 
 
@@ -272,7 +282,7 @@ class TestSolverAgainstBruteForce:
     def test_verdict_from_search(self, sys, mode, subsheaf_mode):
         fast = verdict_from_search(sys, mode, subsheaf_mode)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search_oracle, "max_slope_profile", lambda s, m, sm, b: brute_max(s, m, sm))
+            patch.setattr(search_oracle, "max_slope_profile", lambda s, m, sm: brute_max(s, m, sm))
             slow = verdict_from_search(sys, mode, subsheaf_mode)
         assert fast == slow
 
@@ -302,12 +312,6 @@ class TestSolverAgainstBruteForce:
         assert sum(c.rank for c in sys.components) > MAX_RANK_CELLS
         assert system_verdict(sys, ConstraintMode.CONSERVATIVE) == criteria_verdict(sys)
         assert max_slope_profile(sys, ConstraintMode.MONOTONE) is not None
-
-    def test_explicit_budget_keeps_its_meaning(self):
-        sys = semistable_tower(3, 0, 2, 1, 3)
-        with pytest.raises(BudgetExceededError, match="budget exceeded: 9100 rank assignments"):
-            max_slope_profile(sys, budget=9_099)
-        assert max_slope_profile(sys, budget=9_100) == max_slope_profile(sys)
 
 
 class TestVerdictFromSearch:

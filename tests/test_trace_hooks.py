@@ -1,0 +1,55 @@
+"""The names the benchmark's tracer (``perfbench/tracer.py``) hooks.
+
+The tracer wraps library functions by module attribute, static
+``from_json`` constructors on their class, ``SubsystemProfile`` where
+``search_oracle`` binds it, and ``SubsystemProfile.__post_init__``; it
+counts refusals by the type name ``BudgetExceededError``.  Renaming or
+deleting any of these breaks traced benchmark runs, so these tests pin
+them.  The tracer's source is only read, never imported as a package
+module, so the benchmark directory gains no bytecode cache.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from hodgeslope import profiles, search_oracle
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    code = compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec")
+    exec(code, module.__dict__)
+    return module
+
+
+HOOKS = [target for targets in _load_tracer().LAYERS.values() for target in targets]
+
+
+@pytest.mark.parametrize("module_name, attr", HOOKS, ids=[f"{m}.{a}" for m, a in HOOKS])
+def test_layer_target_resolves(module_name, attr):
+    module = importlib.import_module("hodgeslope." + module_name)
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        cls = getattr(module, cls_name)
+        # the tracer rebinds the raw class attribute, not the bound lookup
+        assert isinstance(cls.__dict__[meth], staticmethod)
+    else:
+        assert callable(getattr(module, attr))
+
+
+def test_profile_construction_hooks():
+    assert search_oracle.SubsystemProfile is profiles.SubsystemProfile
+    assert callable(profiles.SubsystemProfile.__dict__["__post_init__"])
+
+
+def test_refusal_type_name():
+    assert search_oracle.BudgetExceededError.__name__ == "BudgetExceededError"
+    assert issubclass(search_oracle.BudgetExceededError, ValueError)
