@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgeslope import inequalities
@@ -13,6 +13,7 @@ from hodgeslope.inequalities import (
     MAX_SWEEP_CHECKS,
     InequalityCheck,
     SequencePair,
+    _power_sum_tables,
     chebyshev_lower,
     chebyshev_upper,
     geometric_sum,
@@ -34,6 +35,38 @@ def reference_weighted_power_sum(d: int, k: int) -> int:
 def reference_geometric_sum(d: int, k: int) -> int:
     """Term-by-term sum over j = 0..k of d^j."""
     return sum(d**j for j in range(k + 1))
+
+
+def reference_hodge_sum_sweep(d_max: int, n_max: int):
+    """Every pair r <= n <= n_max checked on its own, over closed-form
+    tables: the all-pairs sweep the adjacent-pair one is tested against."""
+    rows = []
+    for d in range(1, d_max + 1):
+        w = [weighted_power_sum(d, k) for k in range(n_max + 1)]
+        s = [geometric_sum(d, k) for k in range(n_max + 1)]
+        checked = 0
+        failures = []
+        for n in range(n_max + 1):
+            for r in range(n + 1):
+                checked += 1
+                if w[r] * s[n] > w[n] * s[r]:
+                    failures.append((r, n))
+        rows.append((d, checked, failures))
+    return rows
+
+
+def largest_n_max(d_max: int) -> int:
+    """The largest n_max whose sweep stays within MAX_SWEEP_CHECKS."""
+    n_max = 0
+    while d_max * (n_max + 2) * (n_max + 3) // 2 <= MAX_SWEEP_CHECKS:
+        n_max += 1
+    return n_max
+
+
+@st.composite
+def sweep_sizes(draw) -> tuple[int, int]:
+    d_max = draw(st.integers(1, 6))
+    return d_max, draw(st.integers(0, largest_n_max(d_max)))
 
 
 def reference_nonincreasing(seq: tuple[Fraction, ...], name: str) -> None:
@@ -183,6 +216,15 @@ class TestHodgeSum:
                 assert w == reference_weighted_power_sum(d, k), (d, k)
                 assert s == reference_geometric_sum(d, k), (d, k)
 
+    def test_running_sum_tables_match_closed_forms_and_term_sums(self):
+        for d in range(1, 9):
+            w, s = _power_sum_tables(d, 150)
+            assert len(w) == len(s) == 151
+            for k in range(151):
+                assert type(w[k]) is int and type(s[k]) is int
+                assert w[k] == weighted_power_sum(d, k) == reference_weighted_power_sum(d, k)
+                assert s[k] == geometric_sum(d, k) == reference_geometric_sum(d, k)
+
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
         assert check.holds and (check.lhs, check.rhs) == (7, 15)
@@ -213,6 +255,45 @@ class TestHodgeSum:
             failures = [(r, n) for r, n in pairs if not hodge_sum_inequality(d, r, n)]
             rows.append((d, len(pairs), failures))
         assert hodge_sum_sweep(4, 12) == rows
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(size=sweep_sizes())
+    @example(size=(1, largest_n_max(1)))
+    @example(size=(6, largest_n_max(6)))
+    def test_sweep_matches_the_all_pairs_reference(self, size):
+        rows = hodge_sum_sweep(*size)
+        assert all(not failures for _, _, failures in rows)
+        assert rows == reference_hodge_sum_sweep(*size)
+
+    def test_sweep_checks_adjacent_pairs_only(self, monkeypatch):
+        calls = []
+        sides = inequalities._hodge_sides
+
+        def counted(*sums):
+            calls.append(sums)
+            return sides(*sums)
+
+        monkeypatch.setattr(inequalities, "_hodge_sides", counted)
+        rows = hodge_sum_sweep(3, 100)
+        assert sum(checked for _, checked, _ in rows) == 15_453
+        assert len(calls) <= 3 * 100
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 5), (3, 8)])
+    def test_a_failing_adjacent_pair_is_reported_alone(self, monkeypatch, d, k):
+        sides = inequalities._hodge_sides
+        broken = (weighted_power_sum(d, k), geometric_sum(d, k))
+
+        def failing_at_k(w_r, s_r, w_n, s_n):
+            lhs, rhs = sides(w_r, s_r, w_n, s_n)
+            return (rhs + 1, rhs) if (w_n, s_n) == broken else (lhs, rhs)
+
+        monkeypatch.setattr(inequalities, "_hodge_sides", failing_at_k)
+        rows = hodge_sum_sweep(3, 8)
+        assert [(e, failures) for e, _, failures in rows] == [
+            (e, [(k - 1, k)] if e == d else []) for e in (1, 2, 3)
+        ]
+        with pytest.raises(InconsistencyError, match="proved inequality failed"):
+            verify_hodge_sums(3, 8)
 
     def test_sweep_tabulates_sums_once_per_degree(self, monkeypatch):
         calls = []
