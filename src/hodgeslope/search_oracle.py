@@ -15,8 +15,16 @@ Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
 (grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
-The tests keep a brute-force enumeration of every profile as the
-reference the solver is checked against.
+The degree bounds are tabulated one row per component.  The tests keep a
+brute-force enumeration of every profile as the reference the solver is
+checked against.
+
+A verdict asks only whether some profile reaches the total slope mu(E), so
+its searches start at lambda = mu(E) (or at the slope of a rank-1 piece,
+if larger).  A negative first maximum proves every proper profile lies
+below mu(E), and the search stops after that one step; a zero maximum
+proves the maximal slope is exactly the candidate; a positive one goes on
+as above, to the same optimum and certificate as a search from below.
 
 Two rank-chain modes are provided.  The monotone mode requires
 rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
@@ -48,7 +56,12 @@ from .hodge_system import (
     total_slope,
 )
 from .profiles import SubsystemProfile
-from .slope_core import InconsistencyError, SubsheafMode, max_subsheaf_degree
+from .slope_core import (
+    InconsistencyError,
+    SubsheafMode,
+    max_subsheaf_degree,
+    subsheaf_degree_row,
+)
 
 PROV_ORACLE = "oracle"
 PROV_DECLARED = "declared invariant profile"
@@ -99,15 +112,10 @@ def _degree_bounds(
         raise BudgetExceededError(
             f"search too large: {cells} rank cells, the solver's limit is {MAX_RANK_CELLS}"
         )
-    bounds = []
-    for i, (comp, cap) in enumerate(zip(sys.components, caps)):
-        flag = comp.semistable if subsheaf_mode is SubsheafMode.SEMISTABLE else comp.stable
-        if flag is not True:
-            raise ValueError(
-                f"flag precondition violated: component {i} is not flagged {subsheaf_mode.value}"
-            )
-        bounds.append([0] + [max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, cap + 1)])
-    return bounds
+    return [
+        [0] + subsheaf_degree_row(comp, subsheaf_mode, range(1, cap + 1), f"component {i}")
+        for i, (comp, cap) in enumerate(zip(sys.components, caps))
+    ]
 
 
 def _tables(
@@ -145,7 +153,8 @@ def _best_chain(
 ) -> tuple[int, list[int]] | None:
     """The largest value sum(q * degree_i - p * rank_i) of a proper chain,
     with the lexicographically smallest rank chain reaching it, or None
-    when no proper chain exists.
+    when no proper chain exists or the largest value is negative (every
+    proper chain has slope below p/q); then no chain is rebuilt.
 
     Comparing entry lists is comparing rank vectors, and a prefix sorts
     before its extensions, so the chain stops as soon as it meets the
@@ -156,8 +165,10 @@ def _best_chain(
     if whole:
         first[-1] = full[0]
     target = max((v for v in first if v is not None), default=None)
-    if target is None:
-        return None  # a single line bundle: the only chain is the whole system
+    if target is None or target < 0:
+        # a single line bundle (the only chain is the whole system), or
+        # every proper chain is below p/q
+        return None
     ranks: list[int] = []
     acc, cap = 0, len(bounds[0]) - 1
     for i, v in enumerate(values):
@@ -179,14 +190,25 @@ def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
+    *,
+    at_least: Fraction | None = None,
 ) -> tuple[SubsystemProfile, Fraction] | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
-    exists."""
+    exists.
+
+    With ``at_least`` it is also None when every proper profile has slope
+    below ``at_least``.  The iteration then starts at that slope (or at the
+    slope of a rank-1 piece, if larger), where a negative first maximum
+    settles this in one step; otherwise it ends at the same optimum and
+    the same certificate as without it.
+    """
     bounds = _degree_bounds(sys, mode, subsheaf_mode)
     step = _rank_step(sys, mode)
     whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
     best = Fraction(bounds[0][1])  # slope of the chain of one rank-1 piece
+    if at_least is not None:
+        best = max(best, Fraction(at_least))
     while True:
         found = _best_chain(bounds, step, whole, best.numerator, best.denominator)
         if found is None:
@@ -214,14 +236,16 @@ def verdict_from_search(
     attestations are available, since stable components are semistable).
     """
     mu = total_slope(sys)
-    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE)
+    # each search starts at lambda = mu: only profiles reaching mu matter,
+    # and it returns None when there are none
+    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, at_least=mu)
     if best is not None and best[1] > mu:
         # under stable bounds this contradicts the semistability criterion;
         # surface it loudly
         return Verdict(Answer.NO, Answer.NO, best[0], PROV_ORACLE)
     if subsheaf_mode is SubsheafMode.STABLE:
-        best = max_slope_profile(sys, mode, SubsheafMode.STABLE)
-    if best is not None and best[1] >= mu:
+        best = max_slope_profile(sys, mode, SubsheafMode.STABLE, at_least=mu)
+    if best is not None:
         return Verdict(Answer.YES, Answer.NO, best[0], PROV_ORACLE)
     return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
 

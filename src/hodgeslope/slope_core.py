@@ -268,25 +268,31 @@ def tensor(a: BundleData, b: BundleData) -> BundleData:
     )
 
 
-def max_subsheaf_degree(sub_rank: int, ambient: BundleData, mode: SubsheafMode) -> int:
-    """Largest degree a rank ``sub_rank`` subsheaf of ``ambient`` may have.
+def subsheaf_degree_row(
+    ambient: BundleData, mode: SubsheafMode, ranks: range, what: str = "ambient bundle"
+) -> list[int]:
+    """``max_subsheaf_degree`` for every rank in ``ranks`` (a step-1 range
+    within 1..rank), with the attestation checked once.
 
-    With a semistable attestation the bound is floor(sub_rank * slope).
-    With a stable attestation and a proper rank the inequality is strict, so
-    the bound drops by one exactly when sub_rank * slope is an integer.  A
-    full-rank subsheaf of a stable bundle may still match the ambient degree
-    (only the bundle itself attains it; callers exclude that trivial case).
+    With a semistable attestation the bound is floor(r * slope).  With a
+    stable attestation and a proper rank the inequality is strict, so the
+    bound is the largest integer below r * slope, floor((r * degree - 1) /
+    rank).  A full-rank subsheaf of a stable bundle may still match the
+    ambient degree (only the bundle itself attains it; callers exclude that
+    trivial case).  ``what`` names the bundle in the error message.
     """
-    if not 1 <= sub_rank <= ambient.rank:
-        raise ValueError(f"sub_rank {sub_rank} out of range 1..{ambient.rank}")
     flag = ambient.semistable if mode is SubsheafMode.SEMISTABLE else ambient.stable
     if flag is not True:
-        raise ValueError(
-            f"flag precondition violated: ambient bundle is not flagged {mode.value}"
-        )
-    q, r = divmod(sub_rank * ambient.degree, ambient.rank)
+        raise ValueError(f"flag precondition violated: {what} is not flagged {mode.value}")
+    degree, rank = ambient.degree, ambient.rank
     if mode is SubsheafMode.SEMISTABLE:
-        return q
-    if sub_rank == ambient.rank:
-        return ambient.degree
-    return q - 1 if r == 0 else q
+        return [r * degree // rank for r in ranks]
+    return [(r * degree - 1) // rank if r < rank else degree for r in ranks]
+
+
+def max_subsheaf_degree(sub_rank: int, ambient: BundleData, mode: SubsheafMode) -> int:
+    """Largest degree a rank ``sub_rank`` subsheaf of ``ambient`` may have;
+    the bound is stated in ``subsheaf_degree_row``."""
+    if not 1 <= sub_rank <= ambient.rank:
+        raise ValueError(f"sub_rank {sub_rank} out of range 1..{ambient.rank}")
+    return subsheaf_degree_row(ambient, mode, range(sub_rank, sub_rank + 1))[0]

@@ -297,15 +297,16 @@ class TestHodgeSum:
 
     def test_sweep_tabulates_sums_once_per_degree(self, monkeypatch):
         calls = []
+        tables = inequalities._power_sum_tables
 
-        def counted(d, k):
-            calls.append((d, k))
-            return weighted_power_sum(d, k)
+        def counted(d, n_max):
+            calls.append((d, n_max))
+            return tables(d, n_max)
 
-        monkeypatch.setattr(inequalities, "weighted_power_sum", counted)
+        monkeypatch.setattr(inequalities, "_power_sum_tables", counted)
         rows = hodge_sum_sweep(3, 40)
         assert sum(checked for _, checked, _ in rows) == 3 * 41 * 42 // 2
-        assert len(calls) <= 3 * 41
+        assert calls == [(1, 40), (2, 40), (3, 40)]
 
     def test_sweep_size_limit(self):
         # 3 * 101 * 102 / 2 = 15,453 checks run; 3 * 301 * 302 / 2 do not

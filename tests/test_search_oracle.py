@@ -16,6 +16,7 @@ from hodgeslope.hodge_system import (
     Declared,
     HodgeSystem,
     ISOMORPHISMS,
+    Isomorphisms,
     criteria_verdict,
     derive_components,
     total_slope,
@@ -31,7 +32,13 @@ from hodgeslope.search_oracle import (
     system_verdict,
     verdict_from_search,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, slope
+from hodgeslope.slope_core import (
+    BundleData,
+    GeometricContext,
+    SubsheafMode,
+    max_subsheaf_degree,
+    slope,
+)
 
 
 #: Default budget of ``enumerate_profiles``, which visits every profile.
@@ -78,11 +85,17 @@ def enumerate_profiles(
 ) -> Iterator[SubsystemProfile]:
     """Stream every admissible proper profile in a fixed deterministic
     order (by support length, then rank vector lexicographically).  The
-    brute-force reference for ``max_slope_profile``."""
+    brute-force reference for ``max_slope_profile``: its degree bounds come
+    from ``max_subsheaf_degree`` cell by cell, not from the solver's rows."""
+    if not isinstance(sys.theta, Isomorphisms):
+        raise ValueError("oracle requires isomorphism structure")
     size = profile_space_size(sys)
     if size > budget:
         raise BudgetExceededError(f"budget exceeded: {size} rank assignments, budget is {budget}")
-    bounds = search_oracle._degree_bounds(sys, mode, subsheaf_mode)
+    bounds = [
+        [0] + [max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, comp.rank + 1)]
+        for comp in sys.components
+    ]
     return _profiles(sys, bounds, mode)
 
 
@@ -115,14 +128,18 @@ def brute_max(
     mode: ConstraintMode,
     subsheaf_mode: SubsheafMode,
     budget: int = DEFAULT_PROFILE_BUDGET,
+    at_least: Fraction | None = None,
 ):
-    """Independent maximum: materialize the stream, compare with Fractions."""
+    """Independent maximum: materialize the stream, compare with Fractions.
+    Like the solver, None when the maximum is below ``at_least``."""
     best = None
     for p in enumerate_profiles(sys, mode, subsheaf_mode, budget):
         key = (-p.slope, p.entries)
         if best is None or key < best[0]:
             best = (key, p)
-    return None if best is None else (best[1], best[1].slope)
+    if best is None or (at_least is not None and best[1].slope < at_least):
+        return None
+    return best[1], best[1].slope
 
 
 class TestEnumerate:
@@ -262,6 +279,27 @@ def same_result(actual, expected) -> bool:
     return actual[0].entries == expected[0].entries and actual[1] == expected[1]
 
 
+def bound_modes(sys: HodgeSystem) -> list[SubsheafMode]:
+    """The subsheaf modes whose attestations every component carries."""
+    modes = [SubsheafMode.SEMISTABLE]
+    if all(c.stable is True for c in sys.components):
+        modes.append(SubsheafMode.STABLE)
+    return modes
+
+
+def count_steps(patch) -> list:
+    """Record each call of the solver's DP step, ``_best_chain``."""
+    calls = []
+    original = search_oracle._best_chain
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch.setattr(search_oracle, "_best_chain", counted)
+    return calls
+
+
 class TestSolverAgainstBruteForce:
     """The Dinkelbach solver agrees with brute-force enumeration: the same
     maximal slope, the same tie-broken certificate, the same verdict."""
@@ -269,12 +307,24 @@ class TestSolverAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(ConstraintMode))
     def test_max_slope_profile(self, sys, mode):
-        subsheaf_modes = [SubsheafMode.SEMISTABLE]
-        if all(c.stable is True for c in sys.components):
-            subsheaf_modes.append(SubsheafMode.STABLE)
-        for subsheaf_mode in subsheaf_modes:
+        for subsheaf_mode in bound_modes(sys):
             expected = brute_max(sys, mode, subsheaf_mode)
             assert same_result(max_slope_profile(sys, mode, subsheaf_mode), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(ConstraintMode))
+    def test_max_slope_profile_at_least(self, sys, mode):
+        # thresholds: the total slope, the maximum itself (the tie that
+        # yields a certificate), just below and just above it, and above
+        # every profile
+        mu, eps = total_slope(sys), Fraction(1, 10**9)
+        for subsheaf_mode in bound_modes(sys):
+            top = brute_max(sys, mode, subsheaf_mode)
+            peak = mu if top is None else top[1]
+            for x in (mu, peak, peak - eps, peak + eps, peak + 1000):
+                expected = None if top is None or top[1] < x else top
+                actual = max_slope_profile(sys, mode, subsheaf_mode, at_least=x)
+                assert same_result(actual, expected), x
 
     @settings(max_examples=100, deadline=None)
     @given(sys=towers(stable=True), mode=st.sampled_from(ConstraintMode),
@@ -282,7 +332,11 @@ class TestSolverAgainstBruteForce:
     def test_verdict_from_search(self, sys, mode, subsheaf_mode):
         fast = verdict_from_search(sys, mode, subsheaf_mode)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search_oracle, "max_slope_profile", lambda s, m, sm: brute_max(s, m, sm))
+            patch.setattr(
+                search_oracle,
+                "max_slope_profile",
+                lambda s, m, sm, *, at_least=None: brute_max(s, m, sm, at_least=at_least),
+            )
             slow = verdict_from_search(sys, mode, subsheaf_mode)
         assert fast == slow
 
@@ -312,6 +366,69 @@ class TestSolverAgainstBruteForce:
         assert sum(c.rank for c in sys.components) > MAX_RANK_CELLS
         assert system_verdict(sys, ConstraintMode.CONSERVATIVE) == criteria_verdict(sys)
         assert max_slope_profile(sys, ConstraintMode.MONOTONE) is not None
+
+
+class TestSearchCost:
+    """The verdict's searches start at lambda = mu(E), so on a tower with no
+    proper profile above mu(E) each bound mode takes a single DP step."""
+
+    @pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "sys, subsheaf_mode",
+        [
+            (semistable_tower(1, 1, 2, 2, 6), SubsheafMode.SEMISTABLE),
+            (semistable_tower(2, -2, 1, 0, 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
+            (stable_tower(1, 1, 2, 2, 6), SubsheafMode.STABLE),
+            (stable_tower(3, -1, 2, 2, 4), SubsheafMode.STABLE),
+        ],
+        ids=["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"],
+    )
+    def test_one_step_per_bound_mode(self, monkeypatch, sys, subsheaf_mode, mode):
+        calls = count_steps(monkeypatch)
+        verdict = verdict_from_search(sys, mode, subsheaf_mode)
+        assert verdict.semistable is Answer.YES
+        assert len(calls) == (2 if subsheaf_mode is SubsheafMode.STABLE else 1)
+
+    def test_threshold_above_every_profile_takes_one_step(self, monkeypatch):
+        sys = semistable_tower(2, 1, 2, 3, 3)
+        top = max_slope_profile(sys, ConstraintMode.CONSERVATIVE)[1]
+        calls = count_steps(monkeypatch)
+        above = top + Fraction(1, 10**9)
+        assert max_slope_profile(sys, ConstraintMode.CONSERVATIVE, at_least=above) is None
+        assert len(calls) == 1
+
+    def test_threshold_below_a_rank_one_piece_adds_no_step(self, monkeypatch):
+        # every profile has slope -3 and the rank-1 piece of E_0 comes first:
+        # one step, with or without a lower threshold
+        sys = semistable_tower(1, -3, 1, 0, 2)
+        calls = count_steps(monkeypatch)
+        plain = max_slope_profile(sys)
+        low = max_slope_profile(sys, at_least=Fraction(-1000))
+        assert plain[0].entries == ((1, -3),)
+        assert same_result(low, plain)
+        assert len(calls) == 2
+
+    def test_degree_bound_rows_match_cells(self):
+        # paper-mode caps fall below the ranks, conservative ones reach
+        # them, and every tower has negative degrees
+        samples = [
+            stable_tower(1, -3, 2, 1, 4),
+            stable_tower(3, -5, 2, 2, 3),
+            stable_tower(2, -7, 1, 0, 2),
+        ]
+        short = full = 0
+        for sys in samples:
+            assert any(c.degree < 0 for c in sys.components)
+            for mode, subsheaf_mode in itertools.product(ConstraintMode, SubsheafMode):
+                rows = search_oracle._degree_bounds(sys, mode, subsheaf_mode)
+                for row, comp in zip(rows, sys.components):
+                    cap = len(row) - 1
+                    short += cap < comp.rank
+                    full += cap == comp.rank
+                    assert row == [0] + [
+                        max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, cap + 1)
+                    ]
+        assert short and full
 
 
 class TestVerdictFromSearch:

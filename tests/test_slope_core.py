@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hodgeslope.slope_core import (
     format_rational,
     max_subsheaf_degree,
     slope,
+    subsheaf_degree_row,
     tensor,
 )
 
@@ -226,3 +228,30 @@ class TestMaxSubsheafDegree:
         ambient = BundleData(2, -2, semistable=True)
         assert max_subsheaf_degree(1, ambient, SubsheafMode.SEMISTABLE) == -1
         assert max_subsheaf_degree(2, ambient, SubsheafMode.SEMISTABLE) == -2
+
+
+class TestSubsheafDegreeRow:
+    def test_rows_match_exact_rationals_and_cells(self):
+        # every cap from 1 (below the rank) to the rank, degrees of both signs
+        rng = random.Random(19)
+        negative = 0
+        for _ in range(200):
+            rank = rng.randint(1, 8)
+            ambient = BundleData(rank, rng.randint(-20, 20), semistable=True, stable=True)
+            negative += ambient.degree < 0
+            mu = slope(ambient)
+            for cap in range(1, rank + 1):
+                ranks = range(1, cap + 1)
+                loose = subsheaf_degree_row(ambient, SubsheafMode.SEMISTABLE, ranks)
+                strict = subsheaf_degree_row(ambient, SubsheafMode.STABLE, ranks)
+                assert loose == [math.floor(r * mu) for r in ranks]
+                assert strict == [math.ceil(r * mu) - 1 if r < rank else ambient.degree for r in ranks]
+                for mode, row in ((SubsheafMode.SEMISTABLE, loose), (SubsheafMode.STABLE, strict)):
+                    assert row == [max_subsheaf_degree(r, ambient, mode) for r in ranks]
+        assert negative
+
+    def test_flag_checked_once_and_named(self):
+        with pytest.raises(ValueError, match="component 4 is not flagged semistable"):
+            subsheaf_degree_row(BundleData(2, 2), SubsheafMode.SEMISTABLE, range(1, 3), "component 4")
+        with pytest.raises(ValueError, match="ambient bundle is not flagged stable"):
+            subsheaf_degree_row(BundleData(2, 2, semistable=True), SubsheafMode.STABLE, range(1, 3))
