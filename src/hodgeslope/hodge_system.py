@@ -179,12 +179,18 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
 
     Components above the base inherit the base's semistable attestation
     only when the cotangent bundle is attested semistable (a semistable
-    piece at grade 1 forces that anyway); the stable attestation is never
-    inherited.
+    piece at grade 1 forces that anyway) and the tensor product of
+    semistable bundles is known to stay semistable: in characteristic zero,
+    or when the cotangent bundle is a line bundle (d = 1).  In
+    characteristic p a tensor product with a rank d > 1 bundle need not
+    stay semistable (A. Langer, *Semistable sheaves in positive
+    characteristic*, Ann. of Math. 159, 2004).  The stable attestation is
+    never inherited.
     """
     if n < 0:
         raise ValueError("tower height must be nonnegative")
-    inherit = base.semistable if context.omega_semistable else None
+    tensor_safe = context.characteristic == 0 or context.dim == 1
+    inherit = base.semistable if context.omega_semistable and tensor_safe else None
     components = [base]
     for i in range(1, n + 1):
         rank, degree = tower_component(base, context, i)

@@ -1,30 +1,35 @@
 """Destabilizer search over invariant subobject profiles.
 
-Independent of the criteria, this module finds the admissible graded
-subobject profile of largest slope of an isomorphism tower.  Admissibility
-means: contiguous support starting at grade 0, positive ranks bounded by
-the component ranks, a rank-chain constraint, and at each grade the largest
-degree the component's attestation allows (slope maximization never
-benefits from a smaller degree, which collapses the search to a finite
-one).  The whole system is excluded, mirroring the proper-subsheaf
-quantifier.
+Independent of the criteria, this module judges an isomorphism tower by
+its admissible graded subobject profiles.  Admissibility means: contiguous
+support starting at grade 0, positive ranks bounded by the component
+ranks, a rank-chain constraint, and at each grade the largest degree the
+component's attestation allows (slope maximization never benefits from a
+smaller degree, which collapses the search to a finite one).  The whole
+system is excluded, mirroring the proper-subsheaf quantifier.
 
-The maximum is exact and takes polynomial time, by Dinkelbach's parametric
+A verdict asks only whether some proper profile reaches the total slope
+mu(E), and ``verdict_from_search`` answers that in closed form, with
+O(n) integer arithmetic and no size limit.  Each degree bound is at most
+rank times the component's slope, and the weighted Chebyshev sum
+inequality (Hardy-Littlewood-Polya, *Inequalities*, 1934) then keeps
+every profile at or below mu(E) when the cotangent degree is
+nonnegative; its equality case names the certificate.  The proof is in
+the function's docstring.
+
+``max_slope_profile`` finds the admissible proper profile of largest
+slope itself, exactly and in polynomial time, by Dinkelbach's parametric
 method (W. Dinkelbach, *On nonlinear fractional programming*, Management
 Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
 (grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
-The degree bounds are tabulated one row per component.  The tests keep a
-brute-force enumeration of every profile as the reference the solver is
-checked against.
-
-A verdict asks only whether some profile reaches the total slope mu(E), so
-its searches start at lambda = mu(E) (or at the slope of a rank-1 piece,
-if larger).  A negative first maximum proves every proper profile lies
-below mu(E), and the search stops after that one step; a zero maximum
-proves the maximal slope is exactly the candidate; a positive one goes on
-as above, to the same optimum and certificate as a search from below.
+The degree bounds are tabulated one row per component, and a table of
+more than MAX_RANK_CELLS cells is refused with BudgetExceededError.  With
+``at_least`` the iteration starts at that slope, so a negative first
+maximum settles "nothing reaches it" in one step.  The tests keep a
+brute-force enumeration of every profile as the reference the solver and
+the closed form are checked against.
 
 Two rank-chain modes are provided.  The monotone mode requires
 rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
@@ -37,7 +42,7 @@ misses should be treated as a finding, never silently resolved.
 
 The module also decides whole systems (``system_verdict``): a declared
 system by its declared profiles, an isomorphism tower by the criteria
-cross-checked against the search.
+cross-checked against the closed form.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .hodge_system import (
     Answer,
@@ -54,12 +60,15 @@ from .hodge_system import (
     criteria_verdict,
     merge_verdicts,
     total_slope,
+    transport_subsystem,
 )
 from .profiles import SubsystemProfile
 from .slope_core import (
+    BundleData,
     InconsistencyError,
     SubsheafMode,
     max_subsheaf_degree,
+    require_flag,
     subsheaf_degree_row,
 )
 
@@ -75,7 +84,7 @@ MAX_RANK_CELLS = 1 << 18
 
 
 class BudgetExceededError(ValueError):
-    """The search is larger than the solver's cell limit."""
+    """The search is larger than the solver's cell limit (``max_slope_profile`` only)."""
 
 
 class ConstraintMode(Enum):
@@ -226,7 +235,8 @@ def verdict_from_search(
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
 ) -> Verdict:
-    """Ground-truth verdict within the admissible profile class.
+    """Ground-truth verdict within the admissible profile class, in closed
+    form.
 
     A profile above the total slope under semistable bounds refutes
     semistability.  Otherwise a profile meeting the total slope refutes
@@ -234,19 +244,68 @@ def verdict_from_search(
     bounds the stability side uses the strict bounds, while the
     semistability side is still judged against the semistable bounds (both
     attestations are available, since stable components are semistable).
+    The certificate is the lexicographically smallest profile of largest
+    slope, the one ``max_slope_profile(..., at_least=mu(E))`` returns for
+    each bound mode.
+
+    Proof.  Write R = rank(E_0), e = deg(E_0), w and d for the cotangent
+    degree and rank, mu_i = mu_0 + i*w/d for the slope of E_i, and
+    (r*, e*) = (R/g, e/g) with g = gcd(R, e), so r* is the least rank r
+    with r*mu_0 an integer.  E_i has rank R*d^i, so mu(E) is the mean of
+    the mu_i under the weights R*d^i.  A chain r_0, ..., r_k (r_i = 0 past
+    k) with degree bounds b_i(r_i) satisfies, when w >= 0,
+
+        sum b_i(r_i) <= sum r_i*mu_i <= mu(E) * sum r_i.
+
+    The first step holds term by term.  A semistable bound floor(r*mu_i)
+    is exact when r*mu_i is an integer, a stable one only at full rank.
+    The second step is the weighted Chebyshev sum inequality
+    (``inequalities.chebyshev_upper``) for a_i = r_i/(R*d^i), which does
+    not increase because r_i <= d*r_{i-1} in either mode, against mu_i,
+    which does not decrease.  So no profile exceeds mu(E), and one reaches
+    it exactly when both steps are equalities:
+
+    - w > 0, n >= 1: mu_i strictly increases, so a_i is constant on all
+      n+1 grades and r_i = r_0*d^i.  Every bound is exact iff r* divides
+      r_0.  The least such chain is the transport of (r*, e*), which is
+      proper iff r* < R.  The monotone mode admits it only when d = 1.
+      Under stable bounds only the whole system is exact throughout.
+    - w = 0 or n = 0: every grade in play has slope mu(E), so a chain
+      reaches it iff every bound is exact.  The least such chain is the
+      grade-0 piece (r*, e*), or (R, e) under stable bounds; it is proper
+      unless it is the whole system.
+    - w < 0, n >= 1: mu_i < mu_0 for i >= 1, so every profile has slope at
+      most mu_0 > mu(E).  Only the grade-0 pieces with r_0*mu_0 an integer
+      reach mu_0, and (r*, e*) is the least of them.
+
+    The attestations are the bounds' hypotheses and are checked as the
+    search checks them: every semistable flag first, in component order,
+    and every stable flag only when the semistable side holds.
     """
-    mu = total_slope(sys)
-    # each search starts at lambda = mu: only profiles reaching mu matter,
-    # and it returns None when there are none
-    best = max_slope_profile(sys, mode, SubsheafMode.SEMISTABLE, at_least=mu)
-    if best is not None and best[1] > mu:
-        # under stable bounds this contradicts the semistability criterion;
-        # surface it loudly
-        return Verdict(Answer.NO, Answer.NO, best[0], PROV_ORACLE)
+    if not isinstance(sys.theta, Isomorphisms):
+        raise ValueError("oracle requires isomorphism structure")
+    components = sys.components
+    for i, comp in enumerate(components):
+        require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")
+    rank, degree = components[0].rank, components[0].degree
+    g = gcd(rank, degree)
+    least = (rank // g, degree // g)
+    n, d, w = sys.n, sys.context.dim, sys.context.omega_degree
+    if w < 0 and n >= 1:
+        return Verdict(Answer.NO, Answer.NO, SubsystemProfile((least,)), PROV_ORACLE)
+    certificate = None
     if subsheaf_mode is SubsheafMode.STABLE:
-        best = max_slope_profile(sys, mode, SubsheafMode.STABLE, at_least=mu)
-    if best is not None:
-        return Verdict(Answer.YES, Answer.NO, best[0], PROV_ORACLE)
+        for i, comp in enumerate(components):
+            require_flag(comp, SubsheafMode.STABLE, f"component {i}")
+        if w == 0 and n >= 1:
+            certificate = SubsystemProfile(((rank, degree),))
+    elif w == 0 or n == 0:
+        if least[0] < rank or n >= 1:
+            certificate = SubsystemProfile((least,))
+    elif least[0] < rank and (mode is ConstraintMode.CONSERVATIVE or d == 1):
+        certificate = transport_subsystem(sys, BundleData(*least))
+    if certificate is not None:
+        return Verdict(Answer.YES, Answer.NO, certificate, PROV_ORACLE)
     return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
 
 
@@ -320,11 +379,11 @@ def system_verdict(
     A declared system is judged by its declared profiles.  An isomorphism
     tower gets the criteria's verdict; when every component is attested
     semistable, the oracle cross-checks it and fills in what the criteria
-    leave unknown.  The oracle runs under semistable bounds, or under
+    leave unknown.  The oracle is ``verdict_from_search``, which decides
+    every tower in closed form; it runs under semistable bounds, or under
     stable bounds when the cotangent degree is positive and every
     component is attested stable, so that its stability side is a check
-    too.  A tower past the solver's cell limit keeps the criteria's verdict
-    alone.  A definite disagreement on either side raises
+    too.  A definite disagreement on either side raises
     InconsistencyError.
     """
     if not isinstance(sys.theta, Isomorphisms):
@@ -334,10 +393,7 @@ def system_verdict(
         return verdict
     check_stable = sys.context.omega_degree > 0 and all(c.stable is True for c in sys.components)
     subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
-    try:
-        oracle = verdict_from_search(sys, mode, subsheaf_mode)
-    except BudgetExceededError:
-        return verdict
+    oracle = verdict_from_search(sys, mode, subsheaf_mode)
     _require_agreement(verdict.semistable, oracle.semistable, "semistability")
     if check_stable:
         _require_agreement(verdict.stable, oracle.stable, "stability")

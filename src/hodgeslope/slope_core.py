@@ -268,22 +268,28 @@ def tensor(a: BundleData, b: BundleData) -> BundleData:
     )
 
 
+def require_flag(ambient: BundleData, mode: SubsheafMode, what: str = "ambient bundle") -> None:
+    """Refuse a bundle that lacks the attestation a ``mode`` bound leans
+    on; ``what`` names the bundle in the error message."""
+    flag = ambient.semistable if mode is SubsheafMode.SEMISTABLE else ambient.stable
+    if flag is not True:
+        raise ValueError(f"flag precondition violated: {what} is not flagged {mode.value}")
+
+
 def subsheaf_degree_row(
     ambient: BundleData, mode: SubsheafMode, ranks: range, what: str = "ambient bundle"
 ) -> list[int]:
     """``max_subsheaf_degree`` for every rank in ``ranks`` (a step-1 range
-    within 1..rank), with the attestation checked once.
+    within 1..rank), with the attestation checked once by ``require_flag``.
 
     With a semistable attestation the bound is floor(r * slope).  With a
     stable attestation and a proper rank the inequality is strict, so the
     bound is the largest integer below r * slope, floor((r * degree - 1) /
     rank).  A full-rank subsheaf of a stable bundle may still match the
     ambient degree (only the bundle itself attains it; callers exclude that
-    trivial case).  ``what`` names the bundle in the error message.
+    trivial case).
     """
-    flag = ambient.semistable if mode is SubsheafMode.SEMISTABLE else ambient.stable
-    if flag is not True:
-        raise ValueError(f"flag precondition violated: {what} is not flagged {mode.value}")
+    require_flag(ambient, mode, what)
     degree, rank = ambient.degree, ambient.rank
     if mode is SubsheafMode.SEMISTABLE:
         return [r * degree // rank for r in ranks]

@@ -73,9 +73,18 @@ def tower_doc(tmp_path):
 
 def cell_limit_tower() -> HodgeSystem:
     """Ranks 3^i up to grade 14: 7,174,453 (grade, rank) cells in
-    conservative mode, past the solver's limit; 15 in paper mode."""
+    conservative mode, past the Dinkelbach solver's limit; 15 in paper
+    mode.  The closed-form verdict decides it in either mode."""
     ctx = GeometricContext(0, 3, 2, omega_semistable=True)
     return derive_components(BundleData(1, 0, semistable=True), ctx, 14)
+
+
+def mode_split_tower() -> HodgeSystem:
+    """E_0 = (2, 2), d = 2, w = 2: the transport of (1, 1) reaches mu(E)
+    with ranks 1, 2, which the conservative chain admits and the paper
+    chain does not."""
+    ctx = GeometricContext(0, 2, 2, omega_semistable=True)
+    return derive_components(BundleData(2, 2, semistable=True), ctx, 1)
 
 
 class TestCheckSystem:
@@ -154,18 +163,17 @@ class TestCheckSystem:
         assert report["error"] == "criterion and oracle disagree on stability"
         assert "internal inconsistency" in err
 
-    def test_past_the_cell_limit_keeps_the_criteria_verdict(self, capsys, tmp_path):
+    def test_past_the_old_cell_limit_merges_the_oracle(self, capsys, tmp_path):
+        # the criteria settle semistability; the closed-form oracle fills in
+        # the stability side they leave unknown (d = 3 is not a curve)
         system = cell_limit_tower()
         doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
         code, report, _ = run(capsys, ["check-system", doc, "--mode", "conservative"])
         assert code == 0
         criteria = criteria_verdict(system)
-        assert (report["semistable"], report["stable"], report["provenance"]) == (
-            criteria.semistable.value,
-            criteria.stable.value,
-            criteria.provenance,
-        )
-        assert "oracle" not in report["provenance"]
+        assert (criteria.semistable.value, criteria.stable.value) == ("yes", "unknown")
+        assert (report["semistable"], report["stable"], report["certificate"]) == ("yes", "yes", None)
+        assert report["provenance"] == f"{criteria.provenance}; oracle"
 
     @pytest.mark.parametrize("semistable", [None, True])
     def test_full_rank_declared_degree_above_component(self, capsys, tmp_path, semistable):
@@ -211,23 +219,33 @@ class TestSearch:
         doc = write_doc(
             tmp_path,
             {
-                "hodge_system": system_to_json(cell_limit_tower()),
+                "hodge_system": system_to_json(mode_split_tower()),
                 "search_options": {"constraint_mode": "conservative"},
             },
         )
         code, report, _ = run(capsys, ["search", doc])
-        assert code == 1 and "search too large" in report["error"]
+        assert code == 0
+        assert (report["semistable"], report["stable"]) == ("yes", "no")
+        assert report["certificate"]["profile"] == [[1, 1], [2, 4]]
+        assert report["certificate"]["slope"] == report["mu_total"] == "5/3"
         code, report, _ = run(capsys, ["search", doc, "--mode", "paper"])
-        assert code == 0 and report["provenance"] == "oracle"
+        assert code == 0
+        assert (report["semistable"], report["stable"], report["certificate"]) == ("yes", "yes", None)
 
-    def test_past_the_cell_limit_is_refused_at_once(self, capsys, tmp_path):
+    def test_past_the_old_cell_limit_is_decided_at_once(self, capsys, tmp_path):
         doc = write_doc(tmp_path, {"hodge_system": system_to_json(cell_limit_tower())})
         start = time.perf_counter()
         code, report, err = run(capsys, ["search", doc, "--mode", "conservative"])
         assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert "search too large" in report["error"]
-        assert "invalid input" in err
+        assert code == 0
+        assert report == {
+            "certificate": None,
+            "mu_total": report["mu_total"],
+            "provenance": "oracle",
+            "semistable": "yes",
+            "stable": "yes",
+        }
+        assert err == "search: semistable=yes stable=yes (oracle)\n"
 
     def test_byte_determinism_with_parallel(self, capsys, tower_doc):
         outputs = set()

@@ -88,6 +88,19 @@ class TestDeriveComponents:
         assert dropped.components[0].semistable is True
         assert dropped.components[1].semistable is None
 
+    @pytest.mark.parametrize(
+        "char, dim, inherited",
+        [(5, 2, None), (5, 1, True), (0, 2, True)],
+        ids=["char5-d2", "char5-d1", "char0-d2"],
+    )
+    def test_flag_inheritance_needs_a_tensor_safe_context(self, char, dim, inherited):
+        # in characteristic p a tensor product with a rank d > 1 cotangent
+        # bundle need not stay semistable, so nothing is inherited there
+        ctx = GeometricContext(char, dim, 2, omega_semistable=True)
+        sys = derive_components(BundleData(2, 1, semistable=True), ctx, 2)
+        assert sys.components[0].semistable is True
+        assert [c.semistable for c in sys.components[1:]] == [inherited, inherited]
+
     def test_stable_flag_never_inherited(self):
         base = BundleData(2, -2, semistable=True, stable=True)
         sys = derive_components(base, curve(2), 1)

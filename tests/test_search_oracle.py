@@ -17,7 +17,7 @@ from hodgeslope.hodge_system import (
     HodgeSystem,
     ISOMORPHISMS,
     Isomorphisms,
-    criteria_verdict,
+    Verdict,
     derive_components,
     total_slope,
     transport_subsystem,
@@ -140,6 +140,45 @@ def brute_max(
     if best is None or (at_least is not None and best[1].slope < at_least):
         return None
     return best[1], best[1].slope
+
+
+def dp_verdict(sys: HodgeSystem, mode: ConstraintMode, subsheaf_mode: SubsheafMode, solver=None):
+    """The verdict composed from one Dinkelbach search per bound mode,
+    each started at lambda = mu(E): the reference the closed form in
+    ``verdict_from_search`` replaces.  ``solver`` swaps in another
+    maximizer with ``max_slope_profile``'s signature."""
+    solver = solver or max_slope_profile
+    mu = total_slope(sys)
+    best = solver(sys, mode, SubsheafMode.SEMISTABLE, at_least=mu)
+    if best is not None and best[1] > mu:
+        return Verdict(Answer.NO, Answer.NO, best[0], search_oracle.PROV_ORACLE)
+    if subsheaf_mode is SubsheafMode.STABLE:
+        best = solver(sys, mode, SubsheafMode.STABLE, at_least=mu)
+    if best is not None:
+        return Verdict(Answer.YES, Answer.NO, best[0], search_oracle.PROV_ORACLE)
+    return Verdict(Answer.YES, Answer.YES, provenance=search_oracle.PROV_ORACLE)
+
+
+def outcome(fn, *args):
+    """A verdict, or the text of the ValueError that refused the input."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+FLAG_CHOICES = [(True, None), (True, True), (True, False), (None, None), (False, None)]
+
+
+def flagged_tower(r0: int, e0: int, d: int, w: int, n: int, flags) -> HodgeSystem:
+    """The tower's invariants with the given (semistable, stable) flags per
+    component; ``flags`` is one pair for every component or a list."""
+    ctx = GeometricContext(0, d, w, omega_semistable=True)
+    derived = derive_components(BundleData(r0, e0), ctx, n)
+    if isinstance(flags, tuple):
+        flags = [flags] * (n + 1)
+    comps = tuple(BundleData(c.rank, c.degree, *f) for c, f in zip(derived.components, flags))
+    return HodgeSystem(ctx, comps, ISOMORPHISMS)
 
 
 class TestEnumerate:
@@ -300,9 +339,25 @@ def count_steps(patch) -> list:
     return calls
 
 
+@st.composite
+def flagged_towers(draw):
+    """Towers of either cotangent-degree sign whose components carry any
+    mix of flags, including none; the solver's tables stay small."""
+    r0, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    e0, w = draw(st.integers(-12, 12)), draw(st.integers(-3, 3))
+    n = draw(st.integers(0, 5))
+    uniform = draw(st.sampled_from(FLAG_CHOICES[:2]))
+    flags = draw(st.one_of(
+        st.just(uniform),
+        st.lists(st.sampled_from(FLAG_CHOICES), min_size=n + 1, max_size=n + 1),
+    ))
+    return flagged_tower(r0, e0, d, w, n, flags)
+
+
 class TestSolverAgainstBruteForce:
     """The Dinkelbach solver agrees with brute-force enumeration: the same
-    maximal slope, the same tie-broken certificate, the same verdict."""
+    maximal slope, the same tie-broken certificate.  The closed-form
+    verdict agrees with the verdict both compose."""
 
     @settings(max_examples=150, deadline=None)
     @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(ConstraintMode))
@@ -326,19 +381,16 @@ class TestSolverAgainstBruteForce:
                 actual = max_slope_profile(sys, mode, subsheaf_mode, at_least=x)
                 assert same_result(actual, expected), x
 
-    @settings(max_examples=100, deadline=None)
-    @given(sys=towers(stable=True), mode=st.sampled_from(ConstraintMode),
+    @settings(max_examples=400, deadline=None)
+    @given(sys=flagged_towers(), mode=st.sampled_from(ConstraintMode),
            subsheaf_mode=st.sampled_from(SubsheafMode))
     def test_verdict_from_search(self, sys, mode, subsheaf_mode):
-        fast = verdict_from_search(sys, mode, subsheaf_mode)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                search_oracle,
-                "max_slope_profile",
-                lambda s, m, sm, *, at_least=None: brute_max(s, m, sm, at_least=at_least),
-            )
-            slow = verdict_from_search(sys, mode, subsheaf_mode)
-        assert fast == slow
+        # the closed form against the solver's composition, error texts
+        # included, and against the brute force where it can enumerate
+        closed = outcome(verdict_from_search, sys, mode, subsheaf_mode)
+        assert closed == outcome(dp_verdict, sys, mode, subsheaf_mode)
+        if isinstance(closed, Verdict) and profile_space_size(sys) <= 20_000:
+            assert closed == dp_verdict(sys, mode, subsheaf_mode, brute_max)
 
     def test_past_the_old_gate(self):
         # 24,309 chains among 9^9 rank assignments: the default enumeration
@@ -357,36 +409,53 @@ class TestSolverAgainstBruteForce:
         assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
 
     def test_cell_limit(self):
-        # ranks 3^i: 7,174,453 reachable cells in conservative mode, 15 in paper mode
+        # ranks 3^i: 7,174,453 reachable cells in conservative mode, 15 in
+        # paper mode.  The solver refuses the first at once; the closed
+        # form decides both, and check-system merges its answer.
         sys = semistable_tower(1, 0, 3, 2, 14)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="search too large"):
             max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
         assert time.perf_counter() - start < 0.1
         assert sum(c.rank for c in sys.components) > MAX_RANK_CELLS
-        assert system_verdict(sys, ConstraintMode.CONSERVATIVE) == criteria_verdict(sys)
         assert max_slope_profile(sys, ConstraintMode.MONOTONE) is not None
+        for mode in ConstraintMode:
+            verdict = verdict_from_search(sys, mode)
+            assert (verdict.semistable, verdict.stable, verdict.certificate) == (
+                Answer.YES, Answer.YES, None
+            )
+            decided = system_verdict(sys, mode)
+            assert (decided.semistable, decided.stable) == (Answer.YES, Answer.YES)
+            assert decided.provenance == "semistable components in an isomorphism tower; oracle"
+
+
+COST_CASES = [
+    (semistable_tower(1, 1, 2, 2, 6), SubsheafMode.SEMISTABLE),
+    (semistable_tower(2, -2, 1, 0, 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
+    (stable_tower(1, 1, 2, 2, 6), SubsheafMode.STABLE),
+    (stable_tower(3, -1, 2, 2, 4), SubsheafMode.STABLE),
+]
+COST_IDS = ["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"]
 
 
 class TestSearchCost:
-    """The verdict's searches start at lambda = mu(E), so on a tower with no
-    proper profile above mu(E) each bound mode takes a single DP step."""
+    """The verdict takes no DP step at all.  The solver's searches started
+    at lambda = mu(E) take a single DP step per bound mode on a tower with
+    no proper profile above mu(E)."""
 
     @pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize(
-        "sys, subsheaf_mode",
-        [
-            (semistable_tower(1, 1, 2, 2, 6), SubsheafMode.SEMISTABLE),
-            (semistable_tower(2, -2, 1, 0, 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
-            (stable_tower(1, 1, 2, 2, 6), SubsheafMode.STABLE),
-            (stable_tower(3, -1, 2, 2, 4), SubsheafMode.STABLE),
-        ],
-        ids=["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"],
-    )
-    def test_one_step_per_bound_mode(self, monkeypatch, sys, subsheaf_mode, mode):
+    @pytest.mark.parametrize("sys, subsheaf_mode", COST_CASES, ids=COST_IDS)
+    def test_verdict_takes_no_step(self, monkeypatch, sys, subsheaf_mode, mode):
         calls = count_steps(monkeypatch)
         verdict = verdict_from_search(sys, mode, subsheaf_mode)
         assert verdict.semistable is Answer.YES
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("sys, subsheaf_mode", COST_CASES, ids=COST_IDS)
+    def test_one_step_per_bound_mode(self, monkeypatch, sys, subsheaf_mode, mode):
+        calls = count_steps(monkeypatch)
+        assert dp_verdict(sys, mode, subsheaf_mode).semistable is Answer.YES
         assert len(calls) == (2 if subsheaf_mode is SubsheafMode.STABLE else 1)
 
     def test_threshold_above_every_profile_takes_one_step(self, monkeypatch):
@@ -429,6 +498,66 @@ class TestSearchCost:
                         max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, cap + 1)
                     ]
         assert short and full
+
+
+class TestClosedForm:
+    """``verdict_from_search`` decides in closed form.  It must return what
+    the Dinkelbach composition ``dp_verdict`` returns, certificate and
+    error text included (see also ``TestSolverAgainstBruteForce``)."""
+
+    def test_grid_matches_the_solver(self):
+        # every stable-attested tower with r0 <= 6, d <= 3, -2 <= w <= 3,
+        # n <= 4 and |e0| <= r0, which covers every residue of e0 mod r0 at
+        # both signs, in both rank-chain and bound modes
+        compared = 0
+        for r0, d, w, n in itertools.product(range(1, 7), range(1, 4), range(-2, 4), range(5)):
+            for e0 in range(-r0, r0 + 1):
+                sys = flagged_tower(r0, e0, d, w, n, (True, True))
+                for mode, subsheaf_mode in itertools.product(ConstraintMode, SubsheafMode):
+                    expected = dp_verdict(sys, mode, subsheaf_mode)
+                    assert verdict_from_search(sys, mode, subsheaf_mode) == expected, (
+                        r0, e0, d, w, n, mode, subsheaf_mode
+                    )
+                    compared += 1
+        assert compared == 3 * 6 * 5 * sum(2 * r0 + 1 for r0 in range(1, 7)) * 4
+
+    @pytest.mark.parametrize(
+        "r0, e0, d, n, certificate",
+        [(1, 1, 2, 18, None), (3, 3, 3, 14, (1, 1)), (4, 2, 2, 60, (2, 1))],
+        ids=["r1-d2-n18", "r3-d3-n14", "r4-d2-n60"],
+    )
+    def test_past_the_solver_limit(self, r0, e0, d, n, certificate):
+        # conservative towers the solver refuses, decided at once; the
+        # certificate is the transport of the least exact base piece
+        sys = semistable_tower(r0, e0, d, 2, n)
+        with pytest.raises(BudgetExceededError, match="search too large"):
+            max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
+        start = time.perf_counter()
+        verdict = verdict_from_search(sys, ConstraintMode.CONSERVATIVE)
+        assert time.perf_counter() - start < 0.1
+        assert verdict.semistable is Answer.YES
+        if certificate is None:
+            assert (verdict.stable, verdict.certificate) == (Answer.YES, None)
+        else:
+            assert verdict.stable is Answer.NO
+            assert verdict.certificate == transport_subsystem(sys, BundleData(*certificate))
+            assert verdict.certificate.slope == total_slope(sys)
+
+    def test_flag_errors_in_component_order(self):
+        # the semistable flags are checked first, every one of them, and
+        # the stable flags only when the semistable side holds
+        missing = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (None, None)])
+        for subsheaf_mode in SubsheafMode:
+            with pytest.raises(ValueError, match="component 2 is not flagged semistable"):
+                verdict_from_search(missing, subsheaf_mode=subsheaf_mode)
+        unstable = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (True, False)])
+        with pytest.raises(ValueError, match="component 1 is not flagged stable"):
+            verdict_from_search(unstable, subsheaf_mode=SubsheafMode.STABLE)
+        # a negative cotangent degree refutes semistability before the
+        # stable flags are looked at
+        falling = flagged_tower(2, 1, 1, -2, 2, [(True, True), (True, None), (True, False)])
+        verdict = verdict_from_search(falling, subsheaf_mode=SubsheafMode.STABLE)
+        assert (verdict.semistable, verdict.certificate.entries) == (Answer.NO, ((2, 1),))
 
 
 class TestVerdictFromSearch:
