@@ -7,14 +7,21 @@ invalid input, 2 means an internal inconsistency (the criteria and the
 search oracle disagree, which is always a bug).  Reports are
 byte-deterministic for a fixed input and flag set: keys are sorted and
 rationals are rendered canonically as "p/q".
+
+The command-line grammar is one table, _GRAMMAR.  A well-formed command
+line (a known command, exact option names with valid values, exactly the
+command's positional) is read straight from it; anything else, from usage
+errors to abbreviations, ``--opt=value`` and ``-h``, goes to an argparse
+parser built from the same table, so its messages and exit codes are
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import search_oracle
 from .gallery import BUILDERS, checked_entry
@@ -39,11 +46,6 @@ PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_r
 #: echoes offending arguments, so a longer one is cut to this many
 #: characters and marked with "…", which bounds the error report.
 MAX_ECHO = 100
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # usage problems are invalid input
-        raise ValueError(message)
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -88,7 +90,7 @@ def _choice(data: dict, key: str, table: dict):
     return table[value]
 
 
-def _search_options(doc: dict, args: argparse.Namespace) -> dict:
+def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     options = {
         "mode": ConstraintMode.MONOTONE,
         "subsheaf": SubsheafMode.SEMISTABLE,
@@ -122,7 +124,7 @@ def _summary(command: str, verdict: Verdict) -> str:
     )
 
 
-def _cmd_check_system(args: argparse.Namespace) -> int:
+def _cmd_check_system(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     system = system_from_json(_payload(doc, "hodge_system", "check-system"))
     options = _search_options(doc, args)
@@ -131,7 +133,7 @@ def _cmd_check_system(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     system = system_from_json(_payload(doc, "hodge_system", "search"))
     options = _search_options(doc, args)
@@ -142,7 +144,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_oper(args: argparse.Namespace) -> int:
+def _cmd_check_oper(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     filtration = GriffithsFiltration.from_json(
         _payload(doc, "griffiths_filtration", "check-oper")
@@ -157,7 +159,7 @@ def _cmd_check_oper(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_connection(args: argparse.Namespace) -> int:
+def _cmd_check_connection(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     pair, ambient = pair_from_json(_payload(doc, "connection_pair", "check-connection"))
     verdict = pair_verdict(pair, ambient)
@@ -168,7 +170,7 @@ def _cmd_check_connection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hn_tensor(args: argparse.Namespace) -> int:
+def _cmd_hn_tensor(args: SimpleNamespace) -> int:
     doc = _load_document(args.document)
     request = _check_keys(
         _payload(doc, "hn_request", "hn-tensor"), "hn_request", {"profile", "tensor_with"}
@@ -188,7 +190,7 @@ def _cmd_hn_tensor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
+def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
     rows = verify_hodge_sums(args.d_max, args.n_max)
     for d, checked in rows:
         print(f"d={d}: {checked}/{checked} hold (all hold)", file=sys.stderr)
@@ -203,7 +205,7 @@ def _cmd_verify_inequalities(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gallery(args: argparse.Namespace) -> int:
+def _cmd_gallery(args: SimpleNamespace) -> int:
     params = {}
     if args.g is not None:
         params["g"] = args.g
@@ -228,56 +230,130 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The command-line grammar: for each command, its handler, its help line,
+#: its positional as (name, choices or None) or None, and its options as
+#: (name, kind, default, help).  An option's kind is a choice table (its
+#: keys are the valid values), ``int``, or ``bool`` for a switch that
+#: takes no value.  The order is the order of the help and error texts.
+_GRAMMAR = {
+    "check-system": (
+        _cmd_check_system, "criteria verdict for a graded system", ("document", None),
+        (("--mode", _MODES, None, None),),
+    ),
+    "search": (
+        _cmd_search, "oracle verdict with certificate", ("document", None),
+        (
+            ("--mode", _MODES, None, None),
+            ("--subsheaf", _SUBSHEAVES, None, None),
+            ("--parallel", bool, False, "accepted and ignored"),
+        ),
+    ),
+    "check-oper": (
+        _cmd_check_oper, "generalized-oper recognition and verdict", ("document", None), (),
+    ),
+    "check-connection": (_cmd_check_connection, "connection pair verdict", ("document", None), ()),
+    "hn-tensor": (_cmd_hn_tensor, "tensor a Harder-Narasimhan profile", ("document", None), ()),
+    "verify-inequalities": (
+        _cmd_verify_inequalities, "exhaustive inequality sweep", None,
+        (("--d-max", int, 6, None), ("--n-max", int, 14, None)),
+    ),
+    "gallery": (
+        _cmd_gallery, "emit a worked example with its verdict", ("name", BUILDERS),
+        (("--g", int, None, None), ("--d-line", int, None, None), ("--d0", int, None, None)),
+    ),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one.  Nothing may change it after it is built: each parse fills a
-    fresh namespace, so no option leaks from one call into the next."""
-    parser = _Parser(prog="hodgeslope", description=__doc__)
+def _build_parser():
+    """The argparse parser for _GRAMMAR, built on the first command line
+    the table does not read and shared by every later one.  argparse is
+    imported here, so a process that only sees well-formed command lines
+    never loads it.  Nothing may change the parser after it is built: each
+    parse fills a fresh namespace, so no option leaks from one call into
+    the next."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # usage problems are invalid input
+            raise ValueError(message)
+
+    # the help shows the module docstring's first two paragraphs, which
+    # are about using the command, not about this parser
+    parser = Parser(prog="hodgeslope", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-system", help="criteria verdict for a graded system")
-    p.add_argument("document")
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.set_defaults(func=_cmd_check_system)
-
-    p = sub.add_parser("search", help="oracle verdict with certificate")
-    p.add_argument("document")
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--subsheaf", choices=sorted(_SUBSHEAVES), default=None)
-    p.add_argument("--parallel", action="store_true", help="accepted and ignored")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("check-oper", help="generalized-oper recognition and verdict")
-    p.add_argument("document")
-    p.set_defaults(func=_cmd_check_oper)
-
-    p = sub.add_parser("check-connection", help="connection pair verdict")
-    p.add_argument("document")
-    p.set_defaults(func=_cmd_check_connection)
-
-    p = sub.add_parser("hn-tensor", help="tensor a Harder-Narasimhan profile")
-    p.add_argument("document")
-    p.set_defaults(func=_cmd_hn_tensor)
-
-    p = sub.add_parser("verify-inequalities", help="exhaustive inequality sweep")
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=14)
-    p.set_defaults(func=_cmd_verify_inequalities)
-
-    p = sub.add_parser("gallery", help="emit a worked example with its verdict")
-    p.add_argument("name", choices=sorted(BUILDERS))
-    p.add_argument("--g", type=int, default=None)
-    p.add_argument("--d-line", dest="d_line", type=int, default=None)
-    p.add_argument("--d0", type=int, default=None)
-    p.set_defaults(func=_cmd_gallery)
-
+    for command, (func, help_line, positional, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=help_line)
+        if positional is not None:
+            name, choices = positional
+            p.add_argument(name, choices=None if choices is None else sorted(choices))
+        for option, kind, default, help_text in options:
+            if kind is bool:
+                p.add_argument(option, dest=_dest(option), action="store_true", help=help_text)
+            elif kind is int:
+                p.add_argument(option, dest=_dest(option), type=int, default=default)
+            else:
+                p.add_argument(option, dest=_dest(option), choices=sorted(kind), default=default)
+        p.set_defaults(func=func)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed command line, or None for
+    any other.  Well formed means: a known command, then only exact option
+    names each with a valid value, and exactly the command's positional.
+    No other token may start with "-", so option values and positionals
+    never do."""
+    spec = _GRAMMAR.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _, positional, options = spec
+    values = {"command": argv[0], "func": func}
+    kinds = {}
+    for option, kind, default, _ in options:
+        values[_dest(option)] = default
+        kinds[option] = kind
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            kind = kinds.get(token)
+            if kind is None:
+                return None
+            if kind is bool:
+                values[_dest(token)] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:  # argparse converts with int() too
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif value not in kind:
+                return None
+            values[_dest(token)] = value
+        elif positional is None or positional[0] in values:
+            return None
+        elif positional[1] is not None and token not in positional[1]:
+            return None
+        else:
+            values[positional[0]] = token
+    if positional is not None and positional[0] not in values:
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    args = _read(argv)
+    if args is not None:
+        return args
     try:
-        return _build_parser().parse_args(argv)
+        return SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     except ValueError as exc:  # a usage error, which may echo arguments
         message = str(exc)
         for arg in argv:

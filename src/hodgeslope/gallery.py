@@ -176,10 +176,6 @@ def build_entry(name: str, **params: int) -> GalleryEntry:
         raise ValueError(f"entry {name!r} does not accept parameters {sorted(params)}")
 
 
-def default_entries() -> list[GalleryEntry]:
-    return [builder() for builder in BUILDERS.values()]
-
-
 def recompute_verdict(entry: GalleryEntry) -> Verdict:
     """Reproduce the entry's verdict by search (isomorphism towers) or by
     judging the declared subobject."""

@@ -198,18 +198,6 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
     return HodgeSystem(context, tuple(components), ISOMORPHISMS)
 
 
-def partial_slope(sys: HodgeSystem, k: int) -> Fraction:
-    """Slope of E_0 + ... + E_k.
-
-    Equals mu(E_0) + w * (sum i*d^(i-1)) / (sum d^i) over i = 0..k; the
-    base slope term is part of the value.
-    """
-    _require_isomorphisms(sys)
-    if not 0 <= k <= sys.n:
-        raise ValueError(f"k={k} out of range 0..{sys.n}")
-    return slope(direct_sum(sys.components[: k + 1]))
-
-
 def total_slope(sys: HodgeSystem) -> Fraction:
     """Slope of the whole system; works in either structure mode."""
     return slope(direct_sum(sys.components))

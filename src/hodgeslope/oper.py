@@ -18,7 +18,6 @@ verbatim to non-flat connections.
 
 from __future__ import annotations
 
-from .hn_profiles import HNProfile
 from .hodge_system import (
     Answer,
     Declared,
@@ -275,32 +274,6 @@ def pair_verdict(
         graded_verdict = criteria_verdict(graded_of_filtration(f))
     characteristic = ambient.characteristic if ambient is not None else None
     return connection_verdict(pair, graded_verdict, characteristic=characteristic)
-
-
-def filtration_hn_profile(f: GriffithsFiltration) -> HNProfile:
-    """Read a generalized oper's filtration as the Harder-Narasimhan
-    profile of the underlying bundle.
-
-    With positive cotangent degree the graded slopes strictly increase, so
-    the reversed graded list is a valid profile.
-    """
-    check = is_generalized_oper(f)
-    if not check:
-        raise ValueError("not a generalized oper: " + "; ".join(check.reasons))
-    if f.context.omega_degree <= 0:
-        raise ValueError(
-            "the graded slopes strictly increase only for positive cotangent degree"
-        )
-    return HNProfile(tuple(reversed(f.graded)))
-
-
-def pair_to_json(pair: ConnectionPair, context: GeometricContext | None = None) -> dict:
-    out: dict = {"total": pair.total.to_json(), "flat": pair.flat}
-    if pair.filtration is not None:
-        out["filtration"] = pair.filtration.to_json()
-    elif context is not None:
-        out["context"] = context.to_json()
-    return out
 
 
 def pair_from_json(obj: object) -> tuple[ConnectionPair, GeometricContext | None]:

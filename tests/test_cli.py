@@ -26,7 +26,7 @@ from hodgeslope.hodge_system import (
     derive_components,
     system_to_json,
 )
-from hodgeslope.oper import ConnectionPair, GriffithsFiltration, pair_to_json
+from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
@@ -63,6 +63,17 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 
 def curve(w: int, char: int = 0) -> GeometricContext:
     return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
+
+
+def pair_to_json(pair: ConnectionPair, context: GeometricContext | None = None) -> dict:
+    """A connection_pair payload; the ambient context is written only for
+    a pair without a filtration, which carries its own."""
+    out: dict = {"total": pair.total.to_json(), "flat": pair.flat}
+    if pair.filtration is not None:
+        out["filtration"] = pair.filtration.to_json()
+    elif context is not None:
+        out["context"] = context.to_json()
+    return out
 
 
 @pytest.fixture
@@ -516,6 +527,127 @@ class TestDocumentValidation:
         assert "error" in report
 
 
+# The command-line grammar as a user reads it in README, written out here
+# apart from cli._GRAMMAR: each command's positional values (None for no
+# positional) and its options with their valid values (None for a switch).
+MODES = ["paper", "conservative"]
+SUBSHEAVES = ["semistable", "stable"]
+VALID_INTS = ["0", "3", "+3", " 3", "3_0", "٣", "12\n", "9" * 4000]
+DOCUMENTS = ["doc.json", "", " -x", "a b", "paper", "search"]
+GRAMMAR = {
+    "check-system": (DOCUMENTS, {"--mode": MODES}),
+    "search": (DOCUMENTS, {"--mode": MODES, "--subsheaf": SUBSHEAVES, "--parallel": None}),
+    "check-oper": (DOCUMENTS, {}),
+    "check-connection": (DOCUMENTS, {}),
+    "hn-tensor": (DOCUMENTS, {}),
+    "verify-inequalities": (None, {"--d-max": VALID_INTS, "--n-max": VALID_INTS}),
+    "gallery": (
+        ["strictly-semistable", "surjective-not-iso", "injective-not-iso", "unstable-component"],
+        {"--g": VALID_INTS, "--d-line": VALID_INTS, "--d0": VALID_INTS},
+    ),
+}
+OPTIONS = sorted({option for _, options in GRAMMAR.values() for option in options} | {"--budget"})
+# every prefix an abbreviation could use; none starts "--h", so no token asks for help
+PREFIXES = sorted({option[:k] for option in OPTIONS for k in range(3, len(option))})
+VALUES = [
+    *MODES, *SUBSHEAVES, *GRAMMAR["gallery"][0], *VALID_INTS, *DOCUMENTS,
+    "bogus", "Paper", "monotone", "-1", "-3", "1" * 5000, "x", "-", "--", "3.0",
+]
+TOKEN = st.one_of(
+    st.sampled_from(OPTIONS + PREFIXES),
+    st.sampled_from(VALUES),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS + PREFIXES), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def well_formed_command_lines(draw) -> list[str]:
+    """A known command, some of its options in any order, each with a
+    valid value, and its positional somewhere among them."""
+    command = draw(st.sampled_from(list(GRAMMAR)))
+    positionals, options = GRAMMAR[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=4)) if options else []
+    groups = [[o] if options[o] is None else [o, draw(st.sampled_from(options[o]))] for o in chosen]
+    if positionals is not None:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(positionals))])
+    return [command, *(token for group in groups for token in group)]
+
+
+@st.composite
+def near_misses(draw) -> list[str]:
+    """A well-formed command line with one token after the command
+    replaced, or one more token put in."""
+    argv = draw(well_formed_command_lines())
+    at = draw(st.integers(1, len(argv)))
+    keep = draw(st.booleans()) or at == len(argv)
+    return [*argv[:at], draw(TOKEN), *argv[at + (not keep):]]
+
+
+COMMAND_LINE = st.one_of(
+    st.just([]),
+    well_formed_command_lines(),
+    near_misses(),
+    st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from([*GRAMMAR, "bogus", "", "-", "--", "Search"]),
+        st.lists(TOKEN, max_size=6),
+    ),
+)
+
+
+def parse_outcome(parse, argv: list[str]) -> dict | str:
+    """The namespace's fields, or the usage error's text."""
+    try:
+        return vars(parse(argv))
+    except ValueError as exc:
+        return str(exc)
+
+
+def argparse_outcome(argv: list[str]) -> dict | str:
+    """What argparse alone makes of the command line, with every argument
+    longer than cli.MAX_ECHO cut in the error text as the CLI cuts it (the
+    long arguments used here read the same under repr)."""
+    outcome = parse_outcome(cli._build_parser().parse_args, argv)
+    if isinstance(outcome, str):
+        for arg in argv:
+            if len(arg) > cli.MAX_ECHO:
+                outcome = outcome.replace(arg, arg[: cli.MAX_ECHO] + "…")
+    return outcome
+
+
+class TestCommandLineGrammar:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(argv=COMMAND_LINE)
+    def test_any_command_line_parses_as_argparse_parses_it(self, argv):
+        assert parse_outcome(cli._parse, argv) == argparse_outcome(argv)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=well_formed_command_lines())
+    def test_well_formed_command_lines_are_read_from_the_table(self, argv):
+        args = cli._read(argv)
+        assert args is not None
+        assert vars(args) == argparse_outcome(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "d", "--mod", "paper"],
+            ["search", "d", "--mode=paper"],
+            ["search", "--", "d"],
+            ["search", "-"],
+            ["gallery", "strictly-semistable", "--g", "-1"],
+            ["gallery", "strictly-semistable", "--g", "1" * 5000],
+            ["verify-inequalities", "--d-max"],
+            ["check-oper", "a", "b"],
+        ],
+    )
+    def test_other_command_lines_go_to_argparse(self, argv):
+        # abbreviations, --opt=value, "--", "-", negative and oversized
+        # ints, a missing value and an extra positional
+        assert cli._read(argv) is None
+        assert parse_outcome(cli._parse, argv) == argparse_outcome(argv)
+
+
 class TestParserReuse:
     def test_warm_call_leaves_no_cyclic_garbage(self, tower_doc):
         assert cli.main(["check-system", tower_doc]) == 0
@@ -525,7 +657,9 @@ class TestParserReuse:
 
     def test_parser_is_built_on_first_call_only(self):
         # count constructions in a fresh interpreter: importing builds no
-        # parser, and a second call reuses the one the first call built
+        # parser, a well-formed command line builds none either, and the
+        # second command line the table does not read (here for its
+        # --opt=value form) reuses the parser the first one built
         script = "\n".join(
             [
                 "import argparse, contextlib, io",
@@ -537,20 +671,45 @@ class TestParserReuse:
                 "argparse.ArgumentParser.__init__ = counting",
                 "from hodgeslope import cli",
                 "counts = [len(built)]",
-                "for _ in range(2):",
+                "argvs = [['verify-inequalities', '--d-max', '1', '--n-max', '2']]",
+                "argvs += 2 * [['verify-inequalities', '--d-max=1', '--n-max', '2']]",
+                "for argv in argvs:",
                 "    with contextlib.redirect_stdout(io.StringIO()):",
                 "        with contextlib.redirect_stderr(io.StringIO()):",
-                "            cli.main(['verify-inequalities', '--d-max', '1', '--n-max', '2'])",
+                "            assert cli.main(argv) == 0",
                 "    counts.append(len(built))",
                 "print(*counts)",
             ]
         )
         result = run_python("-c", script)
         assert result.returncode == 0, result.stderr
-        after_import, after_first, after_second = map(int, result.stdout.split())
+        after_import, after_well_formed, after_first, after_second = map(
+            int, result.stdout.split()
+        )
         assert after_import == 0
+        assert after_well_formed == 0
         assert after_first > 0
         assert after_second == after_first
+
+    def test_argparse_is_loaded_for_usage_errors_only(self, capsys, tower_doc):
+        script = "\n".join(
+            [
+                "import sys",
+                "from hodgeslope import cli",
+                "code = cli.main(sys.argv[1:])",
+                "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)",
+            ]
+        )
+        well_formed = ["search", tower_doc, "--mode", "conservative", "--subsheaf", "semistable"]
+        usage_error = ["search", tower_doc, "--mode", "bogus"]
+        for argv, code, loaded in ((well_formed, 0, "False False"), (usage_error, 1, "True True")):
+            result = run_python("-S", "-c", script, *argv)
+            assert result.returncode == 0, result.stderr
+            report, status = result.stdout.splitlines()
+            assert status == f"{code} {loaded}"
+            # the same report and summary as in this process
+            assert run_raw(capsys, argv) == (code, report + "\n", result.stderr)
+        assert "error" in json.loads(report)
 
     def test_no_option_leaks_between_calls(self, capsys, tmp_path):
         # every component stable, so the strict bounds decide stability

@@ -6,9 +6,9 @@ import pytest
 
 from hodgeslope import gallery
 from hodgeslope.gallery import (
+    BUILDERS,
     build_entry,
     checked_entry,
-    default_entries,
     example_injective_not_iso,
     example_strictly_semistable,
     example_surjective_not_iso,
@@ -133,7 +133,7 @@ class TestUnstableComponent:
 
 class TestRegistry:
     def test_default_entries_reproduce_expectations(self):
-        for entry in default_entries():
+        for entry in [builder() for builder in BUILDERS.values()]:
             verdict = recompute_verdict(entry)
             assert verdict.semistable is entry.expected.semistable, entry.name
             assert verdict.stable is entry.expected.stable, entry.name

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hodgeslope.hn_profiles import validate_hn
+from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import (
     Answer,
     Declared,
@@ -17,12 +17,10 @@ from hodgeslope.oper import (
     ConnectionPair,
     GriffithsFiltration,
     connection_verdict,
-    filtration_hn_profile,
     graded_of_filtration,
     is_generalized_oper,
     oper_semistability,
     pair_from_json,
-    pair_to_json,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext, direct_sum, slope
 
@@ -222,10 +220,11 @@ class TestConnectionPair:
     def test_json_round_trip(self):
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))
         pair = ConnectionPair(BundleData(2, 2), flat=False, filtration=f)
-        back, ambient = pair_from_json(pair_to_json(pair))
+        doc = {"total": pair.total.to_json(), "flat": False, "filtration": f.to_json()}
+        back, ambient = pair_from_json(doc)
         assert back == pair and ambient is None
         bare = ConnectionPair(BundleData(3, 0), flat=True)
-        doc = pair_to_json(bare, context=curve(2))
+        doc = {"total": bare.total.to_json(), "flat": True, "context": curve(2).to_json()}
         back, ambient = pair_from_json(doc)
         assert back == bare and ambient == curve(2)
 
@@ -280,20 +279,27 @@ class TestConnectionVerdict:
 
 
 class TestHnBridge:
+    """A generalized oper's filtration, read from the top grade down, is the
+    Harder-Narasimhan filtration of the underlying bundle when the
+    cotangent degree is positive: the graded slopes then strictly rise."""
+
     def test_reversed_graded_is_valid_profile(self):
         pieces = tower_pieces(BundleData(2, -3, semistable=True), curve(2), 3)
         f = iso_filtration(pieces, curve(2))
-        profile = filtration_hn_profile(f)
-        assert validate_hn(profile).valid
-        assert profile.quotients == tuple(reversed(pieces))
+        assert is_generalized_oper(f)
+        assert validate_hn(HNProfile(tuple(reversed(f.graded)))).valid
 
     def test_needs_positive_cotangent_degree(self):
+        # at cotangent degree 0 every graded piece has the same slope
         pieces = tower_pieces(BundleData(1, 0, semistable=True), curve(0), 2)
         f = iso_filtration(pieces, curve(0))
-        with pytest.raises(ValueError, match="positive cotangent degree"):
-            filtration_hn_profile(f)
+        assert is_generalized_oper(f)
+        assert not validate_hn(HNProfile(tuple(reversed(f.graded)))).valid
 
     def test_needs_oper(self):
+        # pieces not attested semistable: not an oper, and not the
+        # quotients of a Harder-Narasimhan profile
         f = iso_filtration((BundleData(1, 0), BundleData(1, 2)), curve(2))
-        with pytest.raises(ValueError, match="not a generalized oper"):
-            filtration_hn_profile(f)
+        assert not is_generalized_oper(f)
+        with pytest.raises(ValueError, match="must be flagged semistable"):
+            HNProfile(tuple(reversed(f.graded)))

@@ -165,7 +165,7 @@ def test_repr_matches_the_dataclass_form():
 def test_cli_import_loads_no_class_generation_or_typing_machinery():
     # -S as in a cold command-line process: site-packages may import these
     # modules on their own
-    heavy = ("dataclasses", "typing", "pathlib", "inspect")
+    heavy = ("dataclasses", "typing", "pathlib", "inspect", "argparse", "gettext")
     code = f"import sys, hodgeslope.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
