@@ -58,6 +58,14 @@ def validate_hn(p: HNProfile) -> HNValidation:
     return HNValidation(True)
 
 
+def _require_valid(p: HNProfile) -> None:
+    check = validate_hn(p)
+    if not check:
+        raise ValueError(
+            f"invalid profile: slopes do not strictly decrease at index {check.first_violation}"
+        )
+
+
 def tensor_hn(p: HNProfile, w: BundleData) -> HNProfile:
     """Tensor every quotient with the semistable bundle ``w``.
 
@@ -68,11 +76,7 @@ def tensor_hn(p: HNProfile, w: BundleData) -> HNProfile:
     """
     if w.semistable is not True:
         raise ValueError("flag precondition violated: tensor factor must be flagged semistable")
-    check = validate_hn(p)
-    if not check:
-        raise ValueError(
-            f"invalid profile: slopes do not strictly decrease at index {check.first_violation}"
-        )
+    _require_valid(p)
     products = (tensor(q, w) for q in p.quotients)
     return HNProfile(tuple(BundleData(t.rank, t.degree, semistable=True) for t in products))
 
@@ -83,11 +87,7 @@ def hn_polygon(p: HNProfile) -> list[tuple[int, int]]:
     The polygon of a valid profile is strictly concave: the slope of
     segment i is the slope of quotient i.
     """
-    check = validate_hn(p)
-    if not check:
-        raise ValueError(
-            f"invalid profile: slopes do not strictly decrease at index {check.first_violation}"
-        )
+    _require_valid(p)
     points = [(0, 0)]
     rank_total = 0
     degree_total = 0

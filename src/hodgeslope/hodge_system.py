@@ -25,13 +25,14 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .profiles import SubsystemProfile, certificate_json
+from .profiles import SubsystemProfile
 from .slope_core import (
     BundleData,
     Frozen,
     GeometricContext,
     _check_keys,
     direct_sum,
+    format_rational,
     slope,
 )
 
@@ -83,6 +84,17 @@ def tower_component(base: BundleData, context: GeometricContext, i: int) -> tupl
     )
 
 
+def require_tower(pieces: tuple[BundleData, ...], context: GeometricContext, what: str) -> None:
+    """Reject pieces off the tensor tower over pieces[0]; ``what.format(i)`` names piece i."""
+    for i, piece in enumerate(pieces):
+        rank, degree = tower_component(pieces[0], context, i)
+        if (piece.rank, piece.degree) != (rank, degree):
+            raise ValueError(
+                f"{what.format(i)}: expected (rank {rank}, degree {degree}), "
+                f"got (rank {piece.rank}, degree {piece.degree})"
+            )
+
+
 class HodgeSystem(Frozen):
     """Graded components E_0..E_n with the grade-lowering structure mode.
 
@@ -105,15 +117,9 @@ class HodgeSystem(Frozen):
         if not isinstance(theta, (Isomorphisms, Declared)):
             raise ValueError("theta must be an Isomorphisms or Declared mode")
         if isinstance(theta, Isomorphisms):
-            base = components[0]
-            for i, comp in enumerate(components):
-                rank, degree = tower_component(base, context, i)
-                if (comp.rank, comp.degree) != (rank, degree):
-                    raise ValueError(
-                        f"component {i} is incompatible with the isomorphism tower: "
-                        f"expected (rank {rank}, degree {degree}), "
-                        f"got (rank {comp.rank}, degree {comp.degree})"
-                    )
+            require_tower(
+                components, context, "component {} is incompatible with the isomorphism tower"
+            )
         fields = self.__dict__
         fields["context"] = context
         fields["components"] = components
@@ -155,16 +161,16 @@ class Verdict(Frozen):
         fields["provenance"] = provenance
 
 
-def verdict_json(v: Verdict, mu_total: Fraction | None = None) -> dict:
-    cert = None
-    if v.certificate is not None:
-        cert = certificate_json(
-            v.certificate, mu_total if mu_total is not None else v.certificate.slope
-        )
+def verdict_json(v: Verdict, mu_total: Fraction) -> dict:
+    cert = v.certificate
     return {
         "semistable": v.semistable.value,
         "stable": v.stable.value,
-        "certificate": cert,
+        "certificate": None if cert is None else {
+            "profile": cert.to_json(),
+            "slope": format_rational(cert.slope),
+            "mu_total": format_rational(mu_total),
+        },
         "provenance": v.provenance,
     }
 

@@ -26,7 +26,7 @@ from .hodge_system import (
     Verdict,
     criteria_verdict,
     criterion_semistable,
-    tower_component,
+    require_tower,
 )
 from .slope_core import (
     BundleData,
@@ -71,17 +71,9 @@ class GriffithsFiltration(Frozen):
             "theta_iso": theta_iso,
         }
         for name, flag in flags.items():
-            if not isinstance(flag, bool):
-                raise ValueError(f"{name} must be a boolean")
+            _as_bool(flag, name)
         if theta_iso:
-            for i, cur in enumerate(graded):
-                want_rank, want_degree = tower_component(graded[0], context, i)
-                if (cur.rank, cur.degree) != (want_rank, want_degree):
-                    raise ValueError(
-                        f"graded piece {i} violates the isomorphism relation: "
-                        f"expected (rank {want_rank}, degree {want_degree}), "
-                        f"got (rank {cur.rank}, degree {cur.degree})"
-                    )
+            require_tower(graded, context, "graded piece {} violates the isomorphism relation")
         fields = self.__dict__
         fields["context"] = context
         fields["graded"] = graded
@@ -108,11 +100,9 @@ class GriffithsFiltration(Frozen):
         return GriffithsFiltration(
             context=GeometricContext.from_json(data["context"]),
             graded=tuple(BundleData.from_json(g) for g in data["graded"]),
-            transversal=_as_bool(data["transversal"], "transversal"),
-            theta_squares_to_zero=_as_bool(
-                data["theta_squares_to_zero"], "theta_squares_to_zero"
-            ),
-            theta_iso=_as_bool(data["theta_iso"], "theta_iso"),
+            transversal=data["transversal"],
+            theta_squares_to_zero=data["theta_squares_to_zero"],
+            theta_iso=data["theta_iso"],
         )
 
 
@@ -131,8 +121,7 @@ class ConnectionPair(Frozen):
         flat: bool,
         filtration: GriffithsFiltration | None = None,
     ) -> None:
-        if not isinstance(flat, bool):
-            raise ValueError("flat must be a boolean")
+        _as_bool(flat, "flat")
         if filtration is not None:
             rank_total = sum(g.rank for g in filtration.graded)
             degree_total = sum(g.degree for g in filtration.graded)
@@ -213,8 +202,6 @@ def oper_semistability(f: GriffithsFiltration) -> Verdict:
     check = is_generalized_oper(f)
     if not check:
         raise ValueError("not a generalized oper: " + "; ".join(check.reasons))
-    if f.context.omega_degree < 0:
-        raise ValueError("hypothesis violated: the cotangent degree must be nonnegative")
     inner = criterion_semistable(graded_of_filtration(f))
     return Verdict(inner.semistable, inner.stable, inner.certificate, PROV_OPER)
 
@@ -290,7 +277,7 @@ def pair_from_json(obj: object) -> tuple[ConnectionPair, GeometricContext | None
     ambient = GeometricContext.from_json(data["context"]) if "context" in data else None
     pair = ConnectionPair(
         total=BundleData.from_json(data["total"]),
-        flat=_as_bool(data["flat"], "flat"),
+        flat=data["flat"],
         filtration=filtration,
     )
     return pair, ambient

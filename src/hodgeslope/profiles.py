@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .slope_core import Frozen, _as_int, format_rational
+from .slope_core import Frozen, _as_int
 
 
 class SubsystemProfile(Frozen):
@@ -68,12 +68,3 @@ class SubsystemProfile(Frozen):
                 (_as_int(item[0], f"profile rank {i}"), _as_int(item[1], f"profile degree {i}"))
             )
         return SubsystemProfile(tuple(entries))
-
-
-def certificate_json(profile: SubsystemProfile, mu_total: Fraction) -> dict:
-    """Wire form of a certificate: the profile with its slope and the ambient slope."""
-    return {
-        "profile": profile.to_json(),
-        "slope": format_rational(profile.slope),
-        "mu_total": format_rational(mu_total),
-    }

@@ -25,11 +25,9 @@ Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
 The degree bounds are tabulated one row per component, and a table of
-more than MAX_RANK_CELLS cells is refused with BudgetExceededError.  With
-``at_least`` the iteration starts at that slope, so a negative first
-maximum settles "nothing reaches it" in one step.  The tests keep a
-brute-force enumeration of every profile as the reference the solver and
-the closed form are checked against.
+more than MAX_RANK_CELLS cells is refused with BudgetExceededError.  The
+tests keep a brute-force enumeration of every profile as the reference
+the solver and the closed form are checked against.
 
 Two rank-chain modes are provided.  The monotone mode requires
 rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
@@ -100,6 +98,11 @@ def _rank_step(sys: HodgeSystem, mode: ConstraintMode) -> int:
     return 1 if mode is ConstraintMode.MONOTONE else sys.context.dim
 
 
+def _require_iso_theta(sys: HodgeSystem) -> None:
+    if not isinstance(sys.theta, Isomorphisms):
+        raise ValueError("oracle requires isomorphism structure")
+
+
 def _degree_bounds(
     sys: HodgeSystem,
     mode: ConstraintMode,
@@ -110,8 +113,7 @@ def _degree_bounds(
 
     The table is capped at MAX_RANK_CELLS cells.
     """
-    if not isinstance(sys.theta, Isomorphisms):
-        raise ValueError("oracle requires isomorphism structure")
+    _require_iso_theta(sys)
     step = _rank_step(sys, mode)
     caps = [sys.components[0].rank]
     for comp in sys.components[1:]:
@@ -162,8 +164,7 @@ def _best_chain(
 ) -> tuple[int, list[int]] | None:
     """The largest value sum(q * degree_i - p * rank_i) of a proper chain,
     with the lexicographically smallest rank chain reaching it, or None
-    when no proper chain exists or the largest value is negative (every
-    proper chain has slope below p/q); then no chain is rebuilt.
+    when no proper chain exists.
 
     Comparing entry lists is comparing rank vectors, and a prefix sorts
     before its extensions, so the chain stops as soon as it meets the
@@ -174,9 +175,8 @@ def _best_chain(
     if whole:
         first[-1] = full[0]
     target = max((v for v in first if v is not None), default=None)
-    if target is None or target < 0:
-        # a single line bundle (the only chain is the whole system), or
-        # every proper chain is below p/q
+    if target is None:
+        # a single line bundle: the only chain is the whole system
         return None
     ranks: list[int] = []
     acc, cap = 0, len(bounds[0]) - 1
@@ -199,25 +199,15 @@ def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-    *,
-    at_least: Fraction | None = None,
 ) -> tuple[SubsystemProfile, Fraction] | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
     exists.
-
-    With ``at_least`` it is also None when every proper profile has slope
-    below ``at_least``.  The iteration then starts at that slope (or at the
-    slope of a rank-1 piece, if larger), where a negative first maximum
-    settles this in one step; otherwise it ends at the same optimum and
-    the same certificate as without it.
     """
     bounds = _degree_bounds(sys, mode, subsheaf_mode)
     step = _rank_step(sys, mode)
     whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
-    best = Fraction(bounds[0][1])  # slope of the chain of one rank-1 piece
-    if at_least is not None:
-        best = max(best, Fraction(at_least))
+    best = Fraction(bounds[0][1])  # a rank-1 piece: a chain of value 0, so no maximum is negative
     while True:
         found = _best_chain(bounds, step, whole, best.numerator, best.denominator)
         if found is None:
@@ -245,8 +235,8 @@ def verdict_from_search(
     semistability side is still judged against the semistable bounds (both
     attestations are available, since stable components are semistable).
     The certificate is the lexicographically smallest profile of largest
-    slope, the one ``max_slope_profile(..., at_least=mu(E))`` returns for
-    each bound mode.
+    slope, the one ``max_slope_profile`` returns for each bound mode when
+    that slope reaches mu(E).
 
     Proof.  Write R = rank(E_0), e = deg(E_0), w and d for the cotangent
     degree and rank, mu_i = mu_0 + i*w/d for the slope of E_i, and
@@ -282,8 +272,7 @@ def verdict_from_search(
     search checks them: every semistable flag first, in component order,
     and every stable flag only when the semistable side holds.
     """
-    if not isinstance(sys.theta, Isomorphisms):
-        raise ValueError("oracle requires isomorphism structure")
+    _require_iso_theta(sys)
     components = sys.components
     for i, comp in enumerate(components):
         require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")

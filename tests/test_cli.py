@@ -349,6 +349,83 @@ class TestCheckConnection:
         assert report["semistable"] == "yes"
 
 
+NOT_BOOLEANS = [1, "true", None, []]
+FILTRATION_FLAGS = ["transversal", "theta_squares_to_zero", "theta_iso"]
+
+
+def filtration_doc(**fields) -> dict:
+    """A generalized oper's filtration payload with ``fields`` replaced."""
+    f = GriffithsFiltration(
+        curve(2),
+        (BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)),
+        transversal=True,
+        theta_squares_to_zero=True,
+        theta_iso=True,
+    )
+    return {**f.to_json(), **fields}
+
+
+def connection_doc(**fields) -> dict:
+    return {**pair_to_json(ConnectionPair(BundleData(2, 2), flat=True)), **fields}
+
+
+class TestBooleanAttestations:
+    """A non-boolean attestation is invalid input naming the field; with
+    several bad fields the first in field order is named, and the
+    document's earlier parts are validated before any attestation."""
+
+    def expect_error(self, capsys, tmp_path, command, payload, message):
+        key = "griffiths_filtration" if command == "check-oper" else "connection_pair"
+        doc = write_doc(tmp_path, {key: payload})
+        assert run_raw(capsys, [command, doc]) == (
+            1,
+            json.dumps({"error": message}) + "\n",
+            f"invalid input: {message}\n",
+        )
+
+    @pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
+    @pytest.mark.parametrize("field", FILTRATION_FLAGS)
+    def test_filtration_flag(self, capsys, tmp_path, field, value):
+        payload = filtration_doc(**{field: value})
+        self.expect_error(capsys, tmp_path, "check-oper", payload, f"{field} must be a boolean")
+        # the same filtration inside a connection pair, whose flat is bad too
+        pair = connection_doc(flat=value, total={"rank": 2, "degree": 2}, filtration=payload)
+        self.expect_error(capsys, tmp_path, "check-connection", pair, f"{field} must be a boolean")
+
+    @pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
+    def test_flat(self, capsys, tmp_path, value):
+        self.expect_error(
+            capsys, tmp_path, "check-connection", connection_doc(flat=value), "flat must be a boolean"
+        )
+
+    @pytest.mark.parametrize("first, second", [
+        ("transversal", "theta_squares_to_zero"),
+        ("transversal", "theta_iso"),
+        ("theta_squares_to_zero", "theta_iso"),
+    ])
+    def test_first_bad_flag_is_named(self, capsys, tmp_path, first, second):
+        payload = filtration_doc(**{first: 1, second: "true"})
+        self.expect_error(capsys, tmp_path, "check-oper", payload, f"{first} must be a boolean")
+
+    def test_flags_are_checked_after_the_pieces_and_before_the_tower(self, capsys, tmp_path):
+        bad_piece = [{"rank": 1, "degree": 0, "semistable": "yes"}]
+        payload = filtration_doc(graded=bad_piece, theta_iso=None)
+        self.expect_error(
+            capsys, tmp_path, "check-oper", payload, "bundle semistable flag must be a boolean"
+        )
+        off_tower = [{"rank": 1, "degree": 0}, {"rank": 1, "degree": 3}]
+        payload = filtration_doc(graded=off_tower, theta_iso=None)
+        self.expect_error(capsys, tmp_path, "check-oper", payload, "theta_iso must be a boolean")
+
+    def test_flat_is_checked_after_the_total_and_before_the_sums(self, capsys, tmp_path):
+        pair = connection_doc(total={"rank": "2", "degree": 2}, flat=None)
+        self.expect_error(
+            capsys, tmp_path, "check-connection", pair, "bundle rank must be an integer"
+        )
+        pair = connection_doc(total={"rank": 5, "degree": 2}, flat=None, filtration=filtration_doc())
+        self.expect_error(capsys, tmp_path, "check-connection", pair, "flat must be a boolean")
+
+
 class TestHnTensor:
     def test_tensor_and_polygon(self, capsys, tmp_path):
         doc = write_doc(

@@ -1,6 +1,7 @@
 """Hypothesis property tests: the transport identity over random towers,
-JSON round trips of every wire type through serialized text, and the
-invariants every Verdict keeps."""
+the tower relation that systems and filtrations share, JSON round trips
+of every wire type through serialized text, and the invariants every
+Verdict keeps."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodgeslope.hodge_system import (
+    ISOMORPHISMS,
     Answer,
     Declared,
     HodgeSystem,
@@ -117,6 +119,42 @@ class TestTransportIdentity:
         )
         profile = transport_subsystem(sys, f0)
         assert profile.slope - total_slope(sys) == slope(f0) - slope(sys.components[0])
+
+
+class TestTowerRelation:
+    @PROPERTY_SETTINGS
+    @given(
+        context=contexts(),
+        base=bundles(),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_perturbed_piece_is_named_by_both(self, context, base, n, data):
+        # one check states the relation for systems and for filtrations
+        # with isomorphism graded maps; each names piece k in its own words
+        pieces = list(derive_components(base, context, n).components)
+        k = data.draw(st.integers(1, n))
+        rank, degree = tower_component(base, context, k)
+        if data.draw(st.booleans()):
+            got = (data.draw(st.integers(1, rank + 5).filter(lambda r: r != rank)), degree)
+        else:
+            got = (rank, degree + data.draw(st.integers(-5, 5).filter(bool)))
+        pieces[k] = BundleData(*got)
+        pieces = tuple(pieces)
+        detail = f"expected (rank {rank}, degree {degree}), got (rank {got[0]}, degree {got[1]})"
+        with pytest.raises(ValueError) as system_error:
+            HodgeSystem(context, pieces, ISOMORPHISMS)
+        assert str(system_error.value) == (
+            f"component {k} is incompatible with the isomorphism tower: {detail}"
+        )
+        with pytest.raises(ValueError) as filtration_error:
+            GriffithsFiltration(context, pieces, True, True, theta_iso=True)
+        assert str(filtration_error.value) == (
+            f"graded piece {k} violates the isomorphism relation: {detail}"
+        )
+        # without the isomorphism structure the same pieces are accepted
+        HodgeSystem(context, pieces, Declared())
+        GriffithsFiltration(context, pieces, True, True, theta_iso=False)
 
 
 class TestJsonRoundTrips:

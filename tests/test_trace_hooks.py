@@ -2,10 +2,12 @@
 
 The tracer wraps library functions by module attribute, static
 ``from_json`` constructors on their class, ``SubsystemProfile`` where
-``search_oracle`` binds it, and ``SubsystemProfile.__post_init__``; it
-counts refusals by the type name ``BudgetExceededError``.  Renaming or
-deleting any of these breaks traced benchmark runs, so these tests pin
-them.  The tracer's source is only read, never imported as a package
+``search_oracle`` binds it, and ``SubsystemProfile.__post_init__``.
+Renaming or deleting any of these breaks traced benchmark runs.  It also
+counts refusals by comparing ``type(outcome).__name__`` with
+``"BudgetExceededError"``, so renaming that class raises no error: the
+``refused`` counter would just read 0.  These tests pin all of them.
+The tracer's source is only read, never imported as a package
 module, so the benchmark directory gains no bytecode cache.
 """
 
