@@ -41,6 +41,9 @@ from .slope_core import (
 )
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
+_DOCUMENT_FIELDS = frozenset(PAYLOAD_KEYS) | {"search_options"}
+_OPTION_FIELDS = frozenset({"constraint_mode", "subsheaf_mode"})
+_REQUEST_FIELDS = frozenset({"profile", "tensor_with"})
 
 #: Longest command-line argument a usage error repeats in full.  argparse
 #: echoes offending arguments, so a longer one is cut to this many
@@ -48,34 +51,40 @@ PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_r
 MAX_ECHO = 100
 
 
+#: Writes a report as ``json.dumps(report, sort_keys=True)`` does.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(report: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-    print(summary, file=sys.stderr)
+    sys.stdout.write(_encode(report) + "\n")
+    sys.stderr.write(summary + "\n")
 
 
-def _load_document(path: str) -> dict:
+def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
+    """The document the command line names, and its ``key`` payload.  The
+    bytes are decoded as a text-mode open with encoding="utf-8" decodes
+    them: strict UTF-8, a byte-order mark kept, universal newlines."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(args.document, "rb", buffering=0) as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read document: {exc}")
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"document is not valid JSON: {exc}")
     except RecursionError:
         raise ValueError("document nests too deeply to parse")
-    _check_keys(obj, "document", set(), set(PAYLOAD_KEYS) | {"search_options"})
+    _check_keys(obj, "document", frozenset(), _DOCUMENT_FIELDS)
     present = [key for key in PAYLOAD_KEYS if key in obj]
     if len(present) != 1:
         raise ValueError("document must contain exactly one of: " + ", ".join(PAYLOAD_KEYS))
-    return obj
-
-
-def _payload(doc: dict, key: str, command: str) -> object:
-    if key not in doc:
-        raise ValueError(f"{command} needs a document with a {key!r} payload")
-    return doc[key]
+    if key not in obj:
+        raise ValueError(f"{args.command} needs a document with a {key!r} payload")
+    return obj, obj[key]
 
 
 _MODES = {m.value: m for m in ConstraintMode}
@@ -97,9 +106,7 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     }
     raw = doc.get("search_options")
     if raw is not None:
-        data = _check_keys(
-            raw, "search_options", set(), {"constraint_mode", "subsheaf_mode"}
-        )
+        data = _check_keys(raw, "search_options", frozenset(), _OPTION_FIELDS)
         if "constraint_mode" in data:
             options["mode"] = _choice(data, "constraint_mode", _MODES)
         if "subsheaf_mode" in data:
@@ -112,21 +119,22 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
 
 
 def _verdict_report(verdict: Verdict, mu_total) -> dict:
-    report = verdict_json(verdict, mu_total)
-    report["mu_total"] = format_rational(mu_total)
+    mu = format_rational(mu_total)
+    report = verdict_json(verdict, mu)
+    report["mu_total"] = mu
     return report
 
 
 def _summary(command: str, verdict: Verdict) -> str:
     return (
-        f"{command}: semistable={verdict.semistable.value} stable={verdict.stable.value}"
+        f"{command}: semistable={verdict.semistable._value_} stable={verdict.stable._value_}"
         f" ({verdict.provenance})"
     )
 
 
 def _cmd_check_system(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    system = system_from_json(_payload(doc, "hodge_system", "check-system"))
+    doc, payload = _load_document(args, "hodge_system")
+    system = system_from_json(payload)
     options = _search_options(doc, args)
     verdict = search_oracle.system_verdict(system, options["mode"])
     _emit(_verdict_report(verdict, total_slope(system)), _summary("check-system", verdict))
@@ -134,8 +142,8 @@ def _cmd_check_system(args: SimpleNamespace) -> int:
 
 
 def _cmd_search(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    system = system_from_json(_payload(doc, "hodge_system", "search"))
+    doc, payload = _load_document(args, "hodge_system")
+    system = system_from_json(payload)
     options = _search_options(doc, args)
     verdict = search_oracle.verdict_from_search(
         system, options["mode"], options["subsheaf"]
@@ -145,10 +153,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
 
 
 def _cmd_check_oper(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    filtration = GriffithsFiltration.from_json(
-        _payload(doc, "griffiths_filtration", "check-oper")
-    )
+    _, payload = _load_document(args, "griffiths_filtration")
+    filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
     mu = slope(direct_sum(filtration.graded))
     report = _verdict_report(verdict, mu)
@@ -160,8 +166,8 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
 
 
 def _cmd_check_connection(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    pair, ambient = pair_from_json(_payload(doc, "connection_pair", "check-connection"))
+    _, payload = _load_document(args, "connection_pair")
+    pair, ambient = pair_from_json(payload)
     verdict = pair_verdict(pair, ambient)
     _emit(
         _verdict_report(verdict, slope(pair.total)),
@@ -171,10 +177,8 @@ def _cmd_check_connection(args: SimpleNamespace) -> int:
 
 
 def _cmd_hn_tensor(args: SimpleNamespace) -> int:
-    doc = _load_document(args.document)
-    request = _check_keys(
-        _payload(doc, "hn_request", "hn-tensor"), "hn_request", {"profile", "tensor_with"}
-    )
+    _, payload = _load_document(args, "hn_request")
+    request = _check_keys(payload, "hn_request", _REQUEST_FIELDS, _REQUEST_FIELDS)
     if not isinstance(request["profile"], list) or not request["profile"]:
         raise ValueError("profile must be a nonempty JSON array of bundles")
     profile = HNProfile(tuple(BundleData.from_json(b) for b in request["profile"]))
@@ -201,7 +205,7 @@ def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
         "n_max": args.n_max,
         "failures": [],
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    sys.stdout.write(_encode(report) + "\n")
     return 0
 
 
@@ -214,7 +218,7 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
     if args.d0 is not None:
         params["d0"] = args.d0
     entry, recomputed = checked_entry(args.name, **params)
-    mu = total_slope(entry.system)
+    mu = format_rational(total_slope(entry.system))
     report = {
         "entry": {
             "name": entry.name,

@@ -31,7 +31,6 @@ from .slope_core import (
     Frozen,
     GeometricContext,
     _check_keys,
-    direct_sum,
     format_rational,
     slope,
 )
@@ -42,11 +41,19 @@ PROV_BASE_TRANSPORT = "transported destabilizer of the base component"
 PROV_CURVE_CONVERSE = "non-stable component of a curve tower in characteristic zero"
 PROV_INCONCLUSIVE = "criteria inconclusive"
 
+_SYSTEM_FIELDS = frozenset({"context", "components", "theta"})
+_THETA_FIELDS = frozenset({"declared"})
+
 
 class Answer(Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
+
+
+# the members as globals: on Python 3.11 a read through the Enum class takes
+# its metaclass's __getattr__ hook, and one verdict reads members dozens of times
+YES, NO, UNKNOWN = Answer.YES, Answer.NO, Answer.UNKNOWN
 
 
 class Isomorphisms(Frozen):
@@ -125,6 +132,13 @@ class HodgeSystem(Frozen):
         fields["components"] = components
         fields["theta"] = theta
 
+    @classmethod
+    def _trusted(cls, context, components, theta) -> "HodgeSystem":
+        """A system of parts known to pass ``__init__``'s checks, not run again."""
+        system = object.__new__(cls)
+        system.__dict__.update(context=context, components=components, theta=theta)
+        return system
+
     @property
     def n(self) -> int:
         return len(self.components) - 1
@@ -142,16 +156,16 @@ class Verdict(Frozen):
 
     def __init__(
         self,
-        semistable: Answer = Answer.UNKNOWN,
-        stable: Answer = Answer.UNKNOWN,
+        semistable: Answer = UNKNOWN,
+        stable: Answer = UNKNOWN,
         certificate: SubsystemProfile | None = None,
         provenance: str = "",
     ) -> None:
-        if stable is Answer.YES and semistable is not Answer.YES:
+        if stable is YES and semistable is not YES:
             raise ValueError("stable=yes forces semistable=yes")
-        if semistable is Answer.NO:
-            if stable is Answer.UNKNOWN:
-                stable = Answer.NO
+        if semistable is NO:
+            if stable is UNKNOWN:
+                stable = NO
             if certificate is None:
                 raise ValueError("a semistable=no verdict needs a destabilizing certificate")
         fields = self.__dict__
@@ -161,15 +175,17 @@ class Verdict(Frozen):
         fields["provenance"] = provenance
 
 
-def verdict_json(v: Verdict, mu_total: Fraction) -> dict:
+def verdict_json(v: Verdict, mu_total: str) -> dict:
+    """The wire form of a verdict, with the total slope ``mu_total`` rendered."""
     cert = v.certificate
     return {
-        "semistable": v.semistable.value,
-        "stable": v.stable.value,
+        # _value_ is where Enum keeps .value, read without its descriptor
+        "semistable": v.semistable._value_,
+        "stable": v.stable._value_,
         "certificate": None if cert is None else {
             "profile": cert.to_json(),
             "slope": format_rational(cert.slope),
-            "mu_total": format_rational(mu_total),
+            "mu_total": mu_total,
         },
         "provenance": v.provenance,
     }
@@ -206,7 +222,8 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
 
 def total_slope(sys: HodgeSystem) -> Fraction:
     """Slope of the whole system; works in either structure mode."""
-    return slope(direct_sum(sys.components))
+    components = sys.components
+    return Fraction(sum([c.degree for c in components]), sum([c.rank for c in components]))
 
 
 def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:
@@ -243,7 +260,7 @@ def criterion_semistable(
         raise ValueError("hypothesis violated: the cotangent degree must be nonnegative")
     components = sys.components
     if all(c.semistable is True for c in components):
-        return Verdict(semistable=Answer.YES, provenance=PROV_TOWER_SEMISTABLE)
+        return Verdict(semistable=YES, provenance=PROV_TOWER_SEMISTABLE)
     base = components[0]
     if (
         base_destabilizer is not None
@@ -256,7 +273,7 @@ def criterion_semistable(
         if slope(base_destabilizer) <= slope(base):
             raise ValueError("destabilizing datum does not exceed the base slope")
         certificate = transport_subsystem(sys, base_destabilizer)
-        return Verdict(Answer.NO, Answer.NO, certificate, PROV_BASE_TRANSPORT)
+        return Verdict(NO, NO, certificate, PROV_BASE_TRANSPORT)
     return Verdict(provenance=PROV_INCONCLUSIVE)
 
 
@@ -276,10 +293,8 @@ def criterion_stable(
         raise ValueError("hypothesis violated: the cotangent degree must be positive")
     components = sys.components
     if all(c.stable is True for c in components):
-        return Verdict(Answer.YES, Answer.YES, provenance=PROV_TOWER_STABLE)
-    semistable_side = (
-        Answer.YES if all(c.semistable is True for c in components) else Answer.UNKNOWN
-    )
+        return Verdict(YES, YES, provenance=PROV_TOWER_STABLE)
+    semistable_side = YES if all(c.semistable is True for c in components) else UNKNOWN
     if (
         sys.context.characteristic == 0
         and sys.context.dim == 1
@@ -293,50 +308,55 @@ def criterion_stable(
             if slope(equal_slope_sub) != slope(base):
                 raise ValueError("equal-slope datum must match the base slope")
             certificate = transport_subsystem(sys, equal_slope_sub)
-        return Verdict(semistable_side, Answer.NO, certificate, PROV_CURVE_CONVERSE)
-    provenance = PROV_TOWER_SEMISTABLE if semistable_side is Answer.YES else PROV_INCONCLUSIVE
-    return Verdict(semistable_side, Answer.UNKNOWN, provenance=provenance)
+        return Verdict(semistable_side, NO, certificate, PROV_CURVE_CONVERSE)
+    provenance = PROV_TOWER_SEMISTABLE if semistable_side is YES else PROV_INCONCLUSIVE
+    return Verdict(semistable_side, UNKNOWN, provenance=provenance)
 
 
-def merge_verdicts(primary: Verdict, secondary: Verdict) -> Verdict:
-    """Combine two verdicts on the same object side by side.
+def merge_verdicts(*verdicts: Verdict) -> Verdict:
+    """Combine verdicts on the same object side by side.
 
-    Each side takes the primary's answer unless that is unknown.  The
-    certificate is one that justifies a surviving no, and the provenance
-    lists every source that decided something, in order.
+    Each side takes the first answer that is not unknown.  The certificate
+    is one that justifies a surviving no, and the provenance lists every
+    source that decided something, in order.  A single verdict is its own
+    merge.
     """
-    semistable = (
-        primary.semistable if primary.semistable is not Answer.UNKNOWN else secondary.semistable
-    )
-    stable = primary.stable if primary.stable is not Answer.UNKNOWN else secondary.stable
+    if len(verdicts) == 1:
+        return verdicts[0]
+    semistable = stable = UNKNOWN
+    for v in verdicts:
+        if semistable is UNKNOWN:
+            semistable = v.semistable
+        if stable is UNKNOWN:
+            stable = v.stable
     # a certificate is only meaningful when it justifies a surviving no
     certificate = None
-    if semistable is Answer.NO:
-        for v in (primary, secondary):
-            if v.semistable is Answer.NO and v.certificate is not None:
+    if semistable is NO:
+        for v in verdicts:
+            if v.semistable is NO and v.certificate is not None:
                 certificate = v.certificate
                 break
-    elif stable is Answer.NO:
-        for v in (primary, secondary):
-            if v.stable is Answer.NO and v.certificate is not None:
+    elif stable is NO:
+        for v in verdicts:
+            if v.stable is NO and v.certificate is not None:
                 certificate = v.certificate
                 break
     parts: list[str] = []
-    for v in (primary, secondary):
+    for v in verdicts:
         if v.provenance and v.provenance != PROV_INCONCLUSIVE and v.provenance not in parts:
             parts.append(v.provenance)
     provenance = "; ".join(parts) if parts else PROV_INCONCLUSIVE
     return Verdict(semistable, stable, certificate, provenance)
 
 
-def criteria_verdict(sys: HodgeSystem) -> Verdict:
-    """The criteria's joint verdict on an isomorphism tower: the
-    semistability criterion, merged with the stability criterion when the
+def criteria_verdicts(sys: HodgeSystem) -> list[Verdict]:
+    """The criteria's verdicts on an isomorphism tower, for ``merge_verdicts``:
+    the semistability criterion, then the stability criterion when the
     cotangent degree is positive."""
-    verdict = criterion_semistable(sys)
+    verdicts = [criterion_semistable(sys)]
     if sys.context.omega_degree > 0:
-        verdict = merge_verdicts(verdict, criterion_stable(sys))
-    return verdict
+        verdicts.append(criterion_stable(sys))
+    return verdicts
 
 
 def system_to_json(sys: HodgeSystem) -> dict:
@@ -352,7 +372,7 @@ def system_to_json(sys: HodgeSystem) -> dict:
 
 
 def system_from_json(obj: object) -> HodgeSystem:
-    data = _check_keys(obj, "hodge system", {"context", "components", "theta"})
+    data = _check_keys(obj, "hodge system", _SYSTEM_FIELDS, _SYSTEM_FIELDS)
     context = GeometricContext.from_json(data["context"])
     if not isinstance(data["components"], list) or not data["components"]:
         raise ValueError("components must be a nonempty JSON array")
@@ -361,7 +381,7 @@ def system_from_json(obj: object) -> HodgeSystem:
     if raw_theta == "isomorphisms":
         theta: ThetaMode = ISOMORPHISMS
     else:
-        inner = _check_keys(raw_theta, "theta", {"declared"})
+        inner = _check_keys(raw_theta, "theta", _THETA_FIELDS, _THETA_FIELDS)
         if not isinstance(inner["declared"], list):
             raise ValueError("declared profiles must be a JSON array")
         theta = Declared(tuple(SubsystemProfile.from_json(p) for p in inner["declared"]))

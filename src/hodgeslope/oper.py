@@ -19,13 +19,15 @@ verbatim to non-flat connections.
 from __future__ import annotations
 
 from .hodge_system import (
-    Answer,
+    UNKNOWN,
+    YES,
     Declared,
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
-    criteria_verdict,
+    criteria_verdicts,
     criterion_semistable,
+    merge_verdicts,
     require_tower,
 )
 from .slope_core import (
@@ -41,6 +43,12 @@ PROV_GRADED_TRANSFER = "graded semistability transfer"
 PROV_FLAT_CHAR_ZERO = "flat connection in characteristic zero"
 PROV_NO_TRANSFER = "no applicable transfer"
 PROV_NOT_OPER = "not a generalized oper"
+
+_FILTRATION_FIELDS = frozenset(
+    {"context", "graded", "transversal", "theta_squares_to_zero", "theta_iso"}
+)
+_PAIR_REQUIRED = frozenset({"total", "flat"})
+_PAIR_FIELDS = _PAIR_REQUIRED | {"filtration", "context"}
 
 
 class GriffithsFiltration(Frozen):
@@ -90,11 +98,7 @@ class GriffithsFiltration(Frozen):
 
     @staticmethod
     def from_json(obj: object) -> "GriffithsFiltration":
-        data = _check_keys(
-            obj,
-            "griffiths filtration",
-            {"context", "graded", "transversal", "theta_squares_to_zero", "theta_iso"},
-        )
+        data = _check_keys(obj, "griffiths filtration", _FILTRATION_FIELDS, _FILTRATION_FIELDS)
         if not isinstance(data["graded"], list) or not data["graded"]:
             raise ValueError("graded must be a nonempty JSON array")
         return GriffithsFiltration(
@@ -168,7 +172,9 @@ def graded_of_filtration(f: GriffithsFiltration) -> HodgeSystem:
             "induced field are required"
         )
     theta = ISOMORPHISMS if f.theta_iso else Declared()
-    return HodgeSystem(f.context, f.graded, theta)
+    # the filtration's constructor has made every check HodgeSystem's would:
+    # its pieces are a nonempty tuple, on the tower when theta_iso holds
+    return HodgeSystem._trusted(f.context, f.graded, theta)
 
 
 def is_generalized_oper(f: GriffithsFiltration) -> OperCheck:
@@ -192,14 +198,14 @@ def oper_verdict(f: GriffithsFiltration) -> tuple[OperCheck, Verdict]:
     """Recognition outcome and verdict: the oper reduction for a
     generalized oper, an unknown verdict for anything else."""
     check = is_generalized_oper(f)
-    if not check:
-        return check, Verdict(provenance=PROV_NOT_OPER)
-    return check, oper_semistability(f)
+    return check, oper_semistability(f, check) if check else Verdict(provenance=PROV_NOT_OPER)
 
 
-def oper_semistability(f: GriffithsFiltration) -> Verdict:
-    """Semistability of the graded system of a generalized oper."""
-    check = is_generalized_oper(f)
+def oper_semistability(f: GriffithsFiltration, check: OperCheck | None = None) -> Verdict:
+    """Semistability of the graded system of a generalized oper.  ``check``
+    is ``is_generalized_oper(f)`` when the caller has already run it."""
+    if check is None:
+        check = is_generalized_oper(f)
     if not check:
         raise ValueError("not a generalized oper: " + "; ".join(check.reasons))
     inner = criterion_semistable(graded_of_filtration(f))
@@ -222,18 +228,18 @@ def connection_verdict(
     """
     if pair.filtration is not None:
         characteristic = pair.filtration.context.characteristic
-    semistable = Answer.UNKNOWN
-    stable = Answer.UNKNOWN
+    semistable = UNKNOWN
+    stable = UNKNOWN
     sources = []
     if graded_verdict is not None:
-        if graded_verdict.semistable is Answer.YES:
-            semistable = Answer.YES
+        if graded_verdict.semistable is YES:
+            semistable = YES
             sources.append(PROV_GRADED_TRANSFER)
-        if graded_verdict.stable is Answer.YES:
-            stable = Answer.YES
-            semistable = Answer.YES
-    if semistable is not Answer.YES and characteristic == 0 and pair.flat:
-        semistable = Answer.YES
+        if graded_verdict.stable is YES:
+            stable = YES
+            semistable = YES
+    if semistable is not YES and characteristic == 0 and pair.flat:
+        semistable = YES
         sources.append(PROV_FLAT_CHAR_ZERO)
     provenance = "; ".join(sources) if sources else PROV_NO_TRANSFER
     return Verdict(semistable, stable, provenance=provenance)
@@ -258,7 +264,7 @@ def pair_verdict(
         and f.theta_iso
         and f.context.omega_degree >= 0
     ):
-        graded_verdict = criteria_verdict(graded_of_filtration(f))
+        graded_verdict = merge_verdicts(*criteria_verdicts(graded_of_filtration(f)))
     characteristic = ambient.characteristic if ambient is not None else None
     return connection_verdict(pair, graded_verdict, characteristic=characteristic)
 
@@ -270,7 +276,7 @@ def pair_from_json(obj: object) -> tuple[ConnectionPair, GeometricContext | None
     characteristic) for pairs carrying no filtration; with a filtration
     the filtration's own context is authoritative.
     """
-    data = _check_keys(obj, "connection pair", {"total", "flat"}, {"filtration", "context"})
+    data = _check_keys(obj, "connection pair", _PAIR_REQUIRED, _PAIR_FIELDS)
     filtration = (
         GriffithsFiltration.from_json(data["filtration"]) if "filtration" in data else None
     )

@@ -51,11 +51,14 @@ from itertools import accumulate
 from math import gcd
 
 from .hodge_system import (
+    NO,
+    UNKNOWN,
+    YES,
     Answer,
     HodgeSystem,
     Isomorphisms,
     Verdict,
-    criteria_verdict,
+    criteria_verdicts,
     merge_verdicts,
     total_slope,
     transport_subsystem,
@@ -281,7 +284,7 @@ def verdict_from_search(
     least = (rank // g, degree // g)
     n, d, w = sys.n, sys.context.dim, sys.context.omega_degree
     if w < 0 and n >= 1:
-        return Verdict(Answer.NO, Answer.NO, SubsystemProfile((least,)), PROV_ORACLE)
+        return Verdict(NO, NO, SubsystemProfile((least,)), PROV_ORACLE)
     certificate = None
     if subsheaf_mode is SubsheafMode.STABLE:
         for i, comp in enumerate(components):
@@ -294,8 +297,8 @@ def verdict_from_search(
     elif least[0] < rank and (mode is ConstraintMode.CONSERVATIVE or d == 1):
         certificate = transport_subsystem(sys, BundleData(*least))
     if certificate is not None:
-        return Verdict(Answer.YES, Answer.NO, certificate, PROV_ORACLE)
-    return Verdict(Answer.YES, Answer.YES, provenance=PROV_ORACLE)
+        return Verdict(YES, NO, certificate, PROV_ORACLE)
+    return Verdict(YES, YES, provenance=PROV_ORACLE)
 
 
 def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
@@ -327,14 +330,14 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     mu = total_slope(sys)
     s = profile.slope
     if s > mu:
-        return Verdict(Answer.NO, Answer.NO, profile, PROV_DECLARED)
+        return Verdict(NO, NO, profile, PROV_DECLARED)
     if s == mu:
         full = profile.support_top == sys.n and profile.entries == tuple(
             (c.rank, c.degree) for c in components
         )
         if full:
             return Verdict(provenance=PROV_DECLARED_FULL)
-        return Verdict(Answer.UNKNOWN, Answer.NO, profile, PROV_DECLARED)
+        return Verdict(UNKNOWN, NO, profile, PROV_DECLARED)
     return Verdict(provenance=PROV_DECLARED_SLACK)
 
 
@@ -346,16 +349,16 @@ def _declared_verdict(sys: HodgeSystem) -> Verdict:
         return Verdict(provenance="no declared profiles")
     verdicts = [check_declared(sys, p) for p in profiles]
     for v in verdicts:
-        if v.semistable is Answer.NO:
+        if v.semistable is NO:
             return v
     for v in verdicts:
-        if v.stable is Answer.NO:
+        if v.stable is NO:
             return v
     return Verdict(provenance="declared profiles do not destabilize")
 
 
 def _require_agreement(criterion: Answer, oracle: Answer, side: str) -> None:
-    if Answer.UNKNOWN not in (criterion, oracle) and criterion is not oracle:
+    if UNKNOWN not in (criterion, oracle) and criterion is not oracle:
         raise InconsistencyError(f"criterion and oracle disagree on {side}")
 
 
@@ -377,13 +380,15 @@ def system_verdict(
     """
     if not isinstance(sys.theta, Isomorphisms):
         return _declared_verdict(sys)
-    verdict = criteria_verdict(sys)
+    criteria = criteria_verdicts(sys)
     if not all(c.semistable is True for c in sys.components):
-        return verdict
+        return merge_verdicts(*criteria)
     check_stable = sys.context.omega_degree > 0 and all(c.stable is True for c in sys.components)
     subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
     oracle = verdict_from_search(sys, mode, subsheaf_mode)
+    verdict = merge_verdicts(*criteria, oracle)
+    # the merge keeps the criteria's answer on each side they decide
     _require_agreement(verdict.semistable, oracle.semistable, "semistability")
     if check_stable:
         _require_agreement(verdict.stable, oracle.stable, "stability")
-    return merge_verdicts(verdict, oracle)
+    return verdict

@@ -21,8 +21,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def format_rational(x: Fraction) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, denominator always shown."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _is_prime(p: int) -> bool:
@@ -49,22 +48,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _check_keys(
-    obj: object,
-    what: str,
-    required: frozenset[str] | set[str],
-    optional: frozenset[str] | set[str] = frozenset(),
-) -> dict:
-    """Validate that ``obj`` is a JSON object with exactly the declared fields."""
+def _check_keys(obj: object, what: str, required: frozenset[str], allowed: frozenset[str]) -> dict:
+    """Validate that ``obj`` is a JSON object whose fields include every
+    ``required`` one and lie within ``allowed`` (a superset of it)."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
-    missing = set(required) - obj.keys()
+    keys = obj.keys()
+    if keys <= allowed and keys >= required:
+        return obj
+    missing = required - keys
     if missing:
         raise ValueError(f"{what} is missing field(s): {', '.join(sorted(missing))}")
-    unknown = obj.keys() - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"{what} has unknown field(s): {', '.join(sorted(unknown))}")
-    return obj
+    raise ValueError(f"{what} has unknown field(s): {', '.join(sorted(keys - allowed))}")
 
 
 def _as_int(value: object, what: str) -> int:
@@ -77,6 +72,12 @@ def _as_bool(value: object, what: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{what} must be a boolean")
     return value
+
+
+_BUNDLE_REQUIRED = frozenset({"rank", "degree"})
+_BUNDLE_FIELDS = _BUNDLE_REQUIRED | {"semistable", "stable"}
+_CONTEXT_REQUIRED = frozenset({"characteristic", "dim", "omega_degree"})
+_CONTEXT_FIELDS = _CONTEXT_REQUIRED | {"omega_semistable", "omega_stable"}
 
 
 class InconsistencyError(RuntimeError):
@@ -140,10 +141,15 @@ class BundleData(Frozen):
         semistable: bool | None = None,
         stable: bool | None = None,
     ) -> None:
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        # the texts are a document's: from_json passes the fields unchecked
+        _as_int(rank, "bundle rank")
+        _as_int(degree, "bundle degree")
+        if semistable is not None:
+            _as_bool(semistable, "bundle semistable flag")
+        if stable is not None:
+            _as_bool(stable, "bundle stable flag")
+        if rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise ValueError(f"degree must be an integer, got {degree!r}")
         if stable is True:
             if semistable is False:
                 raise ValueError("a stable bundle cannot be flagged not semistable")
@@ -167,15 +173,12 @@ class BundleData(Frozen):
 
     @staticmethod
     def from_json(obj: object) -> "BundleData":
-        data = _check_keys(obj, "bundle", {"rank", "degree"}, {"semistable", "stable"})
-        return BundleData(
-            rank=_as_int(data["rank"], "bundle rank"),
-            degree=_as_int(data["degree"], "bundle degree"),
-            semistable=_as_bool(data["semistable"], "bundle semistable flag")
-            if "semistable" in data
-            else None,
-            stable=_as_bool(data["stable"], "bundle stable flag") if "stable" in data else None,
-        )
+        data = _check_keys(obj, "bundle", _BUNDLE_REQUIRED, _BUNDLE_FIELDS)
+        if None in data.values():
+            # a flag of None is unattested, but a JSON null is no boolean:
+            # it goes on as its JSON text, which the constructor rejects
+            data = {key: "null" if value is None else value for key, value in data.items()}
+        return BundleData(data["rank"], data["degree"], data.get("semistable"), data.get("stable"))
 
 
 class GeometricContext(Frozen):
@@ -196,14 +199,18 @@ class GeometricContext(Frozen):
         omega_semistable: bool = False,
         omega_stable: bool = False,
     ) -> None:
-        char = _as_int(characteristic, "characteristic")
-        if char >= 2**64:
-            raise ValueError(f"characteristic must be below 2^64, got {char}")
-        if char != 0 and not _is_prime(char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        # the texts are a document's: from_json passes the fields unchecked
+        _as_int(characteristic, "characteristic")
+        _as_int(dim, "dim")
         _as_int(omega_degree, "omega_degree")
+        _as_bool(omega_semistable, "omega_semistable")
+        _as_bool(omega_stable, "omega_stable")
+        if characteristic >= 2**64:
+            raise ValueError(f"characteristic must be below 2^64, got {characteristic}")
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+        if dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
         if omega_stable and not omega_semistable:
             raise ValueError("omega_stable requires omega_semistable")
         fields = self.__dict__
@@ -224,22 +231,13 @@ class GeometricContext(Frozen):
 
     @staticmethod
     def from_json(obj: object) -> "GeometricContext":
-        data = _check_keys(
-            obj,
-            "context",
-            {"characteristic", "dim", "omega_degree"},
-            {"omega_semistable", "omega_stable"},
-        )
+        data = _check_keys(obj, "context", _CONTEXT_REQUIRED, _CONTEXT_FIELDS)
         return GeometricContext(
-            characteristic=_as_int(data["characteristic"], "characteristic"),
-            dim=_as_int(data["dim"], "dim"),
-            omega_degree=_as_int(data["omega_degree"], "omega_degree"),
-            omega_semistable=_as_bool(data["omega_semistable"], "omega_semistable")
-            if "omega_semistable" in data
-            else False,
-            omega_stable=_as_bool(data["omega_stable"], "omega_stable")
-            if "omega_stable" in data
-            else False,
+            data["characteristic"],
+            data["dim"],
+            data["omega_degree"],
+            data.get("omega_semistable", False),
+            data.get("omega_stable", False),
         )
 
 

@@ -22,8 +22,9 @@ from hodgeslope.hodge_system import (
     Declared,
     HodgeSystem,
     Verdict,
-    criteria_verdict,
+    criteria_verdicts,
     derive_components,
+    merge_verdicts,
     system_to_json,
 )
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
@@ -174,6 +175,19 @@ class TestCheckSystem:
         assert report["error"] == "criterion and oracle disagree on stability"
         assert "internal inconsistency" in err
 
+    def test_criteria_hypothesis_is_checked_before_the_oracle(self, capsys, tmp_path, monkeypatch):
+        # an attested tower of negative cotangent degree: the criteria reject
+        # it before the oracle runs, so no oracle work is thrown away
+        components = (BundleData(1, 0, semistable=True), BundleData(1, -1, semistable=True))
+        system = HodgeSystem(curve(-1), components, ISOMORPHISMS)
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        calls = []
+        monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a: calls.append(a))
+        code, report, _ = run(capsys, ["check-system", doc])
+        assert code == 1
+        assert report["error"] == "hypothesis violated: the cotangent degree must be nonnegative"
+        assert calls == []
+
     def test_past_the_old_cell_limit_merges_the_oracle(self, capsys, tmp_path):
         # the criteria settle semistability; the closed-form oracle fills in
         # the stability side they leave unknown (d = 3 is not a curve)
@@ -181,7 +195,7 @@ class TestCheckSystem:
         doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
         code, report, _ = run(capsys, ["check-system", doc, "--mode", "conservative"])
         assert code == 0
-        criteria = criteria_verdict(system)
+        criteria = merge_verdicts(*criteria_verdicts(system))
         assert (criteria.semistable.value, criteria.stable.value) == ("yes", "unknown")
         assert (report["semistable"], report["stable"], report["certificate"]) == ("yes", "yes", None)
         assert report["provenance"] == f"{criteria.provenance}; oracle"
@@ -313,6 +327,41 @@ class TestCheckOper:
         assert report["generalized_oper"] is False
         assert report["semistable"] == "unknown"
         assert any("not flagged semistable" in r for r in report["reasons"])
+
+    def test_each_check_runs_once(self, capsys, tmp_path, monkeypatch):
+        # the recognition and the tower relation are facts of the
+        # filtration: its constructor checks the tower, and the verdict
+        # reuses the recognition outcome
+        from hodgeslope import hodge_system, oper
+
+        calls = {"is_generalized_oper": 0, "require_tower": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        tower = counted("require_tower", hodge_system.require_tower)
+        monkeypatch.setattr(hodge_system, "require_tower", tower)
+        monkeypatch.setattr(oper, "require_tower", tower)
+        monkeypatch.setattr(
+            oper, "is_generalized_oper", counted("is_generalized_oper", oper.is_generalized_oper)
+        )
+        pieces = (BundleData(2, -2, semistable=True), BundleData(2, 2, semistable=True))
+        f = GriffithsFiltration(curve(2), pieces, True, True, True)
+        doc = write_doc(tmp_path, {"griffiths_filtration": f.to_json()})
+        calls.update(dict.fromkeys(calls, 0))
+        code, report, _ = run(capsys, ["check-oper", doc])
+        assert (code, report["generalized_oper"], report["semistable"]) == (0, True, "yes")
+        assert calls == {"is_generalized_oper": 1, "require_tower": 1}
+        # called on their own, both keep their checks and texts
+        not_oper = GriffithsFiltration(curve(2), pieces[:1], True, True, False)
+        with pytest.raises(ValueError, match="^not a generalized oper: graded maps are not"):
+            oper.oper_semistability(not_oper)
+        with pytest.raises(ValueError, match="^component 1 is incompatible with the isomorphism"):
+            HodgeSystem(curve(2), (pieces[0], pieces[0]), ISOMORPHISMS)
 
 
 class TestCheckConnection:
@@ -602,6 +651,73 @@ class TestDocumentValidation:
         code, report, _ = run(capsys, ["search"])
         assert code == 1
         assert "error" in report
+
+
+class TestDocumentRead:
+    """The bytes-to-text contract of a document, pinned to the reports a
+    text-mode read with encoding="utf-8" gave: strict UTF-8, a byte-order
+    mark kept, universal newlines, and JSON error positions counted in the
+    translated text."""
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            (
+                b'{"hodge_system":\r\n {"x": 1,\r\n oops}',
+                "document is not valid JSON: Expecting property name enclosed in double "
+                "quotes: line 3 column 2 (char 28)",
+            ),
+            (
+                b'{"a":\r 1 oops}',
+                "document is not valid JSON: Expecting ',' delimiter: line 2 column 4 (char 9)",
+            ),
+            (
+                b'\xef\xbb\xbf{"hodge_system": {}}',
+                "document is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                "line 1 column 1 (char 0)",
+            ),
+            (
+                b'{"a": "\xff"}',
+                "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte",
+            ),
+        ],
+        ids=["crlf", "lone-cr", "bom", "invalid-utf8"],
+    )
+    def test_bytes(self, capsys, tmp_path, raw, error):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        assert run_raw(capsys, ["check-system", str(path)]) == (
+            1,
+            json.dumps({"error": error}) + "\n",
+            f"invalid input: {error}\n",
+        )
+
+    def test_newlines_are_translated_before_parsing(self, capsys, tmp_path):
+        lf = tmp_path / "lf.json"
+        lf.write_text(
+            json.dumps({"hodge_system": system_to_json(mode_split_tower())}, indent=1),
+            encoding="utf-8",
+        )
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        expected = run_raw(capsys, ["check-system", str(lf)])
+        assert expected[0] == 0
+        assert run_raw(capsys, ["check-system", str(crlf)]) == expected
+
+    @pytest.mark.parametrize("target", ["directory", "missing"])
+    def test_unreadable(self, capsys, tmp_path, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing.json"
+        reason = (
+            f"[Errno 21] Is a directory: {str(path)!r}"
+            if target == "directory"
+            else f"[Errno 2] No such file or directory: {str(path)!r}"
+        )
+        error = f"cannot read document: {reason}"
+        assert run_raw(capsys, ["check-system", str(path)]) == (
+            1,
+            json.dumps({"error": error}) + "\n",
+            f"invalid input: {error}\n",
+        )
 
 
 # The command-line grammar as a user reads it in README, written out here

@@ -6,11 +6,16 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeslope.slope_core import (
     BundleData,
     GeometricContext,
     SubsheafMode,
+    _as_bool,
+    _as_int,
+    _check_keys,
     _is_prime,
     direct_sum,
     format_rational,
@@ -19,6 +24,86 @@ from hodgeslope.slope_core import (
     subsheaf_degree_row,
     tensor,
 )
+
+
+def reference_check_keys(obj, what, required, optional=frozenset()) -> dict:
+    """The field check as first written, with the set algebra on every
+    call: the reference ``_check_keys`` is compared against."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = set(required) - obj.keys()
+    if missing:
+        raise ValueError(f"{what} is missing field(s): {', '.join(sorted(missing))}")
+    unknown = obj.keys() - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s): {', '.join(sorted(unknown))}")
+    return obj
+
+
+def outcome(check, *args) -> tuple:
+    try:
+        return ("returned", check(*args))
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def reference_bundle_from_json(obj) -> BundleData:
+    """``BundleData.from_json`` as first written, type-checking every field
+    before the constructor: the reference the one-path version is compared
+    against."""
+    data = reference_check_keys(obj, "bundle", {"rank", "degree"}, {"semistable", "stable"})
+    return BundleData(
+        rank=_as_int(data["rank"], "bundle rank"),
+        degree=_as_int(data["degree"], "bundle degree"),
+        semistable=_as_bool(data["semistable"], "bundle semistable flag")
+        if "semistable" in data
+        else None,
+        stable=_as_bool(data["stable"], "bundle stable flag") if "stable" in data else None,
+    )
+
+
+def reference_context_from_json(obj) -> GeometricContext:
+    """``GeometricContext.from_json`` as first written, in the same way."""
+    data = reference_check_keys(
+        obj, "context", {"characteristic", "dim", "omega_degree"}, {"omega_semistable", "omega_stable"}
+    )
+    return GeometricContext(
+        characteristic=_as_int(data["characteristic"], "characteristic"),
+        dim=_as_int(data["dim"], "dim"),
+        omega_degree=_as_int(data["omega_degree"], "omega_degree"),
+        omega_semistable=_as_bool(data["omega_semistable"], "omega_semistable")
+        if "omega_semistable" in data
+        else False,
+        omega_stable=_as_bool(data["omega_stable"], "omega_stable")
+        if "omega_stable" in data
+        else False,
+    )
+
+
+FIELD = st.sampled_from(["rank", "degree", "stable", "theta", "a", "b", ""])
+#: JSON values an integer field or a flag may hold, valid and not
+NUMBER = st.sampled_from([1, 2, 0, -1, None, True, "x", []])
+FLAG = st.sampled_from([True, False, None, 0, "null"])
+
+
+class TestCheckKeys:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        obj=st.one_of(
+            st.dictionaries(FIELD, st.integers()),
+            st.lists(FIELD),
+            st.integers(),
+            st.text(),
+            st.none(),
+        ),
+        required=st.frozensets(FIELD),
+        optional=st.frozensets(FIELD),
+    )
+    def test_matches_the_set_algebra(self, obj, required, optional):
+        new = outcome(_check_keys, obj, "thing", required, required | optional)
+        assert new == outcome(reference_check_keys, obj, "thing", required, optional)
+        if new[0] == "returned":
+            assert new[1] is obj
 
 
 class TestBundleData:
@@ -53,6 +138,33 @@ class TestBundleData:
     def test_json_rejects_bool_rank(self):
         with pytest.raises(ValueError):
             BundleData.from_json({"rank": True, "degree": 0})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"rank": "x", "degree": 0, "semistable": None}, "bundle rank must be an integer"),
+            ({"rank": 0, "degree": 0, "semistable": None}, "bundle semistable flag must be a boolean"),
+            ({"rank": 1, "degree": 0, "stable": None}, "bundle stable flag must be a boolean"),
+            ({"rank": 1, "degree": None}, "bundle degree must be an integer"),
+            ({"rank": 0, "degree": "x"}, "bundle degree must be an integer"),
+            ({"rank": 0, "degree": 0, "semistable": False, "stable": True}, "rank must be a positive integer, got 0"),
+        ],
+    )
+    def test_json_null_is_no_flag_and_types_come_first(self, obj, message):
+        # a JSON null never reads as an unattested flag; texts and their
+        # order as recorded before the type checks moved into the constructor
+        with pytest.raises(ValueError) as info:
+            BundleData.from_json(obj)
+        assert str(info.value) == message
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        st.fixed_dictionaries(
+            {"rank": NUMBER, "degree": NUMBER}, optional={"semistable": FLAG, "stable": FLAG}
+        )
+    )
+    def test_json_matches_the_reference(self, obj):
+        assert outcome(BundleData.from_json, obj) == outcome(reference_bundle_from_json, obj)
 
 
 class TestGeometricContext:
@@ -95,6 +207,20 @@ class TestGeometricContext:
     def test_omega_stable_needs_semistable(self):
         with pytest.raises(ValueError):
             GeometricContext(0, 1, 2, omega_semistable=False, omega_stable=True)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "characteristic": st.one_of(NUMBER, st.sampled_from([3, 4, 2**64 + 13])),
+                "dim": NUMBER,
+                "omega_degree": NUMBER,
+            },
+            optional={"omega_semistable": FLAG, "omega_stable": FLAG},
+        )
+    )
+    def test_json_matches_the_reference(self, obj):
+        assert outcome(GeometricContext.from_json, obj) == outcome(reference_context_from_json, obj)
 
     def test_json_round_trip(self):
         ctx = GeometricContext(7, 2, 3, omega_semistable=True)
