@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 from . import search_oracle
 from .gallery import BUILDERS, checked_entry
-from .hn_profiles import HNProfile, hn_polygon, tensor_hn
+from .hn_profiles import HNProfile, tensor_hn, valid_polygon
 from .hodge_system import Verdict, system_to_json, system_from_json, total_slope, verdict_json
 from .inequalities import verify_hodge_sums
 from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
@@ -35,9 +35,9 @@ from .slope_core import (
     InconsistencyError,
     SubsheafMode,
     _check_keys,
-    direct_sum,
     format_rational,
     slope,
+    slope_of_sum,
 )
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
@@ -156,8 +156,7 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "griffiths_filtration")
     filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
-    mu = slope(direct_sum(filtration.graded))
-    report = _verdict_report(verdict, mu)
+    report = _verdict_report(verdict, slope_of_sum(filtration.graded))
     report["generalized_oper"] = check.ok
     report["classical_oper"] = check.classical
     report["reasons"] = list(check.reasons)
@@ -184,11 +183,11 @@ def _cmd_hn_tensor(args: SimpleNamespace) -> int:
     profile = HNProfile(tuple(BundleData.from_json(b) for b in request["profile"]))
     factor = BundleData.from_json(request["tensor_with"])
     result = tensor_hn(profile, factor)
-    polygon = hn_polygon(result)
     report = {
         "valid": True,
         "quotients": [q.to_json() for q in result.quotients],
-        "polygon": [[x, y] for x, y in polygon],
+        # tensor_hn validated the profile, and its output is valid with it
+        "polygon": valid_polygon(result),
     }
     _emit(report, f"hn-tensor: {len(result.quotients)} quotients, polygon computed")
     return 0
@@ -272,6 +271,15 @@ def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
 
+#: _GRAMMAR as _read consults it: per command, its handler, positional,
+#: option defaults by destination, and each option's (kind, destination).
+_READ_TABLE = {
+    command: (func, positional, {_dest(o): default for o, _, default, _ in options},
+              {o: (kind, _dest(o)) for o, kind, _, _ in options})
+    for command, (func, _, positional, options) in _GRAMMAR.items()
+}
+
+
 @functools.cache
 def _build_parser():
     """The argparse parser for _GRAMMAR, built on the first command line
@@ -312,23 +320,20 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     names each with a valid value, and exactly the command's positional.
     No other token may start with "-", so option values and positionals
     never do."""
-    spec = _GRAMMAR.get(argv[0]) if argv else None
+    spec = _READ_TABLE.get(argv[0]) if argv else None
     if spec is None:
         return None
-    func, _, positional, options = spec
-    values = {"command": argv[0], "func": func}
-    kinds = {}
-    for option, kind, default, _ in options:
-        values[_dest(option)] = default
-        kinds[option] = kind
+    func, positional, defaults, options = spec
+    values = {"command": argv[0], "func": func, **defaults}
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
-            kind = kinds.get(token)
-            if kind is None:
+            option = options.get(token)
+            if option is None:
                 return None
+            kind, dest = option
             if kind is bool:
-                values[_dest(token)] = True
+                values[dest] = True
                 continue
             value = next(tokens, "-")
             if value.startswith("-"):
@@ -340,7 +345,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                     return None
             elif value not in kind:
                 return None
-            values[_dest(token)] = value
+            values[dest] = value
         elif positional is None or positional[0] in values:
             return None
         elif positional[1] is not None and token not in positional[1]:

@@ -11,8 +11,9 @@ preserves the Harder-Narasimhan filtration.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 
-from .slope_core import BundleData, Frozen, slope, tensor
+from .slope_core import BundleData, Frozen, tensor
 
 
 class HNValidation(Frozen):
@@ -52,8 +53,8 @@ class HNProfile(Frozen):
 
 def validate_hn(p: HNProfile) -> HNValidation:
     """True iff the quotient slopes strictly decrease along the list."""
-    for i in range(len(p.quotients) - 1):
-        if slope(p.quotients[i]) <= slope(p.quotients[i + 1]):
+    for i, (a, b) in enumerate(zip(p.quotients, p.quotients[1:])):
+        if a.degree * b.rank <= b.degree * a.rank:  # slope(a) <= slope(b): ranks are positive
             return HNValidation(False, i)
     return HNValidation(True)
 
@@ -77,8 +78,7 @@ def tensor_hn(p: HNProfile, w: BundleData) -> HNProfile:
     if w.semistable is not True:
         raise ValueError("flag precondition violated: tensor factor must be flagged semistable")
     _require_valid(p)
-    products = (tensor(q, w) for q in p.quotients)
-    return HNProfile(tuple(BundleData(t.rank, t.degree, semistable=True) for t in products))
+    return HNProfile(tuple([tensor(q, w, semistable=True) for q in p.quotients]))
 
 
 def hn_polygon(p: HNProfile) -> list[tuple[int, int]]:
@@ -88,14 +88,14 @@ def hn_polygon(p: HNProfile) -> list[tuple[int, int]]:
     segment i is the slope of quotient i.
     """
     _require_valid(p)
-    points = [(0, 0)]
-    rank_total = 0
-    degree_total = 0
-    for q in p.quotients:
-        rank_total += q.rank
-        degree_total += q.degree
-        points.append((rank_total, degree_total))
-    return points
+    return valid_polygon(p)
+
+
+def valid_polygon(p: HNProfile) -> list[tuple[int, int]]:
+    """``hn_polygon`` of a profile already known to be valid, such as the
+    output of ``tensor_hn``, without checking it again."""
+    return list(zip(accumulate([q.rank for q in p.quotients], initial=0),
+                    accumulate([q.degree for q in p.quotients], initial=0)))
 
 
 def is_strictly_concave(points: Sequence[tuple[int, int]]) -> bool:

@@ -33,6 +33,7 @@ from .slope_core import (
     _check_keys,
     format_rational,
     slope,
+    slope_of_sum,
 )
 
 PROV_TOWER_SEMISTABLE = "semistable components in an isomorphism tower"
@@ -222,8 +223,7 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
 
 def total_slope(sys: HodgeSystem) -> Fraction:
     """Slope of the whole system; works in either structure mode."""
-    components = sys.components
-    return Fraction(sum([c.degree for c in components]), sum([c.rank for c in components]))
+    return slope_of_sum(sys.components)
 
 
 def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:

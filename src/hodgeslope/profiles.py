@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .slope_core import Frozen, _as_int
+from .slope_core import Frozen
 
 
 class SubsystemProfile(Frozen):
@@ -26,32 +26,22 @@ class SubsystemProfile(Frozen):
 
     def __post_init__(self) -> None:
         # a method of its own, so a tracer can count constructions by
-        # rebinding it on the class
-        entries = tuple((pair[0], pair[1]) for pair in self.entries)
+        # rebinding it on the class; it checks shapes and types, then signs
+        entries = tuple([_entry(i, pair) for i, pair in enumerate(self.entries)])
         self.__dict__["entries"] = entries
         if not entries:
             raise ValueError("profile must have at least one graded piece")
-        for i, (rank, degree) in enumerate(entries):
-            if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        for i, (rank, _) in enumerate(entries):
+            if rank < 1:
                 raise ValueError(f"profile rank at grade {i} must be a positive integer")
-            if isinstance(degree, bool) or not isinstance(degree, int):
-                raise ValueError(f"profile degree at grade {i} must be an integer")
 
     @property
     def support_top(self) -> int:
         return len(self.entries) - 1
 
     @property
-    def rank(self) -> int:
-        return sum(r for r, _ in self.entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(d for _, d in self.entries)
-
-    @property
     def slope(self) -> Fraction:
-        return Fraction(self.degree, self.rank)
+        return Fraction(sum([d for _, d in self.entries]), sum([r for r, _ in self.entries]))
 
     def to_json(self) -> list[list[int]]:
         return [[r, d] for r, d in self.entries]
@@ -60,11 +50,16 @@ class SubsystemProfile(Frozen):
     def from_json(obj: object) -> "SubsystemProfile":
         if not isinstance(obj, list):
             raise ValueError("profile must be a JSON array of [rank, degree] pairs")
-        entries = []
-        for i, item in enumerate(obj):
-            if not isinstance(item, list) or len(item) != 2:
-                raise ValueError(f"profile entry {i} must be a [rank, degree] pair")
-            entries.append(
-                (_as_int(item[0], f"profile rank {i}"), _as_int(item[1], f"profile degree {i}"))
-            )
-        return SubsystemProfile(tuple(entries))
+        return SubsystemProfile(obj)
+
+
+def _entry(i: int, pair: object) -> tuple[int, int]:
+    """Entry ``i`` of a profile, a [rank, degree] pair of integers, as a tuple."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"profile entry {i} must be a [rank, degree] pair")
+    rank, degree = pair
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"profile rank {i} must be an integer")
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ValueError(f"profile degree {i} must be an integer")
+    return rank, degree

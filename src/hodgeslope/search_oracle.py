@@ -60,7 +60,6 @@ from .hodge_system import (
     Verdict,
     criteria_verdicts,
     merge_verdicts,
-    total_slope,
     transport_subsystem,
 )
 from .profiles import SubsystemProfile
@@ -278,7 +277,8 @@ def verdict_from_search(
     _require_iso_theta(sys)
     components = sys.components
     for i, comp in enumerate(components):
-        require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")
+        if comp.semistable is not True:  # the name is formatted only to be reported
+            require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")
     rank, degree = components[0].rank, components[0].degree
     g = gcd(rank, degree)
     least = (rank // g, degree // g)
@@ -288,7 +288,8 @@ def verdict_from_search(
     certificate = None
     if subsheaf_mode is SubsheafMode.STABLE:
         for i, comp in enumerate(components):
-            require_flag(comp, SubsheafMode.STABLE, f"component {i}")
+            if comp.stable is not True:
+                require_flag(comp, SubsheafMode.STABLE, f"component {i}")
         if w == 0 and n >= 1:
             certificate = SubsystemProfile(((rank, degree),))
     elif w == 0 or n == 0:
@@ -310,10 +311,17 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     at most the component's (the quotient is torsion).  A strictly larger
     slope refutes semistability; an equal slope refutes stability unless
     the profile is the whole system; anything else is inconclusive.
+
+    The slopes are compared in integers: with (r, e) the profile's rank
+    and degree and (R, D) the system's, both ranks positive, mu(F) - mu(E)
+    has the sign of e*R - D*r.  At equal slopes the profile is the whole
+    system exactly when r = R: its ranks are then every component's, and
+    by the full-rank rule so are its degrees.
     """
     components = sys.components
     if profile.support_top > sys.n:
         raise ValueError("rank domination violated: profile support exceeds the component range")
+    rank = degree = 0
     for i, (rk, dg) in enumerate(profile.entries):
         comp = components[i]
         if rk > comp.rank:
@@ -327,15 +335,14 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
                 f"degree at grade {i} exceeds the component degree at full rank: "
                 f"{dg} > {comp.degree}"
             )
-    mu = total_slope(sys)
-    s = profile.slope
-    if s > mu:
+        rank += rk
+        degree += dg
+    total_rank = sum([c.rank for c in components])
+    excess = degree * total_rank - sum([c.degree for c in components]) * rank
+    if excess > 0:
         return Verdict(NO, NO, profile, PROV_DECLARED)
-    if s == mu:
-        full = profile.support_top == sys.n and profile.entries == tuple(
-            (c.rank, c.degree) for c in components
-        )
-        if full:
+    if excess == 0:
+        if rank == total_rank:
             return Verdict(provenance=PROV_DECLARED_FULL)
         return Verdict(UNKNOWN, NO, profile, PROV_DECLARED)
     return Verdict(provenance=PROV_DECLARED_SLACK)
@@ -381,9 +388,11 @@ def system_verdict(
     if not isinstance(sys.theta, Isomorphisms):
         return _declared_verdict(sys)
     criteria = criteria_verdicts(sys)
-    if not all(c.semistable is True for c in sys.components):
+    # without data the criteria say yes exactly when every component is attested
+    # semistable, and (the stability criterion, run when w > 0) stable
+    if criteria[0].semistable is not YES:
         return merge_verdicts(*criteria)
-    check_stable = sys.context.omega_degree > 0 and all(c.stable is True for c in sys.components)
+    check_stable = criteria[-1].stable is YES
     subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
     oracle = verdict_from_search(sys, mode, subsheaf_mode)
     verdict = merge_verdicts(*criteria, oracle)

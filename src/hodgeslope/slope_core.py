@@ -25,12 +25,14 @@ def format_rational(x: Fraction) -> str:
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin primality test for p below 3.1e23."""
+    """Deterministic primality test (trial division, then Miller-Rabin) for p below 3.1e23."""
     if p < 2:
         return False
     for q in _WITNESSES:
         if p % q == 0:
             return p == q
+    if p < 41 * 41:  # a composite below 41^2 has a prime factor below 41, a witness
+        return True
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -258,12 +260,15 @@ def direct_sum(parts: Iterable[BundleData]) -> BundleData:
     )
 
 
-def tensor(a: BundleData, b: BundleData) -> BundleData:
-    """Invariants of a tensor product; slopes add exactly."""
-    return BundleData(
-        rank=a.rank * b.rank,
-        degree=b.rank * a.degree + a.rank * b.degree,
-    )
+def slope_of_sum(parts: tuple[BundleData, ...]) -> Fraction:
+    """Slope of the direct sum of ``parts`` (at least one), without building it."""
+    return Fraction(sum([p.degree for p in parts]), sum([p.rank for p in parts]))
+
+
+def tensor(a: BundleData, b: BundleData, semistable: bool | None = None) -> BundleData:
+    """Invariants of a tensor product; slopes add exactly.  The product
+    carries only the semistable attestation the caller supplies."""
+    return BundleData(a.rank * b.rank, b.rank * a.degree + a.rank * b.degree, semistable)
 
 
 def require_flag(ambient: BundleData, mode: SubsheafMode, what: str = "ambient bundle") -> None:

@@ -119,6 +119,55 @@ class TestCheckSystem:
         assert report["certificate"]["slope"] == "3/1"
         assert report["certificate"]["mu_total"] == "8/3"
 
+    def test_declared_profiles_are_checked_once(self, capsys, tmp_path, monkeypatch):
+        # each declared profile is built once, through the hook the
+        # benchmark's tracer counts, and each entry is type-checked once
+        from hodgeslope import profiles
+
+        calls = {"__post_init__": 0, "_entry": 0}
+        post_init, entry = SubsystemProfile.__post_init__, profiles._entry
+
+        def counted_post_init(self):
+            calls["__post_init__"] += 1
+            post_init(self)
+
+        def counted_entry(i, pair):
+            calls["_entry"] += 1
+            return entry(i, pair)
+
+        monkeypatch.setattr(SubsystemProfile, "__post_init__", counted_post_init)
+        monkeypatch.setattr(profiles, "_entry", counted_entry)
+        ctx = GeometricContext(0, 1, 2, omega_semistable=True)
+        components = (BundleData(2, 0), BundleData(3, 3), BundleData(1, -1))
+        declared = [[[1, 0]], [[1, -1], [2, 1]], [[2, 0], [1, 1], [1, -1]]]
+        system = {
+            "context": ctx.to_json(),
+            "components": [c.to_json() for c in components],
+            "theta": {"declared": declared},
+        }
+        doc = write_doc(tmp_path, {"hodge_system": system})
+        code, report, _ = run(capsys, ["check-system", doc])
+        assert (code, report["semistable"], report["stable"]) == (0, "unknown", "unknown")
+        assert calls == {"__post_init__": 3, "_entry": 6}
+        # a library construction passes through the same hook and check
+        SubsystemProfile(((1, 0), (1, 2)))
+        assert calls == {"__post_init__": 4, "_entry": 8}
+
+    def test_attested_tower_formats_no_component_name(self, capsys, tmp_path, monkeypatch):
+        # require_flag only reports a missing attestation, so a tower
+        # attested throughout never reaches it
+        calls = []
+        monkeypatch.setattr(search_oracle, "require_flag", lambda *args: calls.append(args))
+        ctx = GeometricContext(0, 1, 2, omega_semistable=True, omega_stable=True)
+        tower = derive_components(BundleData(1, 1, semistable=True, stable=True), ctx, 2)
+        components = tuple(BundleData(c.rank, c.degree, True, True) for c in tower.components)
+        system = HodgeSystem(ctx, components, ISOMORPHISMS)
+        doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
+        code, report, _ = run(capsys, ["check-system", doc])
+        assert (code, report["semistable"], report["stable"]) == (0, "yes", "yes")
+        code, _, _ = run(capsys, ["search", doc, "--subsheaf", "stable"])
+        assert (code, calls) == (0, [])
+
     def test_stable_tower_keeps_no_certificate(self, capsys, tmp_path):
         # all components stable with integral slopes: the criterion's
         # stable=yes wins over the oracle's within-class equal-slope no,
@@ -496,6 +545,38 @@ class TestHnTensor:
             {"rank": 4, "degree": 4, "semistable": True},
         ]
         assert report["polygon"] == [[0, 0], [2, 10], [6, 14]]
+
+    def test_each_product_built_and_validated_once(self, capsys, tmp_path, monkeypatch):
+        # tensor_hn builds every product once, flagged semistable, and its
+        # output is valid whenever its validated input is, so the document
+        # checks the slope order once
+        from hodgeslope import hn_profiles
+
+        calls = {"BundleData": 0, "validate_hn": 0}
+        init, validate = BundleData.__init__, hn_profiles.validate_hn
+
+        def counted_init(self, *args, **kwargs):
+            calls["BundleData"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_validate(p):
+            calls["validate_hn"] += 1
+            return validate(p)
+
+        monkeypatch.setattr(BundleData, "__init__", counted_init)
+        monkeypatch.setattr(hn_profiles, "validate_hn", counted_validate)
+        quotients = [
+            {"rank": 1, "degree": 5, "semistable": True},
+            {"rank": 2, "degree": 2, "semistable": True},
+            {"rank": 1, "degree": -3, "semistable": True},
+        ]
+        factor = {"rank": 2, "degree": 1, "semistable": True}
+        doc = write_doc(tmp_path, {"hn_request": {"profile": quotients, "tensor_with": factor}})
+        code, report, _ = run(capsys, ["hn-tensor", doc])
+        assert code == 0
+        assert report["polygon"] == [[0, 0], [2, 11], [6, 17], [8, 12]]
+        # three quotients and the factor read from the document, three products
+        assert calls == {"BundleData": 3 + 1 + 3, "validate_hn": 1}
 
     def test_invalid_profile_is_invalid_input(self, capsys, tmp_path):
         doc = write_doc(

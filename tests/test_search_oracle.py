@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -514,6 +516,39 @@ class TestClosedForm:
         verdict = verdict_from_search(falling, subsheaf_mode=SubsheafMode.STABLE)
         assert (verdict.semistable, verdict.certificate.entries) == (Answer.NO, ((2, 1),))
 
+    def test_each_attestation_read_once_per_check(self):
+        # the oracle reads each flag kind once per component, and
+        # system_verdict takes "every component attested" from the criteria
+        # instead of reading the flags again
+        ctx = GeometricContext(0, 1, 2, omega_semistable=True, omega_stable=True)
+        tower = derive_components(BundleData(1, 1), ctx, 3)
+        comps = tuple(CountedFlags(c.rank, c.degree, True, True) for c in tower.components)
+        sys = HodgeSystem(ctx, comps, ISOMORPHISMS)
+        CountedFlags.reads.clear()
+        verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
+        assert CountedFlags.reads == {"semistable": 4, "stable": 4}
+        CountedFlags.reads.clear()
+        verdict = system_verdict(sys)
+        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        # once by the criteria, once by the oracle
+        assert CountedFlags.reads == {"semistable": 8, "stable": 8}
+
+
+class CountedFlags(BundleData):
+    """A bundle that counts every read of its two attestations."""
+
+    reads: Counter = Counter()
+
+    @property
+    def semistable(self):
+        CountedFlags.reads["semistable"] += 1
+        return self.__dict__["semistable"]
+
+    @property
+    def stable(self):
+        CountedFlags.reads["stable"] += 1
+        return self.__dict__["stable"]
+
 
 class TestVerdictFromSearch:
     def test_example_tower(self):
@@ -617,6 +652,100 @@ class TestCheckDeclared:
         # grade 1 carries no semistable attestation: any degree is plausible
         verdict = check_declared(sys, SubsystemProfile(((1, 1), (1, 5))))
         assert verdict.semistable is Answer.NO
+
+
+def reference_check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
+    """``check_declared`` as it compared ``Fraction`` slopes and tested the
+    whole system entry by entry; the integer comparison must agree."""
+    components = sys.components
+    if profile.support_top > sys.n:
+        raise ValueError("rank domination violated: profile support exceeds the component range")
+    for i, (rk, dg) in enumerate(profile.entries):
+        comp = components[i]
+        if rk > comp.rank:
+            raise ValueError(f"rank domination violated at grade {i}: {rk} > {comp.rank}")
+        if comp.semistable is True and dg > max_subsheaf_degree(rk, comp, SubsheafMode.SEMISTABLE):
+            raise ValueError(f"degree at grade {i} exceeds the semistable subsheaf bound")
+        if rk == comp.rank and dg > comp.degree:
+            raise ValueError(
+                f"degree at grade {i} exceeds the component degree at full rank: "
+                f"{dg} > {comp.degree}"
+            )
+    mu = Fraction(sum(c.degree for c in components), sum(c.rank for c in components))
+    s = Fraction(sum(d for _, d in profile.entries), sum(r for r, _ in profile.entries))
+    if s > mu:
+        return Verdict(Answer.NO, Answer.NO, profile, search_oracle.PROV_DECLARED)
+    if s == mu:
+        full = profile.support_top == sys.n and profile.entries == tuple(
+            (c.rank, c.degree) for c in components
+        )
+        if full:
+            return Verdict(provenance=search_oracle.PROV_DECLARED_FULL)
+        return Verdict(Answer.UNKNOWN, Answer.NO, profile, search_oracle.PROV_DECLARED)
+    return Verdict(provenance=search_oracle.PROV_DECLARED_SLACK)
+
+
+def random_declared_case(rng: random.Random) -> tuple[HodgeSystem, SubsystemProfile]:
+    """A declared system of 1 to 5 components with mixed flags, and a
+    profile that may break rank domination (in rank or support), the
+    semistable bound or the full-rank rule, or may sit on the bounds."""
+    comps = tuple(
+        BundleData(rng.randint(1, 4), rng.randint(-6, 6), *rng.choice(FLAG_CHOICES))
+        for _ in range(rng.randint(1, 5))
+    )
+    sys = HodgeSystem(curve(rng.randint(-2, 2)), comps, Declared())
+    kind = rng.randrange(3)
+    if kind == 0:  # anything, often out of range
+        entries = [
+            (rng.randint(1, 5), rng.randint(-8, 8)) for _ in range(rng.randint(1, len(comps) + 1))
+        ]
+    elif kind == 1:  # on or next to each bound
+        entries = []
+        for comp in comps[: rng.randint(1, len(comps))]:
+            rank = rng.randint(1, comp.rank)
+            entries.append((rank, rank * comp.degree // comp.rank + rng.choice((-1, 0, 0, 1))))
+    else:  # the whole system, or all of it but the last piece
+        entries = [(c.rank, c.degree) for c in comps]
+        if len(entries) > 1 and rng.random() < 0.5:
+            entries.pop()
+    return sys, SubsystemProfile(tuple(entries))
+
+
+def declared_outcome_kind(result) -> str:
+    """An outcome's error text with its numbers masked, or its verdict's
+    sides and provenance."""
+    if isinstance(result, str):
+        return re.sub(r"-?\d+", "#", result)
+    return f"{result.semistable.value}/{result.stable.value} {result.provenance}"
+
+
+class TestCheckDeclaredAgainstFractions:
+    @settings(max_examples=500, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_fraction_reference(self, rng):
+        sys, profile = random_declared_case(rng)
+        assert outcome(check_declared, sys, profile) == outcome(
+            reference_check_declared, sys, profile
+        )
+
+    def test_sweep_reaches_every_outcome(self):
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(3000):
+            sys, profile = random_declared_case(rng)
+            result = outcome(check_declared, sys, profile)
+            assert result == outcome(reference_check_declared, sys, profile)
+            kinds.add(declared_outcome_kind(result))
+        assert kinds == {
+            "ValueError: rank domination violated: profile support exceeds the component range",
+            "ValueError: rank domination violated at grade #: # > #",
+            "ValueError: degree at grade # exceeds the semistable subsheaf bound",
+            "ValueError: degree at grade # exceeds the component degree at full rank: # > #",
+            "no/no " + search_oracle.PROV_DECLARED,
+            "unknown/no " + search_oracle.PROV_DECLARED,
+            "unknown/unknown " + search_oracle.PROV_DECLARED_FULL,
+            "unknown/unknown " + search_oracle.PROV_DECLARED_SLACK,
+        }
 
 
 def test_transport_violations_are_conservative_admissible():

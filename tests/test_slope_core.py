@@ -200,6 +200,34 @@ class TestGeometricContext:
         for char in range(1, 20_000):
             assert _is_prime(char) is trial(char), char
 
+    def test_small_characteristics_decided_by_trial_division(self, monkeypatch):
+        # the witnesses are every prime up to 37, so a number below 41^2 =
+        # 1681 that none of them divides is prime without Miller-Rabin,
+        # whose modular powers are never taken there
+        from hodgeslope import slope_core
+
+        powers = []
+
+        def counted_pow(*args):
+            powers.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(slope_core, "pow", counted_pow, raising=False)
+
+        def trial(p):
+            return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+        for char in range(-2, 5000):
+            assert _is_prime(char) is trial(char), char
+            if char < 41 * 41:
+                assert powers == [], char
+        assert (_is_prime(1677), _is_prime(1679), _is_prime(1681)) == (False, False, False)
+        assert (_is_prime(1693), _is_prime(1763)) == (True, False)  # 1763 = 41 * 43
+        # 1681 = 41^2 is the first composite past the shortcut: it is
+        # decided by Miller-Rabin
+        powers.clear()
+        assert _is_prime(1681) is False and powers
+
     def test_dim_positive(self):
         with pytest.raises(ValueError):
             GeometricContext(0, 0, 0)
