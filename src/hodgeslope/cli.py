@@ -42,7 +42,6 @@ from .slope_core import (
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
 _DOCUMENT_FIELDS = frozenset(PAYLOAD_KEYS) | {"search_options"}
-_OPTION_FIELDS = frozenset({"constraint_mode", "subsheaf_mode"})
 _REQUEST_FIELDS = frozenset({"profile", "tensor_with"})
 
 #: Longest command-line argument a usage error repeats in full.  argparse
@@ -89,6 +88,12 @@ def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
 
 _MODES = {m.value: m for m in ConstraintMode}
 _SUBSHEAVES = {m.value: m for m in SubsheafMode}
+#: What a search runs with when neither the document nor the command line
+#: sets the search_options field.
+_SEARCH_DEFAULTS = {
+    "constraint_mode": ConstraintMode.MONOTONE,
+    "subsheaf_mode": SubsheafMode.SEMISTABLE,
+}
 
 
 def _choice(data: dict, key: str, table: dict):
@@ -100,21 +105,17 @@ def _choice(data: dict, key: str, table: dict):
 
 
 def _search_options(doc: dict, args: SimpleNamespace) -> dict:
-    options = {
-        "mode": ConstraintMode.MONOTONE,
-        "subsheaf": SubsheafMode.SEMISTABLE,
-    }
+    """The search options by option destination: each from the command
+    line, else from the document's search_options, else its default.  The
+    document may set only the fields of the command's own options."""
+    fields = _READ_TABLE[args.command][4]
     raw = doc.get("search_options")
-    if raw is not None:
-        data = _check_keys(raw, "search_options", frozenset(), _OPTION_FIELDS)
-        if "constraint_mode" in data:
-            options["mode"] = _choice(data, "constraint_mode", _MODES)
-        if "subsheaf_mode" in data:
-            options["subsheaf"] = _choice(data, "subsheaf_mode", _SUBSHEAVES)
-    if getattr(args, "mode", None) is not None:
-        options["mode"] = _MODES[args.mode]
-    if getattr(args, "subsheaf", None) is not None:
-        options["subsheaf"] = _SUBSHEAVES[args.subsheaf]
+    data = {} if raw is None else _check_keys(raw, "search_options", frozenset(), fields.keys())
+    options = {}
+    for field, (table, dest) in fields.items():
+        options[dest] = _choice(data, field, table) if field in data else _SEARCH_DEFAULTS[field]
+        if getattr(args, dest) is not None:
+            options[dest] = table[getattr(args, dest)]
     return options
 
 
@@ -166,12 +167,9 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
 
 def _cmd_check_connection(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "connection_pair")
-    pair, ambient = pair_from_json(payload)
-    verdict = pair_verdict(pair, ambient)
-    _emit(
-        _verdict_report(verdict, slope(pair.total)),
-        _summary("check-connection", verdict),
-    )
+    pair = pair_from_json(payload)
+    verdict = pair_verdict(pair)
+    _emit(_verdict_report(verdict, slope(pair.total)), _summary("check-connection", verdict))
     return 0
 
 
@@ -235,20 +233,21 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
 
 #: The command-line grammar: for each command, its handler, its help line,
 #: its positional as (name, choices or None) or None, and its options as
-#: (name, kind, default, help).  An option's kind is a choice table (its
-#: keys are the valid values), ``int``, or ``bool`` for a switch that
-#: takes no value.  The order is the order of the help and error texts.
+#: (name, kind, default, field).  An option's kind is a choice table (its
+#: keys are the valid values) or ``int``.  ``field`` is the search_options
+#: field the option overrides, or None: a command's document may set
+#: exactly the fields of its options.  The order is the order of the help
+#: and error texts.
 _GRAMMAR = {
     "check-system": (
         _cmd_check_system, "criteria verdict for a graded system", ("document", None),
-        (("--mode", _MODES, None, None),),
+        (("--mode", _MODES, None, "constraint_mode"),),
     ),
     "search": (
         _cmd_search, "oracle verdict with certificate", ("document", None),
         (
-            ("--mode", _MODES, None, None),
-            ("--subsheaf", _SUBSHEAVES, None, None),
-            ("--parallel", bool, False, "accepted and ignored"),
+            ("--mode", _MODES, None, "constraint_mode"),
+            ("--subsheaf", _SUBSHEAVES, None, "subsheaf_mode"),
         ),
     ),
     "check-oper": (
@@ -271,11 +270,14 @@ def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
 
-#: _GRAMMAR as _read consults it: per command, its handler, positional,
-#: option defaults by destination, and each option's (kind, destination).
+#: _GRAMMAR as _read and _search_options consult it: per command, its
+#: handler, positional, option defaults by destination, each option's
+#: (kind, destination), and the same for each search_options field its
+#: document may set.
 _READ_TABLE = {
     command: (func, positional, {_dest(o): default for o, _, default, _ in options},
-              {o: (kind, _dest(o)) for o, kind, _, _ in options})
+              {o: (kind, _dest(o)) for o, kind, _, _ in options},
+              {field: (kind, _dest(o)) for o, kind, _, field in options if field is not None})
     for command, (func, _, positional, options) in _GRAMMAR.items()
 }
 
@@ -303,10 +305,8 @@ def _build_parser():
         if positional is not None:
             name, choices = positional
             p.add_argument(name, choices=None if choices is None else sorted(choices))
-        for option, kind, default, help_text in options:
-            if kind is bool:
-                p.add_argument(option, dest=_dest(option), action="store_true", help=help_text)
-            elif kind is int:
+        for option, kind, default, _ in options:
+            if kind is int:
                 p.add_argument(option, dest=_dest(option), type=int, default=default)
             else:
                 p.add_argument(option, dest=_dest(option), choices=sorted(kind), default=default)
@@ -323,7 +323,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     spec = _READ_TABLE.get(argv[0]) if argv else None
     if spec is None:
         return None
-    func, positional, defaults, options = spec
+    func, positional, defaults, options, _ = spec
     values = {"command": argv[0], "func": func, **defaults}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -332,9 +332,6 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
             if option is None:
                 return None
             kind, dest = option
-            if kind is bool:
-                values[dest] = True
-                continue
             value = next(tokens, "-")
             if value.startswith("-"):
                 return None

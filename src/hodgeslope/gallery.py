@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .hn_profiles import HNProfile, validate_hn
+from .hn_profiles import HNProfile
 from .hodge_system import (
     Answer,
     Declared,
@@ -150,9 +150,6 @@ def example_unstable_component(g: int = 2, d0: int = 1) -> GalleryEntry:
     l1, l2 = unstable_component_lines(g, d0)
     summed = direct_sum([l1, l2])
     e1 = BundleData(summed.rank, summed.degree, semistable=False, stable=False)
-    hn = unstable_component_hn(g, d0)
-    if not validate_hn(hn):
-        raise ValueError("the component's Harder-Narasimhan data failed to validate")
     witness = SubsystemProfile(((1, d0),))
     system = HodgeSystem(context, (e0, e1), Declared((witness,)))
     expected = Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED)

@@ -33,7 +33,6 @@ from .slope_core import (
     _check_keys,
     format_rational,
     slope,
-    slope_of_sum,
 )
 
 PROV_TOWER_SEMISTABLE = "semistable components in an isomorphism tower"
@@ -108,7 +107,8 @@ class HodgeSystem(Frozen):
 
     In ``Isomorphisms`` mode the component invariants must satisfy the
     tower formulas; any hand-supplied list violating them is rejected at
-    construction.
+    construction.  ``total_rank`` and ``total_degree`` are those of the
+    whole system, summed once at construction.
     """
 
     _fields = ("context", "components", "theta")
@@ -128,16 +128,22 @@ class HodgeSystem(Frozen):
             require_tower(
                 components, context, "component {} is incompatible with the isomorphism tower"
             )
-        fields = self.__dict__
-        fields["context"] = context
-        fields["components"] = components
-        fields["theta"] = theta
+        self._fill(context, components, theta)
+
+    def _fill(self, context, components, theta) -> None:
+        self.__dict__.update(
+            context=context,
+            components=components,
+            theta=theta,
+            total_rank=sum([c.rank for c in components]),
+            total_degree=sum([c.degree for c in components]),
+        )
 
     @classmethod
     def _trusted(cls, context, components, theta) -> "HodgeSystem":
         """A system of parts known to pass ``__init__``'s checks, not run again."""
         system = object.__new__(cls)
-        system.__dict__.update(context=context, components=components, theta=theta)
+        system._fill(context, components, theta)
         return system
 
     @property
@@ -223,7 +229,7 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
 
 def total_slope(sys: HodgeSystem) -> Fraction:
     """Slope of the whole system; works in either structure mode."""
-    return slope_of_sum(sys.components)
+    return Fraction(sys.total_degree, sys.total_rank)
 
 
 def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:

@@ -9,7 +9,9 @@ A generalized oper (transversal, square-zero, isomorphisms, semistable
 pieces) induces a semistable graded Higgs structure, and that in turn
 makes the filtered connection pair semistable.  Flatness in
 characteristic zero makes the pair semistable with no filtration at all,
-since a flat bundle has vanishing first Chern class.
+since a flat bundle has vanishing first Chern class.  A pair has one
+context, which states that characteristic: its filtration's, or for a
+pair without a filtration an optional one of its own.
 
 Semistability of a pair is read subsheaf-wise against invariant
 subobjects; that definition never mentions the curvature, so it applies
@@ -111,22 +113,28 @@ class GriffithsFiltration(Frozen):
 
 
 class ConnectionPair(Frozen):
-    """A bundle with a connection, optionally filtered.
+    """A bundle with a connection, optionally filtered, in one context.
 
-    ``flat`` attests vanishing curvature.  When a filtration is present
-    its graded totals must match the total invariants.
+    ``flat`` attests vanishing curvature.  A filtered pair's graded totals
+    must match the total invariants, and its context is the filtration's:
+    it may not be given another.  A pair without a filtration may be given
+    a context; without one its characteristic is unknown.
     """
 
-    _fields = ("total", "flat", "filtration")
+    _fields = ("total", "flat", "filtration", "context")
 
     def __init__(
         self,
         total: BundleData,
         flat: bool,
         filtration: GriffithsFiltration | None = None,
+        context: GeometricContext | None = None,
     ) -> None:
         _as_bool(flat, "flat")
         if filtration is not None:
+            if context is not None:
+                raise ValueError("a filtered pair takes its filtration's context and no other")
+            context = filtration.context
             rank_total = sum(g.rank for g in filtration.graded)
             degree_total = sum(g.degree for g in filtration.graded)
             if (total.rank, total.degree) != (rank_total, degree_total):
@@ -139,6 +147,7 @@ class ConnectionPair(Frozen):
         fields["total"] = total
         fields["flat"] = flat
         fields["filtration"] = filtration
+        fields["context"] = context
 
 
 class OperCheck(Frozen):
@@ -212,22 +221,15 @@ def oper_semistability(f: GriffithsFiltration, check: OperCheck | None = None) -
     return Verdict(inner.semistable, inner.stable, inner.certificate, PROV_OPER)
 
 
-def connection_verdict(
-    pair: ConnectionPair,
-    graded_verdict: Verdict | None = None,
-    characteristic: int | None = None,
-) -> Verdict:
+def connection_verdict(pair: ConnectionPair, graded_verdict: Verdict | None = None) -> Verdict:
     """Semistability of a connection pair via the available transfers.
 
     A semistable (respectively stable) graded verdict transfers to the
     pair.  Independently, a flat connection in characteristic zero makes
-    the pair semistable with no filtration at all.  The characteristic is
-    read off the filtration when present; ``characteristic`` supplies it
-    otherwise.  With no applicable transfer the verdict is unknown, never
-    an error.
+    the pair semistable with no filtration at all; the characteristic is
+    the pair's context's, unknown when it has none.  With no applicable
+    transfer the verdict is unknown, never an error.
     """
-    if pair.filtration is not None:
-        characteristic = pair.filtration.context.characteristic
     semistable = UNKNOWN
     stable = UNKNOWN
     sources = []
@@ -238,22 +240,20 @@ def connection_verdict(
         if graded_verdict.stable is YES:
             stable = YES
             semistable = YES
-    if semistable is not YES and characteristic == 0 and pair.flat:
+    context = pair.context
+    if semistable is not YES and pair.flat and context is not None and context.characteristic == 0:
         semistable = YES
         sources.append(PROV_FLAT_CHAR_ZERO)
     provenance = "; ".join(sources) if sources else PROV_NO_TRANSFER
     return Verdict(semistable, stable, provenance=provenance)
 
 
-def pair_verdict(
-    pair: ConnectionPair, ambient: GeometricContext | None = None
-) -> Verdict:
+def pair_verdict(pair: ConnectionPair) -> Verdict:
     """Decide a connection pair.
 
     A filtration that induces an isomorphism tower of nonnegative
     cotangent degree contributes the criteria's verdict on that tower;
-    ``connection_verdict`` then applies the transfers, reading the
-    characteristic from ``ambient`` when there is no filtration.
+    ``connection_verdict`` then applies the transfers.
     """
     graded_verdict = None
     f = pair.filtration
@@ -265,25 +265,23 @@ def pair_verdict(
         and f.context.omega_degree >= 0
     ):
         graded_verdict = merge_verdicts(*criteria_verdicts(graded_of_filtration(f)))
-    characteristic = ambient.characteristic if ambient is not None else None
-    return connection_verdict(pair, graded_verdict, characteristic=characteristic)
+    return connection_verdict(pair, graded_verdict)
 
 
-def pair_from_json(obj: object) -> tuple[ConnectionPair, GeometricContext | None]:
+def pair_from_json(obj: object) -> ConnectionPair:
     """Parse a connection pair document.
 
-    An optional ``context`` field supplies ambient data (in particular the
-    characteristic) for pairs carrying no filtration; with a filtration
-    the filtration's own context is authoritative.
+    A pair carries its context in its ``filtration`` or, without one, in
+    an optional ``context`` field; a document that gives both is refused.
     """
     data = _check_keys(obj, "connection pair", _PAIR_REQUIRED, _PAIR_FIELDS)
     filtration = (
         GriffithsFiltration.from_json(data["filtration"]) if "filtration" in data else None
     )
-    ambient = GeometricContext.from_json(data["context"]) if "context" in data else None
-    pair = ConnectionPair(
+    context = GeometricContext.from_json(data["context"]) if "context" in data else None
+    return ConnectionPair(
         total=BundleData.from_json(data["total"]),
         flat=data["flat"],
         filtration=filtration,
+        context=context,
     )
-    return pair, ambient

@@ -313,8 +313,8 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     the profile is the whole system; anything else is inconclusive.
 
     The slopes are compared in integers: with (r, e) the profile's rank
-    and degree and (R, D) the system's, both ranks positive, mu(F) - mu(E)
-    has the sign of e*R - D*r.  At equal slopes the profile is the whole
+    and degree and (R, D) the system's totals, summed when it was built,
+    both ranks positive, mu(F) - mu(E) has the sign of e*R - D*r.  At equal slopes the profile is the whole
     system exactly when r = R: its ranks are then every component's, and
     by the full-rank rule so are its degrees.
     """
@@ -337,12 +337,11 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
             )
         rank += rk
         degree += dg
-    total_rank = sum([c.rank for c in components])
-    excess = degree * total_rank - sum([c.degree for c in components]) * rank
+    excess = degree * sys.total_rank - sys.total_degree * rank
     if excess > 0:
         return Verdict(NO, NO, profile, PROV_DECLARED)
     if excess == 0:
-        if rank == total_rank:
+        if rank == sys.total_rank:
             return Verdict(provenance=PROV_DECLARED_FULL)
         return Verdict(UNKNOWN, NO, profile, PROV_DECLARED)
     return Verdict(provenance=PROV_DECLARED_SLACK)

@@ -98,10 +98,10 @@ class Frozen:
     """Base of the package's immutable value types.
 
     A subclass names its fields, in order, in ``_fields``, and its own
-    ``__init__`` stores exactly those in the instance ``__dict__``.  After
-    that no attribute can be assigned or deleted.  Two values are equal
-    when their types and fields are, hash as the tuple of their fields, and
-    read back as ``Name(field=value, ...)``.
+    ``__init__`` stores those in the instance ``__dict__``, with any values
+    derived from them.  After that no attribute can be assigned or deleted.
+    Two values are equal when their types and fields are, hash as the
+    tuple of their fields, and read back as ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()

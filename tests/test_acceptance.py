@@ -321,8 +321,8 @@ def test_criterion_7_connection_additivity_and_transfer():
             if verdict.semistable is not Answer.YES:
                 failures.append(("flat char 0", filtration))
     # the flat route must fire with no filtration at all
-    bare = ConnectionPair(BundleData(3, 0), flat=True)
-    if connection_verdict(bare, characteristic=0).semistable is not Answer.YES:
+    bare = ConnectionPair(BundleData(3, 0), flat=True, context=GeometricContext(0, 1, 2))
+    if connection_verdict(bare).semistable is not Answer.YES:
         failures.append(("flat char 0, no filtration", None))
     report(
         "criterion 7 (connection additivity and transfer)",
@@ -348,15 +348,15 @@ def test_criterion_8_search_determinism(tmp_path, capsys):
         for argv in (
             ["search", str(path)],
             ["search", str(path)],
-            ["search", str(path), "--parallel"],
-            ["search", str(path), "--parallel"],
+            ["search", str(path), "--mode", "paper"],
+            ["search", str(path), "--mode", "paper"],
         ):
             code = cli.main(argv)
             outputs.append((code, capsys.readouterr().out.encode()))
         if len({out for out in outputs}) != 1:
             mismatches.append(entry.name)
     report(
-        "criterion 8 (search determinism, including --parallel)",
+        "criterion 8 (search determinism, including the default --mode spelled out)",
         not mismatches,
         f"{len(entries)} gallery documents x 4 runs, {len(mismatches)} mismatches",
     )

@@ -66,14 +66,14 @@ def curve(w: int, char: int = 0) -> GeometricContext:
     return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
 
 
-def pair_to_json(pair: ConnectionPair, context: GeometricContext | None = None) -> dict:
-    """A connection_pair payload; the ambient context is written only for
-    a pair without a filtration, which carries its own."""
+def pair_to_json(pair: ConnectionPair) -> dict:
+    """A connection_pair payload; the context is written only for a pair
+    without a filtration, whose context is its own."""
     out: dict = {"total": pair.total.to_json(), "flat": pair.flat}
     if pair.filtration is not None:
         out["filtration"] = pair.filtration.to_json()
-    elif context is not None:
-        out["context"] = context.to_json()
+    elif pair.context is not None:
+        out["context"] = pair.context.to_json()
     return out
 
 
@@ -321,12 +321,12 @@ class TestSearch:
         }
         assert err == "search: semistable=yes stable=yes (oracle)\n"
 
-    def test_byte_determinism_with_parallel(self, capsys, tower_doc):
+    def test_byte_determinism(self, capsys, tower_doc):
         outputs = set()
         for argv in (
             ["search", tower_doc],
             ["search", tower_doc],
-            ["search", tower_doc, "--parallel"],
+            ["search", tower_doc, "--mode", "paper"],
         ):
             assert cli.main(argv) == 0
             outputs.add(capsys.readouterr().out)
@@ -342,7 +342,11 @@ class TestSearch:
         )
         code, report, err = run(capsys, [command, doc])
         assert code == 1
-        assert report["error"].startswith(f"{key} must be one of [")
+        if (command, key) == ("check-system", "subsheaf_mode"):
+            # check-system has no --subsheaf, so its document may not set the field
+            assert report["error"] == "search_options has unknown field(s): subsheaf_mode"
+        else:
+            assert report["error"].startswith(f"{key} must be one of [")
         assert "invalid input" in err
 
 
@@ -415,19 +419,15 @@ class TestCheckOper:
 
 class TestCheckConnection:
     def test_flat_characteristic_zero_without_filtration(self, capsys, tmp_path):
-        pair = ConnectionPair(BundleData(3, 0), flat=True)
-        doc = write_doc(
-            tmp_path, {"connection_pair": pair_to_json(pair, context=curve(2))}
-        )
+        pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
+        doc = write_doc(tmp_path, {"connection_pair": pair_to_json(pair)})
         code, report, _ = run(capsys, ["check-connection", doc])
         assert code == 0
         assert report["semistable"] == "yes"
 
     def test_positive_characteristic_without_filtration(self, capsys, tmp_path):
-        pair = ConnectionPair(BundleData(3, 0), flat=True)
-        doc = write_doc(
-            tmp_path, {"connection_pair": pair_to_json(pair, context=curve(2, char=5))}
-        )
+        pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2, char=5))
+        doc = write_doc(tmp_path, {"connection_pair": pair_to_json(pair)})
         code, report, _ = run(capsys, ["check-connection", doc])
         assert code == 0
         assert report["semistable"] == "unknown"
@@ -803,14 +803,14 @@ class TestDocumentRead:
 
 # The command-line grammar as a user reads it in README, written out here
 # apart from cli._GRAMMAR: each command's positional values (None for no
-# positional) and its options with their valid values (None for a switch).
+# positional) and its options with their valid values.
 MODES = ["paper", "conservative"]
 SUBSHEAVES = ["semistable", "stable"]
 VALID_INTS = ["0", "3", "+3", " 3", "3_0", "٣", "12\n", "9" * 4000]
 DOCUMENTS = ["doc.json", "", " -x", "a b", "paper", "search"]
 GRAMMAR = {
     "check-system": (DOCUMENTS, {"--mode": MODES}),
-    "search": (DOCUMENTS, {"--mode": MODES, "--subsheaf": SUBSHEAVES, "--parallel": None}),
+    "search": (DOCUMENTS, {"--mode": MODES, "--subsheaf": SUBSHEAVES}),
     "check-oper": (DOCUMENTS, {}),
     "check-connection": (DOCUMENTS, {}),
     "hn-tensor": (DOCUMENTS, {}),
@@ -841,7 +841,7 @@ def well_formed_command_lines(draw) -> list[str]:
     command = draw(st.sampled_from(list(GRAMMAR)))
     positionals, options = GRAMMAR[command]
     chosen = draw(st.lists(st.sampled_from(sorted(options)), max_size=4)) if options else []
-    groups = [[o] if options[o] is None else [o, draw(st.sampled_from(options[o]))] for o in chosen]
+    groups = [[o, draw(st.sampled_from(options[o]))] for o in chosen]
     if positionals is not None:
         groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(positionals))])
     return [command, *(token for group in groups for token in group)]
@@ -1016,7 +1016,8 @@ class TestModuleEntryPoint:
 
 
 def _fuzz_seeds() -> list[tuple[str, dict]]:
-    options = {"constraint_mode": "paper", "subsheaf_mode": "semistable"}
+    # each command's document may set only the fields of its own options
+    options = {"constraint_mode": "paper"}
     tower = {
         "hodge_system": system_to_json(example_strictly_semistable(2).system),
         "search_options": options,
@@ -1025,6 +1026,7 @@ def _fuzz_seeds() -> list[tuple[str, dict]]:
         "hodge_system": system_to_json(example_surjective_not_iso(2, 3).system),
         "search_options": options,
     }
+    searched = {**tower, "search_options": {**options, "subsheaf_mode": "semistable"}}
     filtration = GriffithsFiltration(
         curve(2, char=5),
         (BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)),
@@ -1033,7 +1035,7 @@ def _fuzz_seeds() -> list[tuple[str, dict]]:
         theta_iso=True,
     )
     graded = ConnectionPair(BundleData(2, 2), flat=True, filtration=filtration)
-    bare = ConnectionPair(BundleData(3, 0), flat=True)
+    bare = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
     hn = {
         "profile": [
             {"rank": 1, "degree": 5, "semistable": True},
@@ -1044,10 +1046,10 @@ def _fuzz_seeds() -> list[tuple[str, dict]]:
     return [
         ("check-system", tower),
         ("check-system", declared),
-        ("search", tower),
+        ("search", searched),
         ("check-oper", {"griffiths_filtration": filtration.to_json()}),
         ("check-connection", {"connection_pair": pair_to_json(graded)}),
-        ("check-connection", {"connection_pair": pair_to_json(bare, context=curve(2))}),
+        ("check-connection", {"connection_pair": pair_to_json(bare)}),
         ("hn-tensor", {"hn_request": hn}),
     ]
 

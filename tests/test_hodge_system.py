@@ -53,6 +53,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HodgeSystem(curve(2), (), ISOMORPHISMS)
 
+    def test_unknown_theta_rejected(self):
+        with pytest.raises(ValueError, match="^theta must be an Isomorphisms or Declared mode$"):
+            HodgeSystem(curve(2), (BundleData(1, 0),), "isomorphisms")
+
+    def test_totals_are_the_whole_systems(self):
+        sys = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, -5)), Declared())
+        assert (sys.total_rank, sys.total_degree) == (3, -2)
+        assert total_slope(sys) == Fraction(-2, 3)
+
 
 class TestDeriveComponents:
     def test_rank_one_tower(self):
@@ -268,6 +277,9 @@ class TestCriterionStable:
         sys = example_tower()
         with pytest.raises(ValueError, match="match the base slope"):
             criterion_stable(sys, equal_slope_sub=BundleData(1, 0))
+        # the base has rank 2, so a proper subsheaf has rank 1
+        with pytest.raises(ValueError, match="^equal-slope datum must be a proper subsheaf"):
+            criterion_stable(sys, equal_slope_sub=BundleData(2, -2))
 
     def test_single_stable_component(self):
         sys = derive_components(BundleData(2, 1, semistable=True, stable=True), curve(2), 0)

@@ -60,6 +60,10 @@ class TestFiltrationConstruction:
         f = iso_filtration((BundleData(1, 0), BundleData(1, 2)), curve(2))
         assert len(f.graded) == 2
 
+    def test_no_graded_pieces_rejected(self):
+        with pytest.raises(ValueError, match="^a filtration needs at least one graded piece$"):
+            GriffithsFiltration(curve(2), (), True, True, False)
+
     def test_degree_relation_enforced(self):
         with pytest.raises(ValueError, match="expected \\(rank 1, degree 2\\)"):
             iso_filtration((BundleData(1, 0), BundleData(1, 1)), curve(2))
@@ -221,18 +225,32 @@ class TestConnectionPair:
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))
         pair = ConnectionPair(BundleData(2, 2), flat=False, filtration=f)
         doc = {"total": pair.total.to_json(), "flat": False, "filtration": f.to_json()}
-        back, ambient = pair_from_json(doc)
-        assert back == pair and ambient is None
-        bare = ConnectionPair(BundleData(3, 0), flat=True)
+        assert pair_from_json(doc) == pair
+        bare = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
         doc = {"total": bare.total.to_json(), "flat": True, "context": curve(2).to_json()}
-        back, ambient = pair_from_json(doc)
-        assert back == bare and ambient == curve(2)
+        assert pair_from_json(doc) == bare
+
+    def test_pair_given_both_contexts_is_refused(self):
+        f = iso_filtration((BundleData(1, 0), BundleData(1, 2)), curve(2, char=5))
+        pair = ConnectionPair(BundleData(2, 2), flat=True, filtration=f)
+        assert pair.context == curve(2, char=5)
+        refusal = "^a filtered pair takes its filtration's context and no other$"
+        with pytest.raises(ValueError, match=refusal):
+            ConnectionPair(BundleData(2, 2), flat=True, filtration=f, context=curve(2))
+        doc = {
+            "total": {"rank": 2, "degree": 2},
+            "flat": True,
+            "filtration": f.to_json(),
+            "context": curve(2).to_json(),
+        }
+        with pytest.raises(ValueError, match=refusal):
+            pair_from_json(doc)
 
 
 class TestConnectionVerdict:
     def test_flat_characteristic_zero_without_filtration(self):
-        pair = ConnectionPair(BundleData(3, 0), flat=True)
-        verdict = connection_verdict(pair, characteristic=0)
+        pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
+        verdict = connection_verdict(pair)
         assert verdict.semistable is Answer.YES
 
     def test_flat_characteristic_zero_overrides_unknown_graded(self):
@@ -267,15 +285,10 @@ class TestConnectionVerdict:
         assert verdict.semistable is Answer.YES
 
     def test_unknown_without_any_route(self):
-        pair = ConnectionPair(BundleData(3, 0), flat=True)
-        assert connection_verdict(pair, characteristic=5).semistable is Answer.UNKNOWN
+        pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2, char=5))
         assert connection_verdict(pair).semistable is Answer.UNKNOWN
-
-    def test_filtration_context_wins(self):
-        f = iso_filtration((BundleData(1, 0), BundleData(1, 2)), curve(2, char=5))
-        pair = ConnectionPair(BundleData(2, 2), flat=True, filtration=f)
-        # the supplied characteristic must be ignored in favour of the filtration's
-        assert connection_verdict(pair, characteristic=0).semistable is Answer.UNKNOWN
+        pair = ConnectionPair(BundleData(3, 0), flat=True)
+        assert connection_verdict(pair).semistable is Answer.UNKNOWN
 
 
 class TestHnBridge:

@@ -85,16 +85,16 @@ def systems(draw) -> HodgeSystem:
 
 
 @st.composite
-def pairs(draw) -> tuple[ConnectionPair, GeometricContext | None]:
-    context = draw(st.none() | contexts())
+def pairs(draw) -> ConnectionPair:
     filtration = draw(st.none() | filtrations())
     if filtration is None:
-        total = draw(bundles())
-    else:
-        rank = sum(g.rank for g in filtration.graded)
-        degree = sum(g.degree for g in filtration.graded)
-        total = draw(bundles(st.just(rank), st.just(degree)))
-    return ConnectionPair(total, draw(st.booleans()), filtration), context
+        # only a pair without a filtration is given a context of its own
+        context = draw(st.none() | contexts())
+        return ConnectionPair(draw(bundles()), draw(st.booleans()), context=context)
+    rank = sum(g.rank for g in filtration.graded)
+    degree = sum(g.degree for g in filtration.graded)
+    total = draw(bundles(st.just(rank), st.just(degree)))
+    return ConnectionPair(total, draw(st.booleans()), filtration)
 
 
 def through_text(obj: object) -> object:
@@ -184,18 +184,16 @@ class TestJsonRoundTrips:
         assert system_from_json(through_text(system_to_json(system))) == system
 
     @PROPERTY_SETTINGS
-    @given(pair_and_context=pairs())
-    def test_pair(self, pair_and_context):
-        # a filtration's own context is authoritative, so an ambient
-        # context is written only for a pair without one
-        pair, context = pair_and_context
-        expected = context if pair.filtration is None else None
+    @given(pair=pairs())
+    def test_pair(self, pair):
+        # a filtered pair's context is its filtration's, so a context is
+        # written only for a pair without one
         doc = {"total": pair.total.to_json(), "flat": pair.flat}
         if pair.filtration is not None:
             doc["filtration"] = pair.filtration.to_json()
-        elif context is not None:
-            doc["context"] = context.to_json()
-        assert pair_from_json(through_text(doc)) == (pair, expected)
+        elif pair.context is not None:
+            doc["context"] = pair.context.to_json()
+        assert pair_from_json(through_text(doc)) == pair
 
 
 class TestVerdictInvariants:

@@ -81,6 +81,7 @@ CASES = {
         ("total", LINE, BundleData(1, 1), EMPTY),
         ("flat", True, False, EMPTY),
         ("filtration", None, FILTRATION, None),
+        ("context", None, CTX, None),
     ],
     OperCheck: [
         ("ok", True, False, EMPTY),
