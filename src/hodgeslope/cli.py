@@ -41,7 +41,7 @@ from .slope_core import (
 )
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
-_DOCUMENT_FIELDS = frozenset(PAYLOAD_KEYS) | {"search_options"}
+_PAYLOADS = frozenset(PAYLOAD_KEYS)
 _REQUEST_FIELDS = frozenset({"profile", "tensor_with"})
 
 #: Longest command-line argument a usage error repeats in full.  argparse
@@ -73,11 +73,11 @@ def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"document is not valid JSON: {exc}")
     except RecursionError:
         raise ValueError("document nests too deeply to parse")
-    _check_keys(obj, "document", frozenset(), _DOCUMENT_FIELDS)
+    _check_keys(obj, "document", frozenset(), _READ_TABLE[args.command][5])
     present = [key for key in PAYLOAD_KEYS if key in obj]
     if len(present) != 1:
         raise ValueError("document must contain exactly one of: " + ", ".join(PAYLOAD_KEYS))
@@ -270,14 +270,15 @@ def _dest(option: str) -> str:
     return option[2:].replace("-", "_")
 
 
-#: _GRAMMAR as _read and _search_options consult it: per command, its
-#: handler, positional, option defaults by destination, each option's
-#: (kind, destination), and the same for each search_options field its
-#: document may set.
+#: _GRAMMAR as _read, _search_options and _load_document consult it: per
+#: command, its handler, positional, option defaults by destination, each
+#: option's (kind, destination), the same for each search_options field its
+#: document may set, and its document's fields (search_options only with one).
 _READ_TABLE = {
     command: (func, positional, {_dest(o): default for o, _, default, _ in options},
               {o: (kind, _dest(o)) for o, kind, _, _ in options},
-              {field: (kind, _dest(o)) for o, kind, _, field in options if field is not None})
+              {field: (kind, _dest(o)) for o, kind, _, field in options if field is not None},
+              _PAYLOADS | {"search_options"} if any(o[3] for o in options) else _PAYLOADS)
     for command, (func, _, positional, options) in _GRAMMAR.items()
 }
 
@@ -323,7 +324,7 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     spec = _READ_TABLE.get(argv[0]) if argv else None
     if spec is None:
         return None
-    func, positional, defaults, options, _ = spec
+    func, positional, defaults, options, *_ = spec
     values = {"command": argv[0], "func": func, **defaults}
     tokens = iter(argv[1:])
     for token in tokens:

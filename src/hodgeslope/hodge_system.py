@@ -102,13 +102,20 @@ def require_tower(pieces: tuple[BundleData, ...], context: GeometricContext, wha
             )
 
 
+def _join(flags: list[bool | None]) -> bool | None:
+    """The three-valued conjunction of attestations; None when it is unknown."""
+    return False if False in flags else None if None in flags else True
+
+
 class HodgeSystem(Frozen):
     """Graded components E_0..E_n with the grade-lowering structure mode.
 
     In ``Isomorphisms`` mode the component invariants must satisfy the
     tower formulas; any hand-supplied list violating them is rejected at
     construction.  ``total_rank`` and ``total_degree`` are those of the
-    whole system, summed once at construction.
+    whole system, summed once at construction, and ``components_semistable``
+    and ``components_stable`` join the components' attestations, each flag
+    read there once: True if all are attested, False if one is attested not.
     """
 
     _fields = ("context", "components", "theta")
@@ -137,6 +144,8 @@ class HodgeSystem(Frozen):
             theta=theta,
             total_rank=sum([c.rank for c in components]),
             total_degree=sum([c.degree for c in components]),
+            components_semistable=_join([c.semistable for c in components]),
+            components_stable=_join([c.stable for c in components]),
         )
 
     @classmethod
@@ -264,16 +273,11 @@ def criterion_semistable(
     _require_isomorphisms(sys)
     if sys.context.omega_degree < 0:
         raise ValueError("hypothesis violated: the cotangent degree must be nonnegative")
-    components = sys.components
-    if all(c.semistable is True for c in components):
+    if sys.components_semistable is True:
         return Verdict(semistable=YES, provenance=PROV_TOWER_SEMISTABLE)
-    base = components[0]
-    if (
-        base_destabilizer is not None
-        and sys.context.characteristic == 0
-        and sys.context.omega_semistable
-        and base.semistable is False
-    ):
+    base, context = sys.components[0], sys.context
+    if (base_destabilizer is not None and context.characteristic == 0
+            and context.omega_semistable and base.semistable is False):
         if not 1 <= base_destabilizer.rank < base.rank:
             raise ValueError("destabilizing datum must be a proper subsheaf of the base")
         if slope(base_destabilizer) <= slope(base):
@@ -297,18 +301,13 @@ def criterion_stable(
     _require_isomorphisms(sys)
     if sys.context.omega_degree <= 0:
         raise ValueError("hypothesis violated: the cotangent degree must be positive")
-    components = sys.components
-    if all(c.stable is True for c in components):
+    if sys.components_stable is True:
         return Verdict(YES, YES, provenance=PROV_TOWER_STABLE)
-    semistable_side = YES if all(c.semistable is True for c in components) else UNKNOWN
-    if (
-        sys.context.characteristic == 0
-        and sys.context.dim == 1
-        and any(c.stable is False for c in components)
-    ):
+    semistable_side = YES if sys.components_semistable is True else UNKNOWN
+    if sys.context.characteristic == 0 and sys.context.dim == 1 and sys.components_stable is False:
         certificate = None
         if equal_slope_sub is not None:
-            base = components[0]
+            base = sys.components[0]
             if not 1 <= equal_slope_sub.rank < base.rank:
                 raise ValueError("equal-slope datum must be a proper subsheaf of the base")
             if slope(equal_slope_sub) != slope(base):

@@ -276,8 +276,8 @@ def verdict_from_search(
     """
     _require_iso_theta(sys)
     components = sys.components
-    for i, comp in enumerate(components):
-        if comp.semistable is not True:  # the name is formatted only to be reported
+    if sys.components_semistable is not True:  # then some component fails its check
+        for i, comp in enumerate(components):
             require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")
     rank, degree = components[0].rank, components[0].degree
     g = gcd(rank, degree)
@@ -287,8 +287,8 @@ def verdict_from_search(
         return Verdict(NO, NO, SubsystemProfile((least,)), PROV_ORACLE)
     certificate = None
     if subsheaf_mode is SubsheafMode.STABLE:
-        for i, comp in enumerate(components):
-            if comp.stable is not True:
+        if sys.components_stable is not True:
+            for i, comp in enumerate(components):
                 require_flag(comp, SubsheafMode.STABLE, f"component {i}")
         if w == 0 and n >= 1:
             certificate = SubsystemProfile(((rank, degree),))
@@ -380,18 +380,16 @@ def system_verdict(
     leave unknown.  The oracle is ``verdict_from_search``, which decides
     every tower in closed form; it runs under semistable bounds, or under
     stable bounds when the cotangent degree is positive and every
-    component is attested stable, so that its stability side is a check
-    too.  A definite disagreement on either side raises
-    InconsistencyError.
+    component is attested stable (as the system recorded when built), so
+    that its stability side is a check too.  A definite disagreement on
+    either side raises InconsistencyError.
     """
     if not isinstance(sys.theta, Isomorphisms):
         return _declared_verdict(sys)
     criteria = criteria_verdicts(sys)
-    # without data the criteria say yes exactly when every component is attested
-    # semistable, and (the stability criterion, run when w > 0) stable
-    if criteria[0].semistable is not YES:
+    if sys.components_semistable is not True:
         return merge_verdicts(*criteria)
-    check_stable = criteria[-1].stable is YES
+    check_stable = sys.context.omega_degree > 0 and sys.components_stable is True
     subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
     oracle = verdict_from_search(sys, mode, subsheaf_mode)
     verdict = merge_verdicts(*criteria, oracle)

@@ -733,6 +733,14 @@ class TestDocumentValidation:
         assert code == 1
         assert "error" in report
 
+    @pytest.mark.parametrize("command", ["check-oper", "check-connection", "hn-tensor"])
+    @pytest.mark.parametrize("options", [{"constraint_mode": "paper"}, {}])
+    def test_command_without_options_refuses_the_section(self, capsys, tmp_path, command, options):
+        # only check-system and search read search_options
+        doc = write_doc(tmp_path, {**dict(FUZZ_SEEDS)[command], "search_options": options})
+        error = "document has unknown field(s): search_options"
+        assert run(capsys, [command, doc]) == (1, {"error": error}, f"invalid input: {error}\n")
+
 
 class TestDocumentRead:
     """The bytes-to-text contract of a document, pinned to the reports a
@@ -772,6 +780,17 @@ class TestDocumentRead:
             json.dumps({"error": error}) + "\n",
             f"invalid input: {error}\n",
         )
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, capsys, tmp_path):
+        # CPython's own text follows the prefix and differs between versions
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path = tmp_path / "doc.json"
+        doc = '{"hn_request": {"profile": [{"rank": 1, "degree": %s}]}}' % digits
+        path.write_text(doc, encoding="utf-8")
+        code, report, err = run(capsys, ["hn-tensor", str(path)])
+        assert code == 1
+        assert report["error"].startswith("document is not valid JSON: ")
+        assert err.startswith("invalid input: document is not valid JSON: ")
 
     def test_newlines_are_translated_before_parsing(self, capsys, tmp_path):
         lf = tmp_path / "lf.json"

@@ -2,11 +2,12 @@
 
 A command runs in process on a document of size N and on one of size 2N.
 Every bundle the document holds is read back as a ``CountedBundle``, which
-counts each read of its rank and degree, and the count at 2N may be at
-most 2.1 times the count at N.  A count a*N + c, with the constant c small
-against a*N, passes; one that grows like N^2, such as summing every
-component once per declared profile, reads about four times as much at 2N
-and fails.
+counts each read of its rank, degree and two attestations, and the count
+at 2N may be at most 2.1 times the count at N.  A count a*N + c, with the
+constant c small against a*N, passes; one that grows like N^2, such as
+summing every component once per declared profile, reads about four times
+as much at 2N and fails.  A declared system's profile entries touch no
+bundle, so that case also counts the entries checked, with the same bound.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from hodgeslope import cli
+from hodgeslope import cli, profiles
 from hodgeslope.slope_core import BundleData
 
 N = 150
 
 
 class CountedBundle(BundleData):
-    """A bundle that counts every read of its rank and degree."""
+    """A bundle that counts every read of its rank, degree and attestations."""
 
     reads = 0
 
@@ -37,6 +38,16 @@ class CountedBundle(BundleData):
     def degree(self):
         CountedBundle.reads += 1
         return self.__dict__["degree"]
+
+    @property
+    def semistable(self):
+        CountedBundle.reads += 1
+        return self.__dict__["semistable"]
+
+    @property
+    def stable(self):
+        CountedBundle.reads += 1
+        return self.__dict__["stable"]
 
 
 CURVE = {"characteristic": 0, "dim": 1, "omega_degree": 2, "omega_semistable": True}
@@ -115,4 +126,23 @@ def test_reads_grow_at_most_linearly(tmp_path, counted, case):
     small = reads(tmp_path, command, build(N))
     large = reads(tmp_path, command, build(2 * N))
     assert small >= N  # every bundle is read at least once
+    assert 10 * large <= 21 * small, (small, large)
+
+
+def test_declared_entries_grow_at_most_linearly(tmp_path, monkeypatch):
+    checked = []
+    entry = profiles._entry
+
+    def counted_entry(i, pair):
+        checked.append(i)
+        return entry(i, pair)
+
+    monkeypatch.setattr(profiles, "_entry", counted_entry)
+    counts = []
+    for n in (N, 2 * N):
+        checked.clear()
+        reads(tmp_path, "check-system", declared_system(n))
+        counts.append(len(checked))
+    small, large = counts
+    assert small >= N  # every declared entry is checked at least once
     assert 10 * large <= 21 * small, (small, large)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeslope import search_oracle
+from hodgeslope import hodge_system, search_oracle
 from hodgeslope.hodge_system import (
     Answer,
     Declared,
@@ -517,21 +517,38 @@ class TestClosedForm:
         assert (verdict.semistable, verdict.certificate.entries) == (Answer.NO, ((2, 1),))
 
     def test_each_attestation_read_once_per_check(self):
-        # the oracle reads each flag kind once per component, and
-        # system_verdict takes "every component attested" from the criteria
-        # instead of reading the flags again
+        # the system records "every component attested" when it is built,
+        # and the criteria and the oracle read the record, not the flags
         ctx = GeometricContext(0, 1, 2, omega_semistable=True, omega_stable=True)
         tower = derive_components(BundleData(1, 1), ctx, 3)
+        CountedFlags.reads.clear()
         comps = tuple(CountedFlags(c.rank, c.degree, True, True) for c in tower.components)
         sys = HodgeSystem(ctx, comps, ISOMORPHISMS)
-        CountedFlags.reads.clear()
-        verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
-        assert CountedFlags.reads == {"semistable": 4, "stable": 4}
-        CountedFlags.reads.clear()
         verdict = system_verdict(sys)
         assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
-        # once by the criteria, once by the oracle
-        assert CountedFlags.reads == {"semistable": 8, "stable": 8}
+        verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
+        assert CountedFlags.reads == {"semistable": 4, "stable": 4}
+
+    def test_semistable_tower_reads_each_flag_once(self):
+        # both criteria and the oracle run on this tower, and all of them
+        # read the record the system made when it was built
+        ctx = GeometricContext(0, 1, 2, omega_semistable=True)
+        tower = derive_components(BundleData(2, 1), ctx, 3)
+        CountedFlags.reads.clear()
+        comps = tuple(CountedFlags(c.rank, c.degree, True) for c in tower.components)
+        verdict = system_verdict(HodgeSystem(ctx, comps, ISOMORPHISMS))
+        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        assert CountedFlags.reads == {"semistable": 4, "stable": 4}
+
+    def test_oracle_bounds_follow_the_attestations_not_the_criteria(self, monkeypatch):
+        # a sound stability rule (stable E_0, semistable E_i, w > 0) may
+        # answer yes on this tower; the oracle must still run under
+        # semistable bounds, since only E_0 is attested stable
+        sys = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (True, None)])
+        stable = Verdict(Answer.YES, Answer.YES, provenance="stable base component")
+        monkeypatch.setattr(hodge_system, "criterion_stable", lambda sys: stable)
+        verdict = system_verdict(sys)
+        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
 
 
 class CountedFlags(BundleData):
