@@ -38,6 +38,7 @@ from .slope_core import (
     format_rational,
     slope,
     slope_of_sum,
+    too_large,
 )
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
@@ -55,7 +56,11 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _emit(report: dict, summary: str) -> None:
-    sys.stdout.write(_encode(report) + "\n")
+    try:
+        text = _encode(report)
+    except ValueError:  # an integer past the digit limit
+        raise too_large() from None
+    sys.stdout.write(text + "\n")
     sys.stderr.write(summary + "\n")
 
 
@@ -193,8 +198,6 @@ def _cmd_hn_tensor(args: SimpleNamespace) -> int:
 
 def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
     rows = verify_hodge_sums(args.d_max, args.n_max)
-    for d, checked in rows:
-        print(f"d={d}: {checked}/{checked} hold (all hold)", file=sys.stderr)
     report = {
         "all_hold": True,
         "checked": sum(checked for _, checked in rows),
@@ -202,18 +205,12 @@ def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
         "n_max": args.n_max,
         "failures": [],
     }
-    sys.stdout.write(_encode(report) + "\n")
+    _emit(report, "\n".join(f"d={d}: {checked}/{checked} hold (all hold)" for d, checked in rows))
     return 0
 
 
 def _cmd_gallery(args: SimpleNamespace) -> int:
-    params = {}
-    if args.g is not None:
-        params["g"] = args.g
-    if args.d_line is not None:
-        params["d_line"] = args.d_line
-    if args.d0 is not None:
-        params["d0"] = args.d0
+    params = {k: v for k, v in vars(args).items() if k in ("g", "d_line", "d0") and v is not None}
     entry, recomputed = checked_entry(args.name, **params)
     mu = format_rational(total_slope(entry.system))
     report = {

@@ -33,6 +33,7 @@ from .slope_core import (
     _check_keys,
     format_rational,
     slope,
+    too_large,
 )
 
 PROV_TOWER_SEMISTABLE = "semistable components in an isomorphism tower"
@@ -96,10 +97,14 @@ def require_tower(pieces: tuple[BundleData, ...], context: GeometricContext, wha
     for i, piece in enumerate(pieces):
         rank, degree = tower_component(pieces[0], context, i)
         if (piece.rank, piece.degree) != (rank, degree):
-            raise ValueError(
-                f"{what.format(i)}: expected (rank {rank}, degree {degree}), "
-                f"got (rank {piece.rank}, degree {piece.degree})"
-            )
+            try:
+                message = (
+                    f"{what.format(i)}: expected (rank {rank}, degree {degree}), "
+                    f"got (rank {piece.rank}, degree {piece.degree})"
+                )
+            except ValueError:  # the expected piece is past the digit limit
+                raise too_large() from None
+            raise ValueError(message)
 
 
 def _join(flags: list[bool | None]) -> bool | None:

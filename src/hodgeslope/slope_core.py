@@ -10,6 +10,7 @@ something computed here.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
@@ -19,9 +20,18 @@ from fractions import Fraction
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def too_large() -> ValueError:
+    """The refusal of a report holding an integer past sys.get_int_max_str_digits()."""
+    limit = sys.get_int_max_str_digits()
+    return ValueError(f"report too large: an integer in it has more than {limit} digits")
+
+
 def format_rational(x: Fraction) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, denominator always shown."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # a term past the digit limit
+        raise too_large() from None
 
 
 def _is_prime(p: int) -> bool:

@@ -688,6 +688,46 @@ class TestGalleryCommand:
         assert report["error"] == f"argument --g: invalid int value: '{value}'"
 
 
+def too_large_report() -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a report refused for an integer past
+    the interpreter's int-to-string limit."""
+    limit = sys.get_int_max_str_digits()
+    error = f"report too large: an integer in it has more than {limit} digits"
+    return 1, json.dumps({"error": error}) + "\n", f"invalid input: {error}\n"
+
+
+class TestIntegerDigitLimit:
+    """Every input integer parses, but the report would hold one with more
+    digits than str() converts: the refusal is ours, not CPython's text."""
+
+    def test_hn_tensor_product_degree(self, capsys, tmp_path):
+        # a 4,000-digit degree times a 4,000-digit rank has about 8,000 digits
+        big = int("7" * 4000)
+        doc = write_doc(tmp_path, {"hn_request": {
+            "profile": [{"rank": 1, "degree": big, "semistable": True}],
+            "tensor_with": {"rank": big, "degree": 0, "semistable": True},
+        }})
+        assert run_raw(capsys, ["hn-tensor", doc]) == too_large_report()
+
+    def test_declared_system_mu_total(self, capsys, tmp_path):
+        # three degrees at the limit sum past it, over a total rank of 4
+        nines = 10 ** sys.get_int_max_str_digits() - 1
+        components = [{"rank": r, "degree": nines} for r in (1, 1, 2)]
+        doc = write_doc(tmp_path, {"hodge_system": {
+            "context": curve(0).to_json(), "components": components, "theta": {"declared": []},
+        }})
+        assert run_raw(capsys, ["check-system", doc]) == too_large_report()
+
+    def test_tower_error_text(self, capsys, tmp_path):
+        # dim = 10^2200: the expected rank of component 2 has 4,401 digits
+        context = GeometricContext(0, 10**2200, 1, True)
+        components = [{"rank": r, "degree": e} for r, e in ((1, 0), (10**2200, 1), (1, 0))]
+        doc = write_doc(tmp_path, {"hodge_system": {
+            "context": context.to_json(), "components": components, "theta": "isomorphisms",
+        }})
+        assert run_raw(capsys, ["check-system", doc]) == too_large_report()
+
+
 class TestDocumentValidation:
     def test_unknown_top_level_field(self, capsys, tmp_path):
         doc = write_doc(tmp_path, {"hodge_system": {}, "extra": 1})

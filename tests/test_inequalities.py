@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hodgeslope.inequalities import (
     MAX_SWEEP_CHECKS,
     InequalityCheck,
     SequencePair,
-    _power_sum_tables,
+    _adjacent_failures,
     chebyshev_lower,
     chebyshev_upper,
     geometric_sum,
@@ -59,6 +60,34 @@ def reference_hodge_sum_sweep(d_max: int, n_max: int):
                     failures.append((r, n))
         rows.append((d, checked, failures))
     return rows
+
+
+def reference_adjacent_failures(d: int, n_max: int) -> list[tuple[int, int]]:
+    """The failing adjacent pairs (k-1, k), k <= n_max, over term-by-term
+    sums: the reference for the sweep's running-sum pass."""
+    w = [reference_weighted_power_sum(d, k) for k in range(n_max + 1)]
+    s = [reference_geometric_sum(d, k) for k in range(n_max + 1)]
+    return [(k - 1, k) for k in range(1, n_max + 1) if w[k - 1] * s[k] > w[k] * s[k - 1]]
+
+
+def line_events(call, *args) -> int:
+    """Line events traced while call(*args) runs: a measure of the work
+    the interpreter does that does not depend on the host's speed."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def largest_n_max(d_max: int) -> int:
@@ -222,14 +251,16 @@ class TestHodgeSum:
                 assert w == reference_weighted_power_sum(d, k), (d, k)
                 assert s == reference_geometric_sum(d, k), (d, k)
 
-    def test_running_sum_tables_match_closed_forms_and_term_sums(self):
-        for d in range(1, 9):
-            w, s = _power_sum_tables(d, 150)
-            assert len(w) == len(s) == 151
-            for k in range(151):
-                assert type(w[k]) is int and type(s[k]) is int
-                assert w[k] == weighted_power_sum(d, k) == reference_weighted_power_sum(d, k)
-                assert s[k] == geometric_sum(d, k) == reference_geometric_sum(d, k)
+    def test_adjacent_failures_match_term_sums(self):
+        # below d = 1, outside the theorem, pairs do fail (at d = -1 every
+        # even k; at d = 0 none, with equality from k = 2 on), so the running
+        # sums, the comparison and the labels are checked on real failures
+        assert _adjacent_failures(-1, 6) == [(1, 2), (3, 4), (5, 6)]
+        for d in range(-6, 9):
+            expected = reference_adjacent_failures(d, 60)
+            for n_max in range(61):
+                want = [pair for pair in expected if pair[1] <= n_max]
+                assert _adjacent_failures(d, n_max) == want, (d, n_max)
 
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
@@ -271,29 +302,20 @@ class TestHodgeSum:
         assert all(not failures for _, _, failures in rows)
         assert rows == reference_hodge_sum_sweep(*size)
 
-    def test_sweep_checks_adjacent_pairs_only(self, monkeypatch):
-        calls = []
-        sides = inequalities._hodge_sides
-
-        def counted(*sums):
-            calls.append(sums)
-            return sides(*sums)
-
-        monkeypatch.setattr(inequalities, "_hodge_sides", counted)
+    def test_sweep_checks_adjacent_pairs_only(self):
+        # doubling n_max about doubles the work; an all-pairs loop quadruples it
         rows = hodge_sum_sweep(3, 100)
         assert sum(checked for _, checked, _ in rows) == 15_453
-        assert len(calls) <= 3 * 100
+        assert line_events(hodge_sum_sweep, 3, 100) < 2.2 * line_events(hodge_sum_sweep, 3, 50)
 
     @pytest.mark.parametrize("d, k", [(1, 1), (2, 5), (3, 8)])
     def test_a_failing_adjacent_pair_is_reported_alone(self, monkeypatch, d, k):
-        sides = inequalities._hodge_sides
-        broken = (weighted_power_sum(d, k), geometric_sum(d, k))
+        failures = inequalities._adjacent_failures
 
-        def failing_at_k(w_r, s_r, w_n, s_n):
-            lhs, rhs = sides(w_r, s_r, w_n, s_n)
-            return (rhs + 1, rhs) if (w_n, s_n) == broken else (lhs, rhs)
+        def failing_at_k(e, n_max):
+            return failures(e, n_max) + ([(k - 1, k)] if e == d else [])
 
-        monkeypatch.setattr(inequalities, "_hodge_sides", failing_at_k)
+        monkeypatch.setattr(inequalities, "_adjacent_failures", failing_at_k)
         rows = hodge_sum_sweep(3, 8)
         assert [(e, failures) for e, _, failures in rows] == [
             (e, [(k - 1, k)] if e == d else []) for e in (1, 2, 3)
@@ -301,15 +323,15 @@ class TestHodgeSum:
         with pytest.raises(InconsistencyError, match="proved inequality failed"):
             verify_hodge_sums(3, 8)
 
-    def test_sweep_tabulates_sums_once_per_degree(self, monkeypatch):
+    def test_sweep_makes_one_pass_per_degree(self, monkeypatch):
         calls = []
-        tables = inequalities._power_sum_tables
+        failures = inequalities._adjacent_failures
 
         def counted(d, n_max):
             calls.append((d, n_max))
-            return tables(d, n_max)
+            return failures(d, n_max)
 
-        monkeypatch.setattr(inequalities, "_power_sum_tables", counted)
+        monkeypatch.setattr(inequalities, "_adjacent_failures", counted)
         rows = hodge_sum_sweep(3, 40)
         assert sum(checked for _, checked, _ in rows) == 3 * 41 * 42 // 2
         assert calls == [(1, 40), (2, 40), (3, 40)]
@@ -321,7 +343,7 @@ class TestHodgeSum:
             hodge_sum_sweep(3, 300)
 
     def test_failed_check_is_an_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(inequalities, "_hodge_sides", lambda *sums: (1, 0))
+        monkeypatch.setattr(inequalities, "_adjacent_failures", lambda d, n_max: [(0, 1)])
         with pytest.raises(InconsistencyError, match="proved inequality failed"):
             verify_hodge_sums(1, 2)
 

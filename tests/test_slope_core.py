@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -269,6 +270,12 @@ class TestSlope:
         assert format_rational(Fraction(8, 3)) == "8/3"
         assert format_rational(Fraction(2)) == "2/1"
         assert format_rational(Fraction(-1, 2)) == "-1/2"
+
+    def test_format_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert len(format_rational(Fraction(10**limit - 1, 7))) == limit + 2
+        with pytest.raises(ValueError, match=f"^report too large: .* more than {limit} digits$"):
+            format_rational(Fraction(1, 10**limit))
 
 
 class TestDirectSum:
