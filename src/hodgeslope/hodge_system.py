@@ -32,8 +32,8 @@ from .slope_core import (
     GeometricContext,
     _check_keys,
     format_rational,
+    refusal,
     slope,
-    too_large,
 )
 
 PROV_TOWER_SEMISTABLE = "semistable components in an isomorphism tower"
@@ -97,14 +97,8 @@ def require_tower(pieces: tuple[BundleData, ...], context: GeometricContext, wha
     for i, piece in enumerate(pieces):
         rank, degree = tower_component(pieces[0], context, i)
         if (piece.rank, piece.degree) != (rank, degree):
-            try:
-                message = (
-                    f"{what.format(i)}: expected (rank {rank}, degree {degree}), "
-                    f"got (rank {piece.rank}, degree {piece.degree})"
-                )
-            except ValueError:  # the expected piece is past the digit limit
-                raise too_large() from None
-            raise ValueError(message)
+            raise refusal(lambda: f"{what.format(i)}: expected (rank {rank}, degree {degree}), "
+                          f"got (rank {piece.rank}, degree {piece.degree})")
 
 
 def _join(flags: list[bool | None]) -> bool | None:

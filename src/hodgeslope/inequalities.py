@@ -4,9 +4,11 @@ These are the arithmetic backbone of the semistability criterion: the
 Chebyshev inequalities bound the degree of a graded subobject by reordered
 sums, and the power-sum inequality says the partial tower slopes increase
 with the truncation grade.  Everything is evaluated exactly and reported
-with both side values as a witness.  The Chebyshev checks scale each
-sequence to integers over one common denominator, compare integers, and
-return the two sides as exact rationals.
+with both side values as a witness.  A Chebyshev check makes one integer
+pass per sequence: it reads each entry's integer ratio once, scales the
+sequence to integers over the lcm of its denominators and checks their
+order, then compares n * sum(A_i B_i) with sum(A) * sum(B) as integers and
+returns the two sides as exact rationals over Da * Db.
 
 The power-sum sweep compares adjacent grades only.  With
 W(k) = sum_{i<=k} i d^(i-1) and S(k) = sum_{j<=k} d^j >= 1, the inequality
@@ -25,7 +27,7 @@ import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .slope_core import Frozen, InconsistencyError
+from .slope_core import Frozen, InconsistencyError, refusal
 
 Number = int | Fraction
 
@@ -68,33 +70,21 @@ class InequalityCheck(Frozen):
         return self.holds
 
 
-def _scaled(seq: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def _integers(seq: tuple[Fraction, ...], name: str, increasing: bool) -> tuple[list[int], int]:
     """Integers A and one positive denominator D with seq[i] == A[i] / D,
-    D the lcm of the entries' denominators.  Order, sums and products of
-    the A[i] are those of the entries, scaled by positive powers of D."""
+    D the lcm of the entries' denominators, reading each entry once.  Order,
+    sums and products of the A[i] are those of the entries, scaled by
+    positive powers of D.  Raise at the first index where seq breaks the
+    order: nondecreasing when ``increasing``, nonincreasing otherwise."""
     ratios = [x.as_integer_ratio() for x in seq]
     den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _require_monotone(seq: list[int], name: str, increasing: bool) -> None:
-    """Raise at the first index where seq breaks the order: nondecreasing
-    when ``increasing``, nonincreasing otherwise."""
-    broken = list(map(operator.gt if increasing else operator.lt, seq, seq[1:]))
-    if any(broken):
+    ints = [n * (den // d) for n, d in ratios]
+    broken = operator.gt if increasing else operator.lt
+    if any(map(broken, ints, ints[1:])):
+        index = list(map(broken, ints, ints[1:])).index(True)
         order = "nondecreasing" if increasing else "nonincreasing"
-        raise ValueError(f"sequence {name} is not {order} at index {broken.index(True)}")
-
-
-def _scaled_sums(p: SequencePair, a_increasing: bool) -> tuple[int, int, int]:
-    """n * sum(A_i B_i) and sum(A) * sum(B) over the integer scalings of
-    a (checked monotone in the given direction) and b (checked
-    nondecreasing), with the common denominator Da * Db of both."""
-    a, da = _scaled(p.a)
-    _require_monotone(a, "a", a_increasing)
-    b, db = _scaled(p.b)
-    _require_monotone(b, "b", True)
-    return len(a) * sum(map(operator.mul, a, b)), sum(a) * sum(b), da * db
+        raise ValueError(f"sequence {name} is not {order} at index {index}")
+    return ints, den
 
 
 def chebyshev_upper(p: SequencePair) -> InequalityCheck:
@@ -103,7 +93,9 @@ def chebyshev_upper(p: SequencePair) -> InequalityCheck:
 
     A paper statement: the acceptance suite checks it, and the benchmark's
     probe calls it and its tracer times it, so it stays in the library."""
-    cross, total, den = _scaled_sums(p, a_increasing=False)
+    a, da = _integers(p.a, "a", False)
+    b, db = _integers(p.b, "b", True)
+    cross, total, den = len(a) * sum(map(operator.mul, a, b)), sum(a) * sum(b), da * db
     return InequalityCheck(cross <= total, Fraction(cross, den), Fraction(total, den))
 
 
@@ -113,7 +105,9 @@ def chebyshev_lower(p: SequencePair) -> InequalityCheck:
 
     A paper statement: the acceptance suite checks it, and the benchmark's
     probe calls it and its tracer times it, so it stays in the library."""
-    cross, total, den = _scaled_sums(p, a_increasing=True)
+    a, da = _integers(p.a, "a", True)
+    b, db = _integers(p.b, "b", True)
+    cross, total, den = len(a) * sum(map(operator.mul, a, b)), sum(a) * sum(b), da * db
     return InequalityCheck(total <= cross, Fraction(total, den), Fraction(cross, den))
 
 
@@ -185,7 +179,7 @@ def hodge_sum_sweep(d_max: int, n_max: int) -> list[tuple[int, int, list[tuple[i
     pairs = (n_max + 1) * (n_max + 2) // 2
     checks = d_max * pairs
     if checks > MAX_SWEEP_CHECKS:
-        raise ValueError(f"sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}")
+        raise refusal(lambda: f"sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}")
     return [(d, pairs, _adjacent_failures(d, n_max)) for d in range(1, d_max + 1)]
 
 

@@ -38,6 +38,7 @@ from .slope_core import (
     GeometricContext,
     _as_bool,
     _check_keys,
+    refusal,
 )
 
 PROV_OPER = "generalized oper reduction"
@@ -138,8 +139,8 @@ class ConnectionPair(Frozen):
             rank_total = sum(g.rank for g in filtration.graded)
             degree_total = sum(g.degree for g in filtration.graded)
             if (total.rank, total.degree) != (rank_total, degree_total):
-                raise ValueError(
-                    "total invariants do not match the graded pieces: "
+                raise refusal(
+                    lambda: "total invariants do not match the graded pieces: "
                     f"expected (rank {rank_total}, degree {degree_total}), "
                     f"got (rank {total.rank}, degree {total.degree})"
                 )

@@ -11,7 +11,7 @@ something computed here.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
 
@@ -24,6 +24,15 @@ def too_large() -> ValueError:
     """The refusal of a report holding an integer past sys.get_int_max_str_digits()."""
     limit = sys.get_int_max_str_digits()
     return ValueError(f"report too large: an integer in it has more than {limit} digits")
+
+
+def refusal(text: Callable[[], str]) -> ValueError:
+    """ValueError(text()), or too_large() when the text would hold an
+    integer past sys.get_int_max_str_digits()."""
+    try:
+        return ValueError(text())
+    except ValueError:  # an integer past the digit limit
+        return too_large()
 
 
 def format_rational(x: Fraction) -> str:

@@ -727,6 +727,24 @@ class TestIntegerDigitLimit:
         }})
         assert run_raw(capsys, ["check-system", doc]) == too_large_report()
 
+    def test_sweep_refusal_count(self, capsys):
+        # d_max has 4,201 digits and n_max 201: the check count has about 4,600
+        argv = ["verify-inequalities", "--d-max", "1" + "0" * 4200, "--n-max", "1" + "0" * 200]
+        assert run_raw(capsys, argv) == too_large_report()
+
+    def test_connection_graded_totals(self, capsys, tmp_path):
+        # three graded degrees at the limit sum past it; total (3, 0) differs
+        nines = 10 ** sys.get_int_max_str_digits() - 1
+        filtration = {
+            "context": curve(0).to_json(),
+            "graded": [{"rank": 1, "degree": nines, "semistable": True}] * 3,
+            "transversal": True, "theta_squares_to_zero": True, "theta_iso": False,
+        }
+        doc = write_doc(tmp_path, {"connection_pair": {
+            "total": {"rank": 3, "degree": 0}, "flat": True, "filtration": filtration,
+        }})
+        assert run_raw(capsys, ["check-connection", doc]) == too_large_report()
+
 
 class TestDocumentValidation:
     def test_unknown_top_level_field(self, capsys, tmp_path):

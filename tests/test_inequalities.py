@@ -206,12 +206,56 @@ class TestChebyshev:
             chebyshev_upper(make_pair([3, 2, 1], [1, 3, 2]))
         with pytest.raises(ValueError, match="a is not nondecreasing at index 0"):
             chebyshev_lower(make_pair([2, 1], [1, 2]))
+        # when both sequences break their order, the error names a
+        with pytest.raises(ValueError, match="sequence a is not nonincreasing at index 1"):
+            chebyshev_upper(make_pair([2, 1, 3], [1, 0, 2]))
+        with pytest.raises(ValueError, match="sequence a is not nondecreasing at index 0"):
+            chebyshev_lower(make_pair([2, 1, 3], [1, 0, 2]))
+
+    @pytest.mark.parametrize("check, a, b, error", [
+        (chebyshev_upper, [3, 2, 2, Fraction(5, 2)], [0, 1, 1, 2], "a is not nonincreasing"),
+        (chebyshev_upper, [3, 2, 2, 1], [0, 1, 1, Fraction(1, 2)], "b is not nondecreasing"),
+        (chebyshev_lower, [0, 1, 1, Fraction(1, 2)], [0, 1, 2, 3], "a is not nondecreasing"),
+    ])
+    def test_a_break_at_the_last_adjacent_index(self, check, a, b, error):
+        with pytest.raises(ValueError, match=f"{error} at index 2"):
+            check(make_pair(a, b))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             make_pair([1], [1, 2])
         with pytest.raises(ValueError, match="nonempty"):
             make_pair([], [])
+
+    def test_common_denominator_past_64_bits(self):
+        # the denominators' lcms exceed 2^105 and 2^189, so no side fits a machine word
+        a = sorted([Fraction(7, 2**64 + 1), Fraction(-3, 2**40 + 1), Fraction(-1, 3)])
+        b = sorted([Fraction(-5, 2**61 - 1), Fraction(1, 2**64 + 13), Fraction(2, 2**64 + 1)])
+        for check, reference, pair in ((chebyshev_upper, reference_upper, make_pair(a[::-1], b)),
+                                       (chebyshev_lower, reference_lower, make_pair(a, b))):
+            result = check(pair)
+            assert outcome(check, pair) == outcome(reference, pair)
+            assert min(result.lhs.denominator, result.rhs.denominator) > 2**64
+
+    def test_each_entry_read_once_per_check(self, monkeypatch):
+        rng = random.Random(19)
+        checks = []
+        for length in (1, 4, 10):
+            pair = monotone_pair(rng, length, a_increasing=True)
+            checks += [(chebyshev_lower, pair), (chebyshev_upper, make_pair(pair.a[::-1], pair.b))]
+        reads = 0
+        as_integer_ratio = Fraction.as_integer_ratio
+
+        def counted(self):
+            nonlocal reads
+            reads += 1
+            return as_integer_ratio(self)
+
+        monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+        for check, pair in checks:
+            reads = 0
+            check(pair)
+            assert reads == len(pair.a) + len(pair.b)
 
     def test_random_monotone_pairs(self):
         rng = random.Random(20260809)
