@@ -163,10 +163,10 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
     filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
     report = _verdict_report(verdict, slope_of_sum(filtration.graded))
-    report["generalized_oper"] = check.ok
+    report["generalized_oper"] = bool(check)
     report["classical_oper"] = check.classical
     report["reasons"] = list(check.reasons)
-    _emit(report, f"check-oper: generalized_oper={check.ok} " + _summary("verdict", verdict))
+    _emit(report, f"check-oper: generalized_oper={bool(check)} " + _summary("verdict", verdict))
     return 0
 
 
@@ -213,18 +213,17 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
     params = {k: v for k, v in vars(args).items() if k in ("g", "d_line", "d0") and v is not None}
     entry, recomputed = checked_entry(args.name, **params)
     mu = format_rational(total_slope(entry.system))
+    expected = entry.expected
     report = {
         "entry": {
-            "name": entry.name,
+            "name": args.name,
             "system": system_to_json(entry.system),
-            "declared_subobject": (
-                entry.declared_subobject.to_json() if entry.declared_subobject else None
-            ),
-            "expected": verdict_json(entry.expected, mu),
+            "declared_subobject": expected.certificate.to_json(),
+            "expected": verdict_json(expected, mu),
         },
         "recomputed": verdict_json(recomputed, mu),
     }
-    _emit(report, f"gallery {entry.name}: " + _summary("verdict", recomputed))
+    _emit(report, f"gallery {args.name}: " + _summary("verdict", recomputed))
     return 0
 
 

@@ -1,20 +1,21 @@
-"""Worked example families on curves, with declared destabilizers and
-expected verdicts.
+"""Worked example families on curves, with expected verdicts.
 
 Each constructor pins a family by its genus and degree parameters and
-returns the system, the witnessing subobject profile, and the verdict the
-package must reproduce: one strictly semistable isomorphism tower, and
-three families that fail semistability because a graded map degenerates or
-a component is unstable.  Line bundle data that the families are built
-from (square roots of the cotangent bundle, large-degree twists) enters
-only through the resulting integer degrees.
+returns the system and the verdict the package must reproduce, whose
+certificate is the witnessing subobject profile: one strictly semistable
+isomorphism tower, and three families that fail semistability because a
+graded map degenerates or a component is unstable.  In those three the
+invariant line E_0 is the declared destabilizing prefix, so one
+constructor, ``_prefix_destabilizes``, builds them from their E_1.  Line
+bundle data that the families are built from (square roots of the
+cotangent bundle, large-degree twists) enters only through the resulting
+integer degrees.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .hn_profiles import HNProfile
 from .hodge_system import (
     Answer,
     Declared,
@@ -24,29 +25,16 @@ from .hodge_system import (
     Verdict,
 )
 from .profiles import SubsystemProfile
-from .search_oracle import (
-    PROV_DECLARED,
-    PROV_ORACLE,
-    check_declared,
-    verdict_from_search,
-)
-from .slope_core import BundleData, Frozen, GeometricContext, InconsistencyError, direct_sum
+from .search_oracle import PROV_DECLARED, PROV_ORACLE, system_verdict, verdict_from_search
+from .slope_core import BundleData, Frozen, GeometricContext, InconsistencyError
 
 
 class GalleryEntry(Frozen):
-    _fields = ("name", "system", "declared_subobject", "expected")
+    _fields = ("system", "expected")
 
-    def __init__(
-        self,
-        name: str,
-        system: HodgeSystem,
-        declared_subobject: SubsystemProfile | None,
-        expected: Verdict,
-    ) -> None:
+    def __init__(self, system: HodgeSystem, expected: Verdict) -> None:
         fields = self.__dict__
-        fields["name"] = name
         fields["system"] = system
-        fields["declared_subobject"] = declared_subobject
         fields["expected"] = expected
 
 
@@ -61,6 +49,15 @@ def _curve_context(g: int) -> GeometricContext:
     )
 
 
+def _prefix_destabilizes(g: int, d0: int, e1: BundleData) -> GalleryEntry:
+    """The stable line E_0 of degree d0 over E_1 on a genus-g curve, with
+    the prefix ((1, d0),) declared as the destabilizing subobject."""
+    e0 = BundleData(1, d0, semistable=True, stable=True)
+    witness = SubsystemProfile(((1, d0),))
+    system = HodgeSystem(_curve_context(g), (e0, e1), Declared((witness,)))
+    return GalleryEntry(system, Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED))
+
+
 def example_strictly_semistable(g: int = 2) -> GalleryEntry:
     """Rank-2 tower E_0 + E_1 with strictly semistable components.
 
@@ -71,13 +68,11 @@ def example_strictly_semistable(g: int = 2) -> GalleryEntry:
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    context = _curve_context(g)
     e0 = BundleData(2, -(2 * g - 2), semistable=True, stable=False)
     e1 = BundleData(2, 2 * g - 2, semistable=True, stable=False)
-    system = HodgeSystem(context, (e0, e1), ISOMORPHISMS)
+    system = HodgeSystem(_curve_context(g), (e0, e1), ISOMORPHISMS)
     witness = SubsystemProfile(((1, -(g - 1)), (1, g - 1)))
-    expected = Verdict(Answer.YES, Answer.NO, witness, PROV_ORACLE)
-    return GalleryEntry("strictly-semistable", system, witness, expected)
+    return GalleryEntry(system, Verdict(Answer.YES, Answer.NO, witness, PROV_ORACLE))
 
 
 def example_surjective_not_iso(g: int = 2, d_line: int = 3) -> GalleryEntry:
@@ -91,13 +86,7 @@ def example_surjective_not_iso(g: int = 2, d_line: int = 3) -> GalleryEntry:
         raise ValueError("genus must be at least 2")
     if d_line <= 2 * g - 2:
         raise ValueError("hypothesis d > 2g-2 violated")
-    context = _curve_context(g)
-    e0 = BundleData(1, d_line, semistable=True, stable=True)
-    e1 = BundleData(2, d_line + 2 * g - 2, semistable=True)
-    witness = SubsystemProfile(((1, d_line),))
-    system = HodgeSystem(context, (e0, e1), Declared((witness,)))
-    expected = Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED)
-    return GalleryEntry("surjective-not-iso", system, witness, expected)
+    return _prefix_destabilizes(g, d_line, BundleData(2, d_line + 2 * g - 2, semistable=True))
 
 
 def example_injective_not_iso(g: int = 2, d0: int = 4) -> GalleryEntry:
@@ -111,49 +100,21 @@ def example_injective_not_iso(g: int = 2, d0: int = 4) -> GalleryEntry:
         raise ValueError("genus must be at least 2")
     if d0 < 1:
         raise ValueError("the invariant line must have positive degree")
-    context = _curve_context(g)
-    e0 = BundleData(1, d0, semistable=True, stable=True)
-    e1 = BundleData(1, -d0, semistable=True, stable=True)
-    witness = SubsystemProfile(((1, d0),))
-    system = HodgeSystem(context, (e0, e1), Declared((witness,)))
-    expected = Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED)
-    return GalleryEntry("injective-not-iso", system, witness, expected)
-
-
-def unstable_component_lines(g: int, d0: int) -> tuple[BundleData, BundleData]:
-    """The two line summands of the non-semistable grade-1 component."""
-    l1 = BundleData(1, -2 * d0 - (2 * g - 2), semistable=True, stable=True)
-    l2 = BundleData(1, d0 + 2 * g - 2, semistable=True, stable=True)
-    return l1, l2
-
-
-def unstable_component_hn(g: int, d0: int) -> HNProfile:
-    """Harder-Narasimhan profile of that component: the larger-slope line
-    first."""
-    l1, l2 = unstable_component_lines(g, d0)
-    return HNProfile((l2, l1))
+    return _prefix_destabilizes(g, d0, BundleData(1, -d0, semistable=True, stable=True))
 
 
 def example_unstable_component(g: int = 2, d0: int = 1) -> GalleryEntry:
     """Degree-0 system whose grade-1 component splits unstably.
 
-    E_1 is a sum of two lines of degrees -2d0-(2g-2) and d0+2g-2, so it is
-    not semistable; the invariant line E_0 of degree d0 destabilizes the
-    total.
+    E_1 = (2, -d0) is the sum of two lines of degrees -2d0-(2g-2) and
+    d0+2g-2, so it is attested not semistable; the invariant line E_0 of
+    degree d0 destabilizes the total.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
     if d0 < 1:
         raise ValueError("the invariant line must have positive degree")
-    context = _curve_context(g)
-    e0 = BundleData(1, d0, semistable=True, stable=True)
-    l1, l2 = unstable_component_lines(g, d0)
-    summed = direct_sum([l1, l2])
-    e1 = BundleData(summed.rank, summed.degree, semistable=False, stable=False)
-    witness = SubsystemProfile(((1, d0),))
-    system = HodgeSystem(context, (e0, e1), Declared((witness,)))
-    expected = Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED)
-    return GalleryEntry("unstable-component", system, witness, expected)
+    return _prefix_destabilizes(g, d0, BundleData(2, -d0, semistable=False, stable=False))
 
 
 BUILDERS: dict[str, Callable[..., GalleryEntry]] = {
@@ -167,19 +128,22 @@ BUILDERS: dict[str, Callable[..., GalleryEntry]] = {
 def build_entry(name: str, **params: int) -> GalleryEntry:
     if name not in BUILDERS:
         raise ValueError(f"unknown gallery entry {name!r}; choose from {sorted(BUILDERS)}")
-    try:
-        return BUILDERS[name](**params)
-    except TypeError:
-        raise ValueError(f"entry {name!r} does not accept parameters {sorted(params)}")
+    builder = BUILDERS[name]
+    # the builder's own parameter names, read without importing inspect
+    code = builder.__code__
+    refused = sorted(set(params).difference(code.co_varnames[: code.co_argcount]))
+    if refused:
+        raise ValueError(f"entry {name!r} does not accept parameters {refused}")
+    return builder(**params)
 
 
 def recompute_verdict(entry: GalleryEntry) -> Verdict:
-    """Reproduce the entry's verdict by search (isomorphism towers) or by
-    judging the declared subobject."""
+    """Reproduce the entry's verdict: an isomorphism tower by search, a
+    declared system as ``check-system`` decides it, by judging its
+    declared profiles."""
     if isinstance(entry.system.theta, Isomorphisms):
         return verdict_from_search(entry.system)
-    assert entry.declared_subobject is not None
-    return check_declared(entry.system, entry.declared_subobject)
+    return system_verdict(entry.system)
 
 
 def checked_entry(name: str, **params: int) -> tuple[GalleryEntry, Verdict]:

@@ -152,22 +152,22 @@ class ConnectionPair(Frozen):
 
 
 class OperCheck(Frozen):
-    """Recognition outcome with the failing clauses spelled out.
+    """Recognition outcome with the failing clauses spelled out; it is
+    true exactly when no clause fails.
 
     ``classical`` refines a positive outcome: every graded piece is a
     line bundle.
     """
 
-    _fields = ("ok", "reasons", "classical")
+    _fields = ("reasons", "classical")
 
-    def __init__(self, ok: bool, reasons: tuple[str, ...] = (), classical: bool = False) -> None:
+    def __init__(self, reasons: tuple[str, ...] = (), classical: bool = False) -> None:
         fields = self.__dict__
-        fields["ok"] = ok
         fields["reasons"] = reasons
         fields["classical"] = classical
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.reasons
 
 
 def graded_of_filtration(f: GriffithsFiltration) -> HodgeSystem:
@@ -199,9 +199,8 @@ def is_generalized_oper(f: GriffithsFiltration) -> OperCheck:
     for i, piece in enumerate(f.graded):
         if piece.semistable is not True:
             reasons.append(f"graded piece {i} is not flagged semistable")
-    ok = not reasons
-    classical = ok and all(piece.rank == 1 for piece in f.graded)
-    return OperCheck(ok, tuple(reasons), classical)
+    classical = not reasons and all(piece.rank == 1 for piece in f.graded)
+    return OperCheck(tuple(reasons), classical)
 
 
 def oper_verdict(f: GriffithsFiltration) -> tuple[OperCheck, Verdict]:

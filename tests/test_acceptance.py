@@ -215,7 +215,7 @@ def test_criterion_5_gallery_regression():
             else None
         )
         if (verdict.semistable, verdict.stable, gap) != (want_ss, want_st, want_gap):
-            failures.append((entry.name, params, verdict.semistable, verdict.stable, gap))
+            failures.append((builder.__name__, params, verdict.semistable, verdict.stable, gap))
     report(
         "criterion 5 (gallery regression)",
         not failures,
@@ -333,14 +333,15 @@ def test_criterion_7_connection_additivity_and_transfer():
 
 def test_criterion_8_search_determinism(tmp_path, capsys):
     entries = [
-        example_strictly_semistable(2),
-        example_surjective_not_iso(2, 3),
-        example_injective_not_iso(2, 4),
-        example_unstable_component(2, 1),
+        (example_strictly_semistable, (2,)),
+        (example_surjective_not_iso, (2, 3)),
+        (example_injective_not_iso, (2, 4)),
+        (example_unstable_component, (2, 1)),
     ]
     mismatches = []
-    for entry in entries:
-        path = tmp_path / f"{entry.name}.json"
+    for builder, params in entries:
+        entry = builder(*params)
+        path = tmp_path / f"{builder.__name__}.json"
         path.write_text(
             json.dumps({"hodge_system": system_to_json(entry.system)}), encoding="utf-8"
         )
@@ -354,7 +355,7 @@ def test_criterion_8_search_determinism(tmp_path, capsys):
             code = cli.main(argv)
             outputs.append((code, capsys.readouterr().out.encode()))
         if len({out for out in outputs}) != 1:
-            mismatches.append(entry.name)
+            mismatches.append(builder.__name__)
     report(
         "criterion 8 (search determinism, including the default --mode spelled out)",
         not mismatches,

@@ -14,11 +14,10 @@ from hodgeslope.gallery import (
     example_surjective_not_iso,
     example_unstable_component,
     recompute_verdict,
-    unstable_component_hn,
 )
-from hodgeslope.hn_profiles import validate_hn
+from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import Answer, Verdict, total_slope
-from hodgeslope.slope_core import InconsistencyError, slope
+from hodgeslope.slope_core import BundleData, InconsistencyError, slope
 
 
 class TestStrictlySemistable:
@@ -26,8 +25,8 @@ class TestStrictlySemistable:
         entry = example_strictly_semistable(2)
         assert [(c.rank, c.degree) for c in entry.system.components] == [(2, -2), (2, 2)]
         assert total_slope(entry.system) == 0
-        assert entry.declared_subobject.entries == ((1, -1), (1, 1))
-        assert entry.declared_subobject.slope == 0
+        assert entry.expected.certificate.entries == ((1, -1), (1, 1))
+        assert entry.expected.certificate.slope == 0
 
     def test_total_degree_always_zero(self):
         for g in (1, 2, 3, 7):
@@ -37,7 +36,7 @@ class TestStrictlySemistable:
     def test_genus_three(self):
         entry = example_strictly_semistable(3)
         assert [(c.rank, c.degree) for c in entry.system.components] == [(2, -4), (2, 4)]
-        assert entry.declared_subobject.entries == ((1, -2), (1, 2))
+        assert entry.expected.certificate.entries == ((1, -2), (1, 2))
 
     def test_genus_one_degenerates(self):
         entry = example_strictly_semistable(1)
@@ -62,7 +61,7 @@ class TestSurjectiveNotIso:
     def test_stated_slope(self):
         entry = example_surjective_not_iso(2, 3)
         assert total_slope(entry.system) == Fraction(8, 3)
-        assert entry.declared_subobject.slope == 3
+        assert entry.expected.certificate.slope == 3
 
     def test_slope_gap_formula(self):
         for g, d in [(2, 3), (2, 5), (3, 5)]:
@@ -111,13 +110,15 @@ class TestUnstableComponent:
         assert e1.degree == -8 + 6
 
     def test_side_hn_profile_validates(self):
+        # E_1 splits as two lines of degrees d0+2g-2 and -2d0-(2g-2); its
+        # HN profile puts the larger-slope line first
         for g, d0 in [(2, 1), (2, 3), (3, 2)]:
-            hn = unstable_component_hn(g, d0)
+            l2 = BundleData(1, d0 + 2 * g - 2, semistable=True, stable=True)
+            l1 = BundleData(1, -2 * d0 - (2 * g - 2), semistable=True, stable=True)
+            hn = HNProfile((l2, l1))
             assert validate_hn(hn).valid
-            assert [(q.rank, q.degree) for q in hn.quotients] == [
-                (1, d0 + 2 * g - 2),
-                (1, -2 * d0 - 2 * g + 2),
-            ]
+            e1 = example_unstable_component(g, d0).system.components[1]
+            assert (l1.rank + l2.rank, l1.degree + l2.degree) == (e1.rank, e1.degree)
 
     def test_verdicts(self):
         for g, d0 in [(2, 1), (2, 3), (3, 2)]:
@@ -133,22 +134,32 @@ class TestUnstableComponent:
 
 class TestRegistry:
     def test_default_entries_reproduce_expectations(self):
-        for entry in [builder() for builder in BUILDERS.values()]:
+        for name, builder in BUILDERS.items():
+            entry = builder()
             verdict = recompute_verdict(entry)
-            assert verdict.semistable is entry.expected.semistable, entry.name
-            assert verdict.stable is entry.expected.stable, entry.name
+            assert verdict.semistable is entry.expected.semistable, name
+            assert verdict.stable is entry.expected.stable, name
 
     def test_build_entry_dispatch(self):
         entry = build_entry("injective-not-iso", d0=7)
-        assert entry.declared_subobject.slope == 7
+        assert entry.expected.certificate.slope == 7
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown gallery entry"):
             build_entry("nonexistent")
 
     def test_wrong_parameter(self):
-        with pytest.raises(ValueError, match="does not accept"):
-            build_entry("strictly-semistable", d0=3)
+        # only the parameters missing from the builder's signature are named
+        for name, params, refused in [
+            ("strictly-semistable", {"d0": 3}, ["d0"]),
+            ("surjective-not-iso", {"g": 2, "d0": 3}, ["d0"]),
+            ("injective-not-iso", {"g": 3, "d_line": 5, "d0": 2}, ["d_line"]),
+            ("unstable-component", {"d_line": 5, "g": 2, "d0": 1}, ["d_line"]),
+            ("strictly-semistable", {"d_line": 5, "d0": 2}, ["d0", "d_line"]),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                build_entry(name, **params)
+            assert str(raised.value) == f"entry {name!r} does not accept parameters {refused}"
 
     def test_checked_entry_reports_drift(self, monkeypatch):
         entry, verdict = checked_entry("strictly-semistable", g=3)
@@ -156,3 +167,32 @@ class TestRegistry:
         monkeypatch.setattr(gallery, "recompute_verdict", lambda entry: Verdict(Answer.YES, Answer.YES))
         with pytest.raises(InconsistencyError, match="drifted"):
             checked_entry("strictly-semistable", g=3)
+
+
+#: The corpus's parameter ranges of the families whose invariant line E_0
+#: is the declared destabilizing prefix.
+DECLARED_FAMILIES = [
+    (example_surjective_not_iso, {"g": g, "d_line": d})
+    for g in range(2, 6)
+    for d in range(2 * g - 1, 2 * g + 6)
+] + [
+    (builder, {"g": g, "d0": d0})
+    for builder in (example_injective_not_iso, example_unstable_component)
+    for g in range(2, 6)
+    for d0 in range(1, 7)
+]
+
+
+class TestDeclaredFamilies:
+    @pytest.mark.parametrize(
+        "builder, params",
+        DECLARED_FAMILIES,
+        ids=[f"{b.__name__}-{sorted(p.items())}" for b, p in DECLARED_FAMILIES],
+    )
+    def test_prefix_is_the_one_declared_witness(self, builder, params):
+        entry = builder(**params)
+        witness = entry.expected.certificate
+        assert entry.system.theta.profiles == (witness,)
+        e0 = entry.system.components[0]
+        assert witness.entries == ((e0.rank, e0.degree),)
+        assert recompute_verdict(entry) == entry.expected

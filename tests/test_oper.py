@@ -16,6 +16,7 @@ from hodgeslope.hodge_system import (
 from hodgeslope.oper import (
     ConnectionPair,
     GriffithsFiltration,
+    OperCheck,
     connection_verdict,
     graded_of_filtration,
     is_generalized_oper,
@@ -134,13 +135,13 @@ class TestOperRecognition:
     def test_classical_rank_one_tower(self):
         pieces = tower_pieces(BundleData(1, 0, semistable=True), curve(2), 3)
         check = is_generalized_oper(iso_filtration(pieces, curve(2)))
-        assert check.ok and check.classical and not check.reasons
+        assert check and check.classical and not check.reasons
 
     def test_higher_rank_tower_not_classical(self):
         ctx = curve(1)
         pieces = (BundleData(2, 0, semistable=True), BundleData(2, 2, semistable=True))
         check = is_generalized_oper(iso_filtration(pieces, ctx))
-        assert check.ok and not check.classical
+        assert check and not check.classical
 
     def test_failing_clauses_listed(self):
         f = GriffithsFiltration(
@@ -151,10 +152,15 @@ class TestOperRecognition:
             theta_iso=False,
         )
         check = is_generalized_oper(f)
-        assert not check.ok
+        assert not check
         assert "filtration is not transversal" in check.reasons
         assert "graded maps are not all isomorphisms" in check.reasons
         assert any("not flagged semistable" in r for r in check.reasons)
+
+    def test_truth_is_the_absence_of_failing_clauses(self):
+        # there is no separate flag that could contradict the reasons
+        assert OperCheck() and OperCheck((), classical=True)
+        assert not OperCheck(("filtration is not transversal",))
 
 
 class TestOperSemistability:
@@ -200,7 +206,7 @@ class TestOperSemistability:
             base = BundleData(rng.randint(1, 3), rng.randint(-5, 5), semistable=True)
             pieces = tower_pieces(base, ctx, rng.randint(1, 3))
             f = iso_filtration(pieces, ctx)
-            assert is_generalized_oper(f).ok
+            assert is_generalized_oper(f)
             assert oper_semistability(f).semistable is Answer.YES
 
 

@@ -84,14 +84,11 @@ CASES = {
         ("context", None, CTX, None),
     ],
     OperCheck: [
-        ("ok", True, False, EMPTY),
         ("reasons", (), ("filtration is not transversal",), ()),
         ("classical", False, True, False),
     ],
     GalleryEntry: [
-        ("name", "a", "b", EMPTY),
         ("system", SYSTEM, HodgeSystem(CTX2, (LINE,), Declared()), EMPTY),
-        ("declared_subobject", None, PROFILE, EMPTY),
         ("expected", Verdict(), Verdict(provenance="oracle"), EMPTY),
     ],
     HNValidation: [("valid", True, False, EMPTY), ("first_violation", None, 0, None)],
