@@ -10,7 +10,6 @@ preserves the Harder-Narasimhan filtration.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import accumulate
 
 from .slope_core import BundleData, Frozen, tensor
@@ -97,17 +96,3 @@ def valid_polygon(p: HNProfile) -> list[tuple[int, int]]:
     return list(zip(accumulate([q.rank for q in p.quotients], initial=0),
                     accumulate([q.degree for q in p.quotients], initial=0)))
 
-
-def is_strictly_concave(points: Sequence[tuple[int, int]]) -> bool:
-    """Whether successive segment slopes strictly decrease.
-
-    Assumes x strictly increases along the points, as in a polygon of
-    cumulative ranks.
-    """
-    for i in range(len(points) - 2):
-        x0, y0 = points[i]
-        x1, y1 = points[i + 1]
-        x2, y2 = points[i + 2]
-        if (y1 - y0) * (x2 - x1) <= (y2 - y1) * (x1 - x0):
-            return False
-    return True

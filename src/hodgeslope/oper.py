@@ -90,15 +90,6 @@ class GriffithsFiltration(Frozen):
         fields["graded"] = graded
         fields.update(flags)
 
-    def to_json(self) -> dict:
-        return {
-            "context": self.context.to_json(),
-            "graded": [g.to_json() for g in self.graded],
-            "transversal": self.transversal,
-            "theta_squares_to_zero": self.theta_squares_to_zero,
-            "theta_iso": self.theta_iso,
-        }
-
     @staticmethod
     def from_json(obj: object) -> "GriffithsFiltration":
         data = _check_keys(obj, "griffiths filtration", _FILTRATION_FIELDS, _FILTRATION_FIELDS)

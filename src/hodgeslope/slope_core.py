@@ -11,7 +11,7 @@ something computed here.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
@@ -265,18 +265,6 @@ class GeometricContext(Frozen):
 def slope(b: BundleData) -> Fraction:
     """Degree over rank, exactly."""
     return Fraction(b.degree, b.rank)
-
-
-def direct_sum(parts: Iterable[BundleData]) -> BundleData:
-    """Invariants of a direct sum.  Flags are dropped: semistability of a
-    sum is never inferred from the summands."""
-    summands = tuple(parts)
-    if not summands:
-        raise ValueError("empty direct sum")
-    return BundleData(
-        rank=sum(p.rank for p in summands),
-        degree=sum(p.degree for p in summands),
-    )
 
 
 def slope_of_sum(parts: tuple[BundleData, ...]) -> Fraction:

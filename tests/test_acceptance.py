@@ -19,16 +19,9 @@ from hodgeslope.gallery import (
     example_unstable_component,
     recompute_verdict,
 )
-from hodgeslope.hn_profiles import (
-    HNProfile,
-    is_strictly_concave,
-    tensor_hn,
-    validate_hn,
-)
+from hodgeslope.hn_profiles import HNProfile, tensor_hn, validate_hn
 from hodgeslope.hodge_system import (
     Answer,
-    HodgeSystem,
-    ISOMORPHISMS,
     criterion_semistable,
     derive_components,
     system_to_json,
@@ -48,13 +41,15 @@ from hodgeslope.oper import (
     graded_of_filtration,
 )
 from hodgeslope.search_oracle import ConstraintMode, max_slope_profile
-from hodgeslope.slope_core import (
-    BundleData,
-    GeometricContext,
-    SubsheafMode,
-    direct_sum,
-    slope,
-    tensor,
+from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, slope, tensor
+
+from support import (
+    is_strictly_concave,
+    random_quotients,
+    random_valid_profile,
+    semistable_tower,
+    stable_tower,
+    totals,
 )
 
 
@@ -66,19 +61,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def sweep_contexts(omega_degrees):
     for d, w in itertools.product((1, 2), omega_degrees):
         yield GeometricContext(0, d, w, omega_semistable=True)
-
-
-def semistable_tower(r0, e0, context, n) -> HodgeSystem:
-    return derive_components(BundleData(r0, e0, semistable=True), context, n)
-
-
-def stable_tower(r0, e0, context, n) -> HodgeSystem:
-    derived = derive_components(BundleData(r0, e0), context, n)
-    components = tuple(
-        BundleData(c.rank, c.degree, semistable=True, stable=True)
-        for c in derived.components
-    )
-    return HodgeSystem(context, components, ISOMORPHISMS)
 
 
 def test_criterion_1_inequality_sweep():
@@ -223,31 +205,16 @@ def test_criterion_5_gallery_regression():
     )
 
 
-def _random_quotients(rng, length):
-    return [
-        BundleData(rng.randint(1, 4), rng.randint(-20, 20), semistable=True)
-        for _ in range(length)
-    ]
-
-
-def _random_valid_profile(rng) -> HNProfile:
-    quotients = _random_quotients(rng, rng.randint(1, 5))
-    by_slope = {}
-    for q in quotients:
-        by_slope.setdefault(slope(q), q)
-    return HNProfile(tuple(by_slope[s] for s in sorted(by_slope, reverse=True)))
-
-
 def test_criterion_6_hn_tensor_lemma():
     rng = random.Random(6)
     failures = []
     for _ in range(1_000):
-        profile = _random_valid_profile(rng)
+        profile = random_valid_profile(rng)
         w = BundleData(rng.randint(1, 4), rng.randint(-20, 20), semistable=True)
         result = tensor_hn(profile, w)
-        totals = direct_sum(result.quotients)
-        expected = tensor(direct_sum(profile.quotients), w)
-        if not validate_hn(result).valid or (totals.rank, totals.degree) != (
+        total = totals(result.quotients)
+        expected = tensor(totals(profile.quotients), w)
+        if not validate_hn(result).valid or (total.rank, total.degree) != (
             expected.rank,
             expected.degree,
         ):
@@ -255,7 +222,7 @@ def test_criterion_6_hn_tensor_lemma():
     # concavity of the cumulative polygon is equivalent to validity,
     # computed here with an independent running sum
     for _ in range(1_000):
-        quotients = _random_quotients(rng, rng.randint(1, 5))
+        quotients = random_quotients(rng, rng.randint(1, 5))
         profile = HNProfile(tuple(quotients))
         points = [(0, 0)]
         for q in quotients:
@@ -304,10 +271,18 @@ def test_criterion_7_connection_additivity_and_transfer():
     failures = []
     for _ in range(1_000):
         filtration = _random_filtration(rng)
-        total = direct_sum(filtration.graded)
+        total = totals(filtration.graded)
         flat = rng.random() < 0.5
         pair = ConnectionPair(total, flat=flat, filtration=filtration)
-        if slope(pair.total) != slope(direct_sum(filtration.graded)):
+        # the total must be the sum of the graded pieces: one degree off is refused
+        off = BundleData(total.rank, total.degree + 1)
+        try:
+            ConnectionPair(off, flat=flat, filtration=filtration)
+        except ValueError as error:
+            refused = str(error).startswith("total invariants do not match the graded pieces")
+        else:
+            refused = False
+        if not refused:
             failures.append(("additivity", filtration))
             continue
         graded_verdict = None

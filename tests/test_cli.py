@@ -31,6 +31,8 @@ from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
+from support import curve, filtration_to_json, pair_to_json
+
 
 def write_doc(tmp_path: Path, payload: dict, name: str = "doc.json") -> str:
     path = tmp_path / name
@@ -60,21 +62,6 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
-
-
-def curve(w: int, char: int = 0) -> GeometricContext:
-    return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
-
-
-def pair_to_json(pair: ConnectionPair) -> dict:
-    """A connection_pair payload; the context is written only for a pair
-    without a filtration, whose context is its own."""
-    out: dict = {"total": pair.total.to_json(), "flat": pair.flat}
-    if pair.filtration is not None:
-        out["filtration"] = pair.filtration.to_json()
-    elif pair.context is not None:
-        out["context"] = pair.context.to_json()
-    return out
 
 
 @pytest.fixture
@@ -359,7 +346,7 @@ class TestCheckOper:
             theta_squares_to_zero=True,
             theta_iso=True,
         )
-        doc = write_doc(tmp_path, {"griffiths_filtration": f.to_json()})
+        doc = write_doc(tmp_path, {"griffiths_filtration": filtration_to_json(f)})
         code, report, _ = run(capsys, ["check-oper", doc])
         assert code == 0
         assert report["generalized_oper"] is True
@@ -374,7 +361,7 @@ class TestCheckOper:
             theta_squares_to_zero=True,
             theta_iso=True,
         )
-        doc = write_doc(tmp_path, {"griffiths_filtration": f.to_json()})
+        doc = write_doc(tmp_path, {"griffiths_filtration": filtration_to_json(f)})
         code, report, _ = run(capsys, ["check-oper", doc])
         assert code == 0
         assert report["generalized_oper"] is False
@@ -404,7 +391,7 @@ class TestCheckOper:
         )
         pieces = (BundleData(2, -2, semistable=True), BundleData(2, 2, semistable=True))
         f = GriffithsFiltration(curve(2), pieces, True, True, True)
-        doc = write_doc(tmp_path, {"griffiths_filtration": f.to_json()})
+        doc = write_doc(tmp_path, {"griffiths_filtration": filtration_to_json(f)})
         calls.update(dict.fromkeys(calls, 0))
         code, report, _ = run(capsys, ["check-oper", doc])
         assert (code, report["generalized_oper"], report["semistable"]) == (0, True, "yes")
@@ -460,7 +447,7 @@ def filtration_doc(**fields) -> dict:
         theta_squares_to_zero=True,
         theta_iso=True,
     )
-    return {**f.to_json(), **fields}
+    return {**filtration_to_json(f), **fields}
 
 
 def connection_doc(**fields) -> dict:
@@ -1124,7 +1111,7 @@ def _fuzz_seeds() -> list[tuple[str, dict]]:
         ("check-system", tower),
         ("check-system", declared),
         ("search", searched),
-        ("check-oper", {"griffiths_filtration": filtration.to_json()}),
+        ("check-oper", {"griffiths_filtration": filtration_to_json(filtration)}),
         ("check-connection", {"connection_pair": pair_to_json(graded)}),
         ("check-connection", {"connection_pair": pair_to_json(bare)}),
         ("hn-tensor", {"hn_request": hn}),

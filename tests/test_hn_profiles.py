@@ -5,33 +5,14 @@ import random
 
 import pytest
 
-from hodgeslope.hn_profiles import (
-    HNProfile,
-    hn_polygon,
-    is_strictly_concave,
-    tensor_hn,
-    validate_hn,
-)
-from hodgeslope.slope_core import BundleData, direct_sum, slope, tensor
+from hodgeslope.hn_profiles import HNProfile, hn_polygon, tensor_hn, validate_hn
+from hodgeslope.slope_core import BundleData, slope, tensor
+
+from support import is_strictly_concave, random_quotients, random_valid_profile, totals
 
 
 def ss(rank: int, degree: int) -> BundleData:
     return BundleData(rank, degree, semistable=True)
-
-
-def random_quotients(rng: random.Random, length: int) -> list[BundleData]:
-    return [ss(rng.randint(1, 4), rng.randint(-20, 20)) for _ in range(length)]
-
-
-def random_valid_profile(rng: random.Random, max_length: int = 5) -> HNProfile:
-    while True:
-        quotients = random_quotients(rng, rng.randint(1, max_length))
-        by_slope: dict = {}
-        for q in quotients:
-            by_slope.setdefault(slope(q), q)
-        ordered = [by_slope[s] for s in sorted(by_slope, reverse=True)]
-        if ordered:
-            return HNProfile(tuple(ordered))
 
 
 class TestValidation:
@@ -86,8 +67,8 @@ class TestTensor:
             w = ss(rng.randint(1, 4), rng.randint(-20, 20))
             result = tensor_hn(profile, w)
             assert validate_hn(result).valid
-            expected = tensor(direct_sum(profile.quotients), w)
-            total = direct_sum(result.quotients)
+            expected = tensor(totals(profile.quotients), w)
+            total = totals(result.quotients)
             assert (total.rank, total.degree) == (expected.rank, expected.degree)
 
     def test_slopes_shift_uniformly(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hodgeslope.gallery import example_strictly_semistable
 from hodgeslope.hodge_system import (
     Answer,
     Declared,
@@ -20,22 +21,14 @@ from hodgeslope.hodge_system import (
     transport_subsystem,
 )
 from hodgeslope.profiles import SubsystemProfile
-from hodgeslope.slope_core import BundleData, GeometricContext, direct_sum, slope
+from hodgeslope.slope_core import BundleData, GeometricContext, slope
 
-
-def curve(w: int, char: int = 0) -> GeometricContext:
-    return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
+from support import curve, totals
 
 
 def partial_slope(sys: HodgeSystem, k: int) -> Fraction:
     """Slope of E_0 + ... + E_k."""
-    return slope(direct_sum(sys.components[: k + 1]))
-
-
-def example_tower(g: int = 2) -> HodgeSystem:
-    e0 = BundleData(2, -(2 * g - 2), semistable=True, stable=False)
-    e1 = BundleData(2, 2 * g - 2, semistable=True, stable=False)
-    return HodgeSystem(curve(2 * g - 2), (e0, e1), ISOMORPHISMS)
+    return slope(totals(sys.components[: k + 1]))
 
 
 class TestConstruction:
@@ -129,10 +122,10 @@ class TestSlopes:
         sys = derive_components(BundleData(1, 0), curve(2), 3)
         assert partial_slope(sys, 1) == 1
         assert partial_slope(sys, 0) == slope(sys.components[0])
-        assert partial_slope(example_tower(), 1) == 0
+        assert partial_slope(example_strictly_semistable().system, 1) == 0
 
     def test_total_slope(self):
-        assert total_slope(example_tower()) == 0
+        assert total_slope(example_strictly_semistable().system) == 0
         single = derive_components(BundleData(3, 7), curve(2), 0)
         assert total_slope(single) == Fraction(7, 3)
         declared = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, 1)), Declared())
@@ -155,7 +148,7 @@ class TestSlopes:
 
 class TestTransport:
     def test_identity_transport(self):
-        sys = example_tower()
+        sys = example_strictly_semistable().system
         profile = transport_subsystem(sys, sys.components[0])
         assert profile.entries == tuple((c.rank, c.degree) for c in sys.components)
         assert profile.slope == total_slope(sys)
@@ -173,7 +166,7 @@ class TestTransport:
         assert profile.slope == 1 > total_slope(sys)
 
     def test_rank_overflow_rejected(self):
-        sys = example_tower()
+        sys = example_strictly_semistable().system
         with pytest.raises(ValueError, match="exceeds base rank"):
             transport_subsystem(sys, BundleData(3, 0))
 
@@ -191,7 +184,7 @@ class TestTransport:
 
 class TestCriterionSemistable:
     def test_all_components_semistable(self):
-        verdict = criterion_semistable(example_tower())
+        verdict = criterion_semistable(example_strictly_semistable().system)
         assert verdict.semistable is Answer.YES
         assert verdict.stable is Answer.UNKNOWN
 
@@ -261,20 +254,20 @@ class TestCriterionStable:
         assert verdict.semistable is Answer.YES
 
     def test_strictly_semistable_tower_not_stable(self):
-        verdict = criterion_stable(example_tower())
+        verdict = criterion_stable(example_strictly_semistable().system)
         assert verdict.stable is Answer.NO
         assert verdict.semistable is Answer.YES
         assert verdict.certificate is None
 
     def test_equal_slope_datum_builds_certificate(self):
-        sys = example_tower()
+        sys = example_strictly_semistable().system
         verdict = criterion_stable(sys, equal_slope_sub=BundleData(1, -1))
         assert verdict.stable is Answer.NO
         assert verdict.certificate.entries == ((1, -1), (1, 1))
         assert verdict.certificate.slope == total_slope(sys)
 
     def test_equal_slope_datum_validated(self):
-        sys = example_tower()
+        sys = example_strictly_semistable().system
         with pytest.raises(ValueError, match="match the base slope"):
             criterion_stable(sys, equal_slope_sub=BundleData(1, 0))
         # the base has rank 2, so a proper subsheaf has rank 1
@@ -317,7 +310,7 @@ class TestVerdictInvariants:
 
 class TestJson:
     def test_round_trip_isomorphisms(self):
-        sys = example_tower()
+        sys = example_strictly_semistable().system
         assert system_from_json(system_to_json(sys)) == sys
 
     def test_round_trip_declared(self):
@@ -328,13 +321,13 @@ class TestJson:
         assert system_from_json(system_to_json(sys)) == sys
 
     def test_unknown_fields_rejected(self):
-        doc = system_to_json(example_tower())
+        doc = system_to_json(example_strictly_semistable().system)
         doc["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
             system_from_json(doc)
 
     def test_bad_theta_rejected(self):
-        doc = system_to_json(example_tower())
+        doc = system_to_json(example_strictly_semistable().system)
         doc["theta"] = "declared"
         with pytest.raises(ValueError):
             system_from_json(doc)

@@ -24,13 +24,9 @@ from hodgeslope.inequalities import (
     verify_hodge_sums,
     weighted_power_sum,
 )
-from hodgeslope.slope_core import (
-    BundleData,
-    GeometricContext,
-    InconsistencyError,
-    direct_sum,
-    slope,
-)
+from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError, slope
+
+from support import totals
 
 
 def reference_weighted_power_sum(d: int, k: int) -> int:
@@ -401,7 +397,7 @@ class TestHodgeSum:
                 for r in range(n + 1):
                     check = hodge_sum_inequality(d, r, n)
                     partial_r, partial_n = (
-                        slope(direct_sum(sys.components[: k + 1])) for k in (r, n)
+                        slope(totals(sys.components[: k + 1])) for k in (r, n)
                     )
                     assert check.holds == (partial_r <= partial_n)
                     expected = slope(base) + Fraction(

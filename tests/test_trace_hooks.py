@@ -7,32 +7,22 @@ Renaming or deleting any of these breaks traced benchmark runs.  It also
 counts refusals by comparing ``type(outcome).__name__`` with
 ``"BudgetExceededError"``, so renaming that class raises no error: the
 ``refused`` counter would just read 0.  These tests pin all of them.
-The tracer's source is only read, never imported as a package
-module, so the benchmark directory gains no bytecode cache.
+The tracer's source is only read (``support.load_tracer``), never
+imported as a package module, so the benchmark directory gains no
+bytecode cache.
 """
 
 from __future__ import annotations
 
 import importlib
-import types
-from pathlib import Path
 
 import pytest
 
 from hodgeslope import profiles, search_oracle
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from support import load_tracer
 
-
-def _load_tracer() -> types.ModuleType:
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    code = compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec")
-    exec(code, module.__dict__)
-    return module
-
-
-HOOKS = [target for targets in _load_tracer().LAYERS.values() for target in targets]
+HOOKS = [target for targets in load_tracer().LAYERS.values() for target in targets]
 
 
 @pytest.mark.parametrize("module_name, attr", HOOKS, ids=[f"{m}.{a}" for m, a in HOOKS])
