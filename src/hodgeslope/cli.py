@@ -26,8 +26,7 @@ from types import SimpleNamespace
 from . import search_oracle
 from .gallery import BUILDERS, checked_entry
 from .hn_profiles import HNProfile, tensor_hn, valid_polygon
-from .hodge_system import Verdict, system_to_json, system_from_json, total_slope, verdict_json
-from .inequalities import verify_hodge_sums
+from .hodge_system import Verdict, system_to_json, system_from_json, verdict_json
 from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
 from .search_oracle import ConstraintMode
 from .slope_core import (
@@ -35,9 +34,7 @@ from .slope_core import (
     InconsistencyError,
     SubsheafMode,
     _check_keys,
-    format_rational,
-    slope,
-    slope_of_sum,
+    format_slope,
     too_large,
 )
 
@@ -124,8 +121,9 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     return options
 
 
-def _verdict_report(verdict: Verdict, mu_total) -> dict:
-    mu = format_rational(mu_total)
+def _verdict_report(verdict: Verdict, degree: int, rank: int) -> dict:
+    """The verdict's report, with the total slope degree/rank as mu_total."""
+    mu = format_slope(degree, rank)
     report = verdict_json(verdict, mu)
     report["mu_total"] = mu
     return report
@@ -143,7 +141,8 @@ def _cmd_check_system(args: SimpleNamespace) -> int:
     system = system_from_json(payload)
     options = _search_options(doc, args)
     verdict = search_oracle.system_verdict(system, options["mode"])
-    _emit(_verdict_report(verdict, total_slope(system)), _summary("check-system", verdict))
+    report = _verdict_report(verdict, system.total_degree, system.total_rank)
+    _emit(report, _summary("check-system", verdict))
     return 0
 
 
@@ -154,7 +153,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
     verdict = search_oracle.verdict_from_search(
         system, options["mode"], options["subsheaf"]
     )
-    _emit(_verdict_report(verdict, total_slope(system)), _summary("search", verdict))
+    report = _verdict_report(verdict, system.total_degree, system.total_rank)
+    _emit(report, _summary("search", verdict))
     return 0
 
 
@@ -162,7 +162,10 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "griffiths_filtration")
     filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
-    report = _verdict_report(verdict, slope_of_sum(filtration.graded))
+    graded = filtration.graded
+    report = _verdict_report(
+        verdict, sum([g.degree for g in graded]), sum([g.rank for g in graded])
+    )
     report["generalized_oper"] = bool(check)
     report["classical_oper"] = check.classical
     report["reasons"] = list(check.reasons)
@@ -174,7 +177,8 @@ def _cmd_check_connection(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "connection_pair")
     pair = pair_from_json(payload)
     verdict = pair_verdict(pair)
-    _emit(_verdict_report(verdict, slope(pair.total)), _summary("check-connection", verdict))
+    report = _verdict_report(verdict, pair.total.degree, pair.total.rank)
+    _emit(report, _summary("check-connection", verdict))
     return 0
 
 
@@ -196,8 +200,21 @@ def _cmd_hn_tensor(args: SimpleNamespace) -> int:
     return 0
 
 
+def _verify_hodge_sums(d_max: int, n_max: int) -> list[tuple[int, int]]:
+    """``inequalities.verify_hodge_sums``, imported on the first
+    verify-inequalities command line, which rebinds this name to it.  No
+    other command loads the module, and every later call is a plain global
+    lookup: an import statement in the handler, or a cached loader, would
+    cost every call a lookup of its own."""
+    global _verify_hodge_sums
+    from . import inequalities
+
+    _verify_hodge_sums = inequalities.verify_hodge_sums
+    return _verify_hodge_sums(d_max, n_max)
+
+
 def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
-    rows = verify_hodge_sums(args.d_max, args.n_max)
+    rows = _verify_hodge_sums(args.d_max, args.n_max)
     report = {
         "all_hold": True,
         "checked": sum(checked for _, checked in rows),
@@ -212,7 +229,7 @@ def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
 def _cmd_gallery(args: SimpleNamespace) -> int:
     params = {k: v for k, v in vars(args).items() if k in ("g", "d_line", "d0") and v is not None}
     entry, recomputed = checked_entry(args.name, **params)
-    mu = format_rational(total_slope(entry.system))
+    mu = format_slope(entry.system.total_degree, entry.system.total_rank)
     expected = entry.expected
     report = {
         "entry": {

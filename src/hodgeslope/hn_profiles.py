@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .slope_core import BundleData, Frozen, tensor
+from .slope_core import BundleData, Frozen, slope_excess, tensor
 
 
 class HNValidation(Frozen):
@@ -53,7 +53,7 @@ class HNProfile(Frozen):
 def validate_hn(p: HNProfile) -> HNValidation:
     """True iff the quotient slopes strictly decrease along the list."""
     for i, (a, b) in enumerate(zip(p.quotients, p.quotients[1:])):
-        if a.degree * b.rank <= b.degree * a.rank:  # slope(a) <= slope(b): ranks are positive
+        if slope_excess(a.degree, a.rank, b.degree, b.rank) <= 0:
             return HNValidation(False, i)
     return HNValidation(True)
 

@@ -23,7 +23,6 @@ cotangent bundle by an arbitrary semistable bundle of nonnegative degree
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .profiles import SubsystemProfile
 from .slope_core import (
@@ -31,9 +30,9 @@ from .slope_core import (
     Frozen,
     GeometricContext,
     _check_keys,
-    format_rational,
+    format_slope,
     refusal,
-    slope,
+    slope_excess,
 )
 
 PROV_TOWER_SEMISTABLE = "semistable components in an isomorphism tower"
@@ -199,7 +198,7 @@ def verdict_json(v: Verdict, mu_total: str) -> dict:
         "stable": v.stable._value_,
         "certificate": None if cert is None else {
             "profile": cert.to_json(),
-            "slope": format_rational(cert.slope),
+            "slope": format_slope(cert.degree, cert.rank),
             "mu_total": mu_total,
         },
         "provenance": v.provenance,
@@ -233,11 +232,6 @@ def derive_components(base: BundleData, context: GeometricContext, n: int) -> Ho
         rank, degree = tower_component(base, context, i)
         components.append(BundleData(rank, degree, semistable=inherit))
     return HodgeSystem(context, tuple(components), ISOMORPHISMS)
-
-
-def total_slope(sys: HodgeSystem) -> Fraction:
-    """Slope of the whole system; works in either structure mode."""
-    return Fraction(sys.total_degree, sys.total_rank)
 
 
 def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:
@@ -279,7 +273,8 @@ def criterion_semistable(
             and context.omega_semistable and base.semistable is False):
         if not 1 <= base_destabilizer.rank < base.rank:
             raise ValueError("destabilizing datum must be a proper subsheaf of the base")
-        if slope(base_destabilizer) <= slope(base):
+        if slope_excess(base_destabilizer.degree, base_destabilizer.rank,
+                        base.degree, base.rank) <= 0:
             raise ValueError("destabilizing datum does not exceed the base slope")
         certificate = transport_subsystem(sys, base_destabilizer)
         return Verdict(NO, NO, certificate, PROV_BASE_TRANSPORT)
@@ -309,7 +304,8 @@ def criterion_stable(
             base = sys.components[0]
             if not 1 <= equal_slope_sub.rank < base.rank:
                 raise ValueError("equal-slope datum must be a proper subsheaf of the base")
-            if slope(equal_slope_sub) != slope(base):
+            if slope_excess(equal_slope_sub.degree, equal_slope_sub.rank,
+                            base.degree, base.rank) != 0:
                 raise ValueError("equal-slope datum must match the base slope")
             certificate = transport_subsystem(sys, equal_slope_sub)
         return Verdict(semistable_side, NO, certificate, PROV_CURVE_CONVERSE)

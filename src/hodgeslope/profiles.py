@@ -4,13 +4,11 @@ A profile records the (rank, degree) pairs of the graded pieces
 F_0, ..., F_r of a candidate subobject whose support is contiguous and
 starts at grade 0.  Profiles are the common currency between the criteria
 (which transport destabilizers into profiles) and the search oracle (which
-enumerates them); a profile whose slope beats or meets the ambient slope is
-a certificate.
+enumerates them); a profile whose slope, its total degree over its total
+rank, beats or meets the ambient slope is a certificate.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .slope_core import Frozen
 
@@ -40,8 +38,14 @@ class SubsystemProfile(Frozen):
         return len(self.entries) - 1
 
     @property
-    def slope(self) -> Fraction:
-        return Fraction(sum([d for _, d in self.entries]), sum([r for r, _ in self.entries]))
+    def rank(self) -> int:
+        """The total rank of the graded pieces."""
+        return sum([r for r, _ in self.entries])
+
+    @property
+    def degree(self) -> int:
+        """The total degree of the graded pieces."""
+        return sum([d for _, d in self.entries])
 
     def to_json(self) -> list[list[int]]:
         return [[r, d] for r, d in self.entries]

@@ -20,7 +20,8 @@ the function's docstring.
 ``max_slope_profile`` finds the admissible proper profile of largest
 slope itself, exactly and in polynomial time, by Dinkelbach's parametric
 method (W. Dinkelbach, *On nonlinear fractional programming*, Management
-Sci. 13(7), 1967): for a candidate slope p/q, a dynamic programme over
+Sci. 13(7), 1967): for a candidate slope p/q, held as the total degree p
+and total rank q of a chain, a dynamic programme over
 (grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
@@ -46,7 +47,6 @@ cross-checked against the closed form.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
@@ -69,6 +69,7 @@ from .slope_core import (
     SubsheafMode,
     max_subsheaf_degree,
     require_flag,
+    slope_excess,
     subsheaf_degree_row,
 )
 
@@ -201,7 +202,7 @@ def max_slope_profile(
     sys: HodgeSystem,
     mode: ConstraintMode = ConstraintMode.MONOTONE,
     subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
-) -> tuple[SubsystemProfile, Fraction] | None:
+) -> SubsystemProfile | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
     exists.
@@ -209,17 +210,15 @@ def max_slope_profile(
     bounds = _degree_bounds(sys, mode, subsheaf_mode)
     step = _rank_step(sys, mode)
     whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
-    best = Fraction(bounds[0][1])  # a rank-1 piece: a chain of value 0, so no maximum is negative
+    p, q = bounds[0][1], 1  # a rank-1 piece: a chain of value 0, so no maximum is negative
     while True:
-        found = _best_chain(bounds, step, whole, best.numerator, best.denominator)
+        found = _best_chain(bounds, step, whole, p, q)
         if found is None:
             return None
         excess, ranks = found
         if excess == 0:
-            break
-        best = Fraction(sum(b[r] for b, r in zip(bounds, ranks)), sum(ranks))
-    profile = SubsystemProfile(tuple((r, b[r]) for b, r in zip(bounds, ranks)))
-    return profile, profile.slope
+            return SubsystemProfile(tuple((r, b[r]) for b, r in zip(bounds, ranks)))
+        p, q = sum(b[r] for b, r in zip(bounds, ranks)), sum(ranks)
 
 
 def verdict_from_search(
@@ -312,11 +311,11 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
     slope refutes semistability; an equal slope refutes stability unless
     the profile is the whole system; anything else is inconclusive.
 
-    The slopes are compared in integers: with (r, e) the profile's rank
-    and degree and (R, D) the system's totals, summed when it was built,
-    both ranks positive, mu(F) - mu(E) has the sign of e*R - D*r.  At equal slopes the profile is the whole
-    system exactly when r = R: its ranks are then every component's, and
-    by the full-rank rule so are its degrees.
+    The slopes are compared in integers by ``slope_excess``, against the
+    system's totals summed when it was built.  At equal slopes the profile
+    is the whole system exactly when its rank is the total rank: its ranks
+    are then every component's, and by the full-rank rule so are its
+    degrees.
     """
     components = sys.components
     if profile.support_top > sys.n:
@@ -337,7 +336,7 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
             )
         rank += rk
         degree += dg
-    excess = degree * sys.total_rank - sys.total_degree * rank
+    excess = slope_excess(degree, rank, sys.total_degree, sys.total_rank)
     if excess > 0:
         return Verdict(NO, NO, profile, PROV_DECLARED)
     if excess == 0:

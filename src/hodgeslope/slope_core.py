@@ -1,9 +1,11 @@
 """Exact arithmetic over the numerical invariants (rank, degree) of sheaves.
 
 Everything in this package reduces a sheaf to its rank and its degree with
-respect to a fixed polarization.  Slopes are exact rationals backed by
-``fractions.Fraction``, so strict and non-strict comparisons never blur;
-there is no floating point anywhere.  Whether a concrete bundle actually is
+respect to a fixed polarization.  A slope degree/rank is carried as that
+integer pair: two slopes are compared by cross-multiplication
+(``slope_excess``) and a slope is rendered in lowest terms by
+``format_slope``, so strict and non-strict comparisons never blur; there
+is no floating point anywhere.  Whether a concrete bundle actually is
 semistable or stable is an input attestation carried on the value, never
 something computed here.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 
 #: Miller-Rabin with these bases is exact below 3.1e23, which covers every
 #: accepted characteristic (those below 2^64).
@@ -35,12 +37,21 @@ def refusal(text: Callable[[], str]) -> ValueError:
         return too_large()
 
 
-def format_rational(x: Fraction) -> str:
-    """Render a rational as ``"p/q"`` in lowest terms, denominator always shown."""
+def format_slope(degree: int, rank: int) -> str:
+    """Render the slope degree/rank, for a positive rank, as ``"p/q"`` in
+    lowest terms, denominator always shown."""
+    g = gcd(degree, rank)
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{degree // g}/{rank // g}"
     except ValueError:  # a term past the digit limit
         raise too_large() from None
+
+
+def slope_excess(degree: int, rank: int, ref_degree: int, ref_rank: int) -> int:
+    """degree * ref_rank - ref_degree * rank: for positive ranks it has the
+    sign of degree/rank - ref_degree/ref_rank, so it compares two slopes
+    exactly."""
+    return degree * ref_rank - ref_degree * rank
 
 
 def _is_prime(p: int) -> bool:
@@ -260,16 +271,6 @@ class GeometricContext(Frozen):
             data.get("omega_semistable", False),
             data.get("omega_stable", False),
         )
-
-
-def slope(b: BundleData) -> Fraction:
-    """Degree over rank, exactly."""
-    return Fraction(b.degree, b.rank)
-
-
-def slope_of_sum(parts: tuple[BundleData, ...]) -> Fraction:
-    """Slope of the direct sum of ``parts`` (at least one), without building it."""
-    return Fraction(sum([p.degree for p in parts]), sum([p.rank for p in parts]))
 
 
 def tensor(a: BundleData, b: BundleData, semistable: bool | None = None) -> BundleData:

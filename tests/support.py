@@ -2,9 +2,12 @@
 
 Each is stated here once and imported by every test that uses it.  The
 references recompute, in their own terms, what the library computes or
-reads: ``totals`` sums invariants, ``is_strictly_concave`` judges a
-polygon, and ``filtration_to_json`` and ``pair_to_json`` write documents
-that ``GriffithsFiltration.from_json`` and ``pair_from_json`` read back.
+reads: ``totals`` sums invariants, ``slope`` and ``total_slope`` are the
+exact rationals the library compares by cross-multiplication, and
+``slope_text`` writes one as the reports do; ``is_strictly_concave``
+judges a polygon, and ``filtration_to_json`` and ``pair_to_json`` write
+documents that ``GriffithsFiltration.from_json`` and ``pair_from_json``
+read back.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
 must keep.
 """
@@ -14,12 +17,13 @@ from __future__ import annotations
 import random
 import types
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 from pathlib import Path
 
 from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
-from hodgeslope.slope_core import BundleData, GeometricContext, slope
+from hodgeslope.slope_core import BundleData, GeometricContext
 
 
 def curve(w: int, char: int = 0) -> GeometricContext:
@@ -71,6 +75,21 @@ def totals(parts: Iterable[BundleData]) -> BundleData:
         rank=sum(p.rank for p in summands),
         degree=sum(p.degree for p in summands),
     )
+
+
+def slope(x) -> Fraction:
+    """The slope of a bundle or a profile: its degree over its rank."""
+    return Fraction(x.degree, x.rank)
+
+
+def total_slope(sys: HodgeSystem) -> Fraction:
+    """The slope of a whole system, summed from its components."""
+    return slope(totals(sys.components))
+
+
+def slope_text(x: Fraction) -> str:
+    """A rational as a report writes it, ``"p/q"`` in lowest terms."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def is_strictly_concave(points: Sequence[tuple[int, int]]) -> bool:

@@ -25,7 +25,6 @@ from hodgeslope.hodge_system import (
     criterion_semistable,
     derive_components,
     system_to_json,
-    total_slope,
     transport_subsystem,
 )
 from hodgeslope.inequalities import (
@@ -41,14 +40,16 @@ from hodgeslope.oper import (
     graded_of_filtration,
 )
 from hodgeslope.search_oracle import ConstraintMode, max_slope_profile
-from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, slope, tensor
+from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, tensor
 
 from support import (
     is_strictly_concave,
     random_quotients,
     random_valid_profile,
     semistable_tower,
+    slope,
     stable_tower,
+    total_slope,
     totals,
 )
 
@@ -99,8 +100,8 @@ def test_criterion_2_oracle_agreement_semistable_bounds():
             sys = semistable_tower(r0, e0, context, n)
             systems += 1
             best = max_slope_profile(sys, ConstraintMode.MONOTONE, SubsheafMode.SEMISTABLE)
-            if best is not None and best[1] > total_slope(sys):
-                exceptions.append((r0, e0, context.dim, context.omega_degree, n, best[0].entries))
+            if best is not None and slope(best) > total_slope(sys):
+                exceptions.append((r0, e0, context.dim, context.omega_degree, n, best.entries))
     report(
         "criterion 2 (oracle agreement, semistable bounds)",
         not exceptions,
@@ -116,8 +117,8 @@ def test_criterion_3_oracle_agreement_stable_bounds():
             sys = stable_tower(r0, e0, context, n)
             systems += 1
             best = max_slope_profile(sys, ConstraintMode.MONOTONE, SubsheafMode.STABLE)
-            if best is not None and not best[1] < total_slope(sys):
-                exceptions.append((r0, e0, context.dim, context.omega_degree, n, best[0].entries))
+            if best is not None and not slope(best) < total_slope(sys):
+                exceptions.append((r0, e0, context.dim, context.omega_degree, n, best.entries))
     report(
         "criterion 3 (oracle agreement, stable bounds)",
         not exceptions,
@@ -139,8 +140,8 @@ def test_criterion_4_converse_transport_identity():
                     continue
                 transports += 1
                 profile = transport_subsystem(sys, f0)
-                identity = profile.slope - mu_total == slope(f0) - mu_base
-                violating = profile.slope > mu_total
+                identity = slope(profile) - mu_total == slope(f0) - mu_base
+                violating = slope(profile) > mu_total
                 ranks = [r for r, _ in profile.entries]
                 admissible = all(
                     ranks[i] <= sys.components[i].rank for i in range(n + 1)
@@ -192,7 +193,7 @@ def test_criterion_5_gallery_regression():
         entry = builder(**params)
         verdict = recompute_verdict(entry)
         gap = (
-            verdict.certificate.slope - total_slope(entry.system)
+            slope(verdict.certificate) - total_slope(entry.system)
             if verdict.certificate is not None
             else None
         )

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from hodgeslope.hn_profiles import HNProfile, hn_polygon, tensor_hn, validate_hn
-from hodgeslope.slope_core import BundleData, slope, tensor
+from hodgeslope.slope_core import BundleData, tensor
 
-from support import is_strictly_concave, random_quotients, random_valid_profile, totals
+from support import is_strictly_concave, random_quotients, random_valid_profile, slope, totals
 
 
 def ss(rank: int, degree: int) -> BundleData:

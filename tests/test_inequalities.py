@@ -24,9 +24,9 @@ from hodgeslope.inequalities import (
     verify_hodge_sums,
     weighted_power_sum,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError, slope
+from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError
 
-from support import totals
+from support import slope, totals
 
 
 def reference_weighted_power_sum(d: int, k: int) -> int:

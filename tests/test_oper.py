@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from hodgeslope import cli
 from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import (
     Answer,
@@ -11,7 +14,6 @@ from hodgeslope.hodge_system import (
     Isomorphisms,
     criterion_semistable,
     criterion_stable,
-    total_slope,
 )
 from hodgeslope.oper import (
     ConnectionPair,
@@ -23,9 +25,9 @@ from hodgeslope.oper import (
     oper_semistability,
     pair_from_json,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext, slope
+from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import curve, filtration_to_json, totals
+from support import curve, filtration_to_json, pair_to_json, slope, slope_text, totals
 
 
 def iso_filtration(
@@ -126,7 +128,7 @@ class TestGradedOfFiltration:
             tower_pieces(BundleData(2, 1, semistable=True), curve(4), 3), curve(4)
         )
         system = graded_of_filtration(f)
-        assert total_slope(system) == slope(totals(f.graded))
+        assert Fraction(system.total_degree, system.total_rank) == slope(totals(f.graded))
 
 
 class TestOperRecognition:
@@ -215,15 +217,21 @@ class TestConnectionPair:
         with pytest.raises(ValueError, match="total invariants do not match"):
             ConnectionPair(BundleData(2, 1), flat=True, filtration=f)
 
-    def test_slope_identity(self):
+    def test_slope_identity(self, capsys, tmp_path):
+        # check-connection reports mu_total as the slope of the graded
+        # sums, "p/q" in lowest terms
         rng = random.Random(61)
+        doc = tmp_path / "pair.json"
         for _ in range(100):
             ctx = GeometricContext(0, rng.randint(1, 2), rng.randint(0, 3), omega_semistable=True)
             base = BundleData(rng.randint(1, 3), rng.randint(-4, 4), semistable=True)
             pieces = tower_pieces(base, ctx, rng.randint(1, 3))
             total = totals(pieces)
             pair = ConnectionPair(total, flat=bool(rng.getrandbits(1)), filtration=iso_filtration(pieces, ctx))
-            assert slope(pair.total) == slope(totals(pair.filtration.graded))
+            doc.write_text(json.dumps({"connection_pair": pair_to_json(pair)}), encoding="utf-8")
+            assert cli.main(["check-connection", str(doc)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["mu_total"] == slope_text(slope(totals(pieces)))
 
     def test_json_round_trip(self):
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))

@@ -21,15 +21,14 @@ from hodgeslope.hodge_system import (
     derive_components,
     system_from_json,
     system_to_json,
-    total_slope,
     tower_component,
     transport_subsystem,
 )
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, pair_from_json
 from hodgeslope.profiles import SubsystemProfile
-from hodgeslope.slope_core import BundleData, GeometricContext, slope
+from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import filtration_to_json, pair_to_json
+from support import filtration_to_json, pair_to_json, slope, total_slope
 
 ATTESTATIONS = st.sampled_from([None, True, False])
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -120,7 +119,7 @@ class TestTransportIdentity:
             data.draw(st.integers(1, base.rank)), data.draw(st.integers(-200, 200))
         )
         profile = transport_subsystem(sys, f0)
-        assert profile.slope - total_slope(sys) == slope(f0) - slope(sys.components[0])
+        assert slope(profile) - total_slope(sys) == slope(f0) - slope(sys.components[0])
 
 
 class TestTowerRelation:

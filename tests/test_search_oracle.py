@@ -21,7 +21,6 @@ from hodgeslope.hodge_system import (
     Isomorphisms,
     Verdict,
     derive_components,
-    total_slope,
     transport_subsystem,
 )
 from hodgeslope.profiles import SubsystemProfile
@@ -39,10 +38,9 @@ from hodgeslope.slope_core import (
     GeometricContext,
     SubsheafMode,
     max_subsheaf_degree,
-    slope,
 )
 
-from support import curve, semistable_tower, stable_tower
+from support import curve, semistable_tower, slope, stable_tower, total_slope
 
 
 #: Default budget of ``enumerate_profiles``, which visits every profile.
@@ -122,12 +120,10 @@ def brute_max(
     """Independent maximum: materialize the stream, compare with Fractions."""
     best = None
     for p in enumerate_profiles(sys, mode, subsheaf_mode, budget):
-        key = (-p.slope, p.entries)
+        key = (-slope(p), p.entries)
         if best is None or key < best[0]:
             best = (key, p)
-    if best is None:
-        return None
-    return best[1], best[1].slope
+    return None if best is None else best[1]
 
 
 def dp_verdict(sys: HodgeSystem, mode: ConstraintMode, subsheaf_mode: SubsheafMode, solver=None):
@@ -138,12 +134,12 @@ def dp_verdict(sys: HodgeSystem, mode: ConstraintMode, subsheaf_mode: SubsheafMo
     solver = solver or max_slope_profile
     mu = total_slope(sys)
     best = solver(sys, mode, SubsheafMode.SEMISTABLE)
-    if best is not None and best[1] > mu:
-        return Verdict(Answer.NO, Answer.NO, best[0], search_oracle.PROV_ORACLE)
+    if best is not None and slope(best) > mu:
+        return Verdict(Answer.NO, Answer.NO, best, search_oracle.PROV_ORACLE)
     if subsheaf_mode is SubsheafMode.STABLE:
         best = solver(sys, mode, SubsheafMode.STABLE)
-    if best is not None and best[1] == mu:
-        return Verdict(Answer.YES, Answer.NO, best[0], search_oracle.PROV_ORACLE)
+    if best is not None and slope(best) == mu:
+        return Verdict(Answer.YES, Answer.NO, best, search_oracle.PROV_ORACLE)
     return Verdict(Answer.YES, Answer.YES, provenance=search_oracle.PROV_ORACLE)
 
 
@@ -244,15 +240,15 @@ class TestEnumerate:
 
 class TestMaxSlope:
     def test_example_tower(self):
-        profile, s = max_slope_profile(example_tower())
+        profile = max_slope_profile(example_tower())
         assert profile.entries == ((1, -1), (1, 1))
-        assert s == 0 == total_slope(example_tower())
+        assert slope(profile) == 0 == total_slope(example_tower())
 
     def test_small_tower(self):
         sys = semistable_tower(1, 0, omega(1, 2), 1)
-        profile, s = max_slope_profile(sys)
+        profile = max_slope_profile(sys)
         assert profile.entries == ((1, 0),)
-        assert s == 0 < total_slope(sys)
+        assert slope(profile) == 0 < total_slope(sys)
 
     def test_empty_stream_gives_none(self):
         assert max_slope_profile(semistable_tower(1, 0, omega(1, 2), 0)) is None
@@ -261,8 +257,8 @@ class TestMaxSlope:
         # degree-zero cotangent, all slopes equal: the shortest smallest
         # entry list wins
         sys = semistable_tower(2, -2, omega(1, 0), 1)
-        profile, s = max_slope_profile(sys)
-        assert s == Fraction(-1) == total_slope(sys)
+        profile = max_slope_profile(sys)
+        assert slope(profile) == Fraction(-1) == total_slope(sys)
         assert profile.entries == ((1, -1),)
 
     def test_matches_independent_scan(self):
@@ -280,8 +276,8 @@ class TestMaxSlope:
             if expected is None:
                 assert actual is None
             else:
-                assert actual[0].entries == expected[0].entries
-                assert actual[1] == expected[1]
+                assert actual.entries == expected.entries
+                assert slope(actual) == slope(expected)
 
 
 @st.composite
@@ -303,7 +299,7 @@ def towers(draw, stable: bool):
 def same_result(actual, expected) -> bool:
     if expected is None or actual is None:
         return actual is expected
-    return actual[0].entries == expected[0].entries and actual[1] == expected[1]
+    return actual.entries == expected.entries
 
 
 def bound_modes(sys: HodgeSystem) -> list[SubsheafMode]:
@@ -486,7 +482,7 @@ class TestClosedForm:
         else:
             assert verdict.stable is Answer.NO
             assert verdict.certificate == transport_subsystem(sys, BundleData(*certificate))
-            assert verdict.certificate.slope == total_slope(sys)
+            assert slope(verdict.certificate) == total_slope(sys)
 
     def test_flag_errors_in_component_order(self):
         # the semistable flags are checked first, every one of them, and
@@ -560,7 +556,7 @@ class TestVerdictFromSearch:
         verdict = verdict_from_search(example_tower())
         assert verdict.semistable is Answer.YES
         assert verdict.stable is Answer.NO
-        assert verdict.certificate.slope == total_slope(example_tower())
+        assert slope(verdict.certificate) == total_slope(example_tower())
 
     def test_strictly_below_gives_both_yes(self):
         verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 2))
@@ -572,7 +568,7 @@ class TestVerdictFromSearch:
         verdict = verdict_from_search(semistable_tower(2, -2, omega(1, 0), 1))
         assert verdict.stable is Answer.NO
         assert verdict.certificate.entries == ((1, -1),)
-        assert verdict.certificate.slope == Fraction(-1)
+        assert slope(verdict.certificate) == Fraction(-1)
 
     def test_empty_stream(self):
         verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 0))
@@ -612,7 +608,7 @@ class TestCheckDeclared:
         sys = HodgeSystem(curve(2), (e0, e1), Declared((witness,)))
         verdict = check_declared(sys, witness)
         assert verdict.semistable is Answer.NO
-        assert witness.slope == 1 > total_slope(sys) == 0
+        assert slope(witness) == 1 > total_slope(sys) == 0
 
     def test_full_profile_suppressed(self):
         sys = example_tower()
@@ -767,7 +763,7 @@ def test_transport_violations_are_conservative_admissible():
         if slope(f0) <= slope(sys.components[0]):
             continue
         profile = transport_subsystem(sys, f0)
-        assert profile.slope > total_slope(sys)
+        assert slope(profile) > total_slope(sys)
         ranks = [r for r, _ in profile.entries]
         for i, comp in enumerate(sys.components):
             assert ranks[i] <= comp.rank
@@ -786,8 +782,8 @@ def test_conservative_mode_never_violates_within_sweep():
         mu = total_slope(sys)
         paper = max_slope_profile(sys, ConstraintMode.MONOTONE)
         conservative = max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
-        paper_violates = paper is not None and paper[1] > mu
-        conservative_violates = conservative is not None and conservative[1] > mu
+        paper_violates = paper is not None and slope(paper) > mu
+        conservative_violates = conservative is not None and slope(conservative) > mu
         if conservative_violates and not paper_violates:
-            findings.append((r0, e0, d, w, n, conservative[0].entries))
+            findings.append((r0, e0, d, w, n, conservative.entries))
     assert not findings, f"conservative-only violations found: {findings}"

@@ -18,14 +18,14 @@ from hodgeslope.slope_core import (
     _as_int,
     _check_keys,
     _is_prime,
-    format_rational,
+    format_slope,
     max_subsheaf_degree,
-    slope,
+    slope_excess,
     subsheaf_degree_row,
     tensor,
 )
 
-from support import totals
+from support import slope, totals
 
 
 def reference_check_keys(obj, what, required, optional=frozenset()) -> dict:
@@ -258,25 +258,60 @@ class TestGeometricContext:
 
 
 class TestSlope:
+    """Slopes as integer pairs: ``slope_excess`` compares two, and
+    ``format_slope`` writes one, each against the exact ``Fraction``."""
+
     def test_examples(self):
-        assert slope(BundleData(2, -2)) == Fraction(-1)
-        assert slope(BundleData(1, 0)) == 0
-        assert slope(BundleData(3, 8)) == Fraction(8, 3)
+        # the sign of the excess is that of mu - mu_ref
+        assert slope_excess(-2, 2, -1, 1) == 0
+        assert slope_excess(0, 1, 0, 5) == 0
+        assert slope_excess(8, 3, 5, 2) > 0
+        assert slope_excess(-1, 2, 0, 1) < 0
 
     def test_lowest_terms(self):
-        s = slope(BundleData(4, 6))
-        assert (s.numerator, s.denominator) == (3, 2)
+        assert format_slope(6, 4) == "3/2"
+        assert format_slope(0, 7) == "0/1"
+        assert format_slope(-6, 4) == "-3/2"
 
     def test_format(self):
-        assert format_rational(Fraction(8, 3)) == "8/3"
-        assert format_rational(Fraction(2)) == "2/1"
-        assert format_rational(Fraction(-1, 2)) == "-1/2"
+        assert format_slope(8, 3) == "8/3"
+        assert format_slope(2, 1) == "2/1"
+        assert format_slope(-1, 2) == "-1/2"
 
     def test_format_past_the_digit_limit(self):
         limit = sys.get_int_max_str_digits()
-        assert len(format_rational(Fraction(10**limit - 1, 7))) == limit + 2
+        assert len(format_slope(10**limit - 1, 7)) == limit + 2
         with pytest.raises(ValueError, match=f"^report too large: .* more than {limit} digits$"):
-            format_rational(Fraction(1, 10**limit))
+            format_slope(1, 10**limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        degree=st.one_of(
+            st.just(0), st.integers(-(2**20), 2**20), st.integers(2**64, 2**130),
+            st.integers(-(2**130), -(2**64)),
+        ),
+        rank=st.one_of(st.integers(1, 2**20), st.integers(2**64, 2**130)),
+        common=st.one_of(st.just(1), st.integers(2, 2**70)),
+    )
+    def test_format_matches_fraction(self, degree, rank, common):
+        # a common factor makes the reduction do work
+        degree, rank = degree * common, rank * common
+        x = Fraction(degree, rank)
+        assert format_slope(degree, rank) == f"{x.numerator}/{x.denominator}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+        b=st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+        common=st.integers(1, 50),
+    )
+    def test_excess_matches_fraction(self, a, b, common):
+        # equal slopes arise when b is a multiple of a
+        (degree, rank), (ref_degree, ref_rank) = a, b
+        for ref in ((ref_degree, ref_rank), (degree * common, rank * common)):
+            excess = slope_excess(degree, rank, *ref)
+            difference = Fraction(degree, rank) - Fraction(*ref)
+            assert (excess > 0, excess == 0) == (difference > 0, difference == 0)
 
 
 class TestDirectSum:

@@ -7,14 +7,19 @@ Renaming or deleting any of these breaks traced benchmark runs.  It also
 counts refusals by comparing ``type(outcome).__name__`` with
 ``"BudgetExceededError"``, so renaming that class raises no error: the
 ``refused`` counter would just read 0.  These tests pin all of them.
-The tracer's source is only read (``support.load_tracer``), never
-imported as a package module, so the benchmark directory gains no
-bytecode cache.
+The tracer looks each hooked module up in ``sys.modules``, so the modules
+the benchmark imports must load them all.  The tracer's source is only
+read (``support.load_tracer``), never imported as a package module, so
+the benchmark directory gains no bytecode cache.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,23 @@ from hodgeslope import profiles, search_oracle
 from support import load_tracer
 
 HOOKS = [target for targets in load_tracer().LAYERS.values() for target in targets]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_benchmark_imports_load_every_layer_module():
+    # a fresh -S interpreter importing what perfbench/run.py imports; a
+    # module that cli imports lazily would be missing when the tracer
+    # installs its hooks
+    modules = sorted({"hodgeslope." + module for module, _ in HOOKS})
+    code = (
+        "import sys, hodgeslope.cli, hodgeslope.inequalities; "
+        f"print(*[m for m in {modules!r} if m not in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
 
 
 @pytest.mark.parametrize("module_name, attr", HOOKS, ids=[f"{m}.{a}" for m, a in HOOKS])

@@ -162,8 +162,13 @@ def test_repr_matches_the_dataclass_form():
 
 def test_cli_import_loads_no_class_generation_or_typing_machinery():
     # -S as in a cold command-line process: site-packages may import these
-    # modules on their own
-    heavy = ("dataclasses", "typing", "pathlib", "inspect", "argparse", "gettext")
+    # modules on their own.  Slopes are integer pairs, so nothing loads
+    # fractions (with its decimal and numbers), and only verify-inequalities
+    # loads the inequalities module.
+    heavy = (
+        "dataclasses", "typing", "pathlib", "inspect", "argparse", "gettext",
+        "fractions", "decimal", "numbers", "hodgeslope.inequalities",
+    )
     code = f"import sys, hodgeslope.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
