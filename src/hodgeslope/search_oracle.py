@@ -25,7 +25,8 @@ and total rank q of a chain, a dynamic programme over
 (grade, rank) maximizes sum(q * degree_i - p * rank_i) over admissible
 chains.  A positive maximum is reached by a chain of larger slope, which
 becomes the next candidate; a zero maximum proves the candidate optimal.
-The degree bounds are tabulated one row per component, and a table of
+The degree bounds are tabulated one row per component, without the top
+grade's full-rank cell, which only the whole system reaches; a table of
 more than MAX_RANK_CELLS cells is refused with BudgetExceededError.  The
 tests keep a brute-force enumeration of every profile as the reference
 the solver and the closed form are checked against.
@@ -112,8 +113,11 @@ def _degree_bounds(
     subsheaf_mode: SubsheafMode,
 ) -> list[list[int]]:
     """Validate oracle preconditions and tabulate degree bounds per grade
-    and rank, for the ranks a chain can reach (entry 0 is rank 0).
+    and rank, for the ranks a proper chain can reach (entry 0 is rank 0).
 
+    A chain's rank grows at most step-fold per grade while rank(E_i) =
+    d^i * rank(E_0), so only the whole system has full rank at the top
+    grade: a top cap reaching rank(E_n) is lowered by one to keep it out.
     The table is capped at MAX_RANK_CELLS cells.
     """
     _require_iso_theta(sys)
@@ -121,6 +125,8 @@ def _degree_bounds(
     caps = [sys.components[0].rank]
     for comp in sys.components[1:]:
         caps.append(min(comp.rank, step * caps[-1]))
+    if caps[-1] == sys.components[-1].rank:
+        caps[-1] -= 1
     cells = sum(caps)
     if cells > MAX_RANK_CELLS:
         raise BudgetExceededError(
@@ -132,70 +138,33 @@ def _degree_bounds(
     ]
 
 
-def _tables(
-    bounds: list[list[int]], step: int, whole: bool, p: int, q: int
-) -> tuple[list[list[int]], list[int | None]]:
-    """Suffix tables of the chain value sum(q * degree_i - p * rank_i).
+def _best_chain(bounds: list[list[int]], step: int, p: int, q: int) -> tuple[int, list[int]]:
+    """The largest value sum(q * degree_i - p * rank_i) of a chain in the
+    table, with the lexicographically smallest rank chain reaching it.
 
-    values[i][r] is the best value of a chain from grade i on that has rank
-    r at grade i.  full[i] is the same for r = rank(E_i) along a chain equal
-    to the whole system through grade i, which must leave it before the top
-    grade (None when it cannot); it exists only when the whole system is
-    admissible (``whole``).
-    """
-    n = len(bounds) - 1
-    values: list[list[int]] = [[]] * (n + 1)
-    full: list[int | None] = [None] * (n + 1)
-    below: list[int] = []  # prefix maxima of the next grade's values; index 0 is stopping
-    for i in range(n, -1, -1):
-        b = bounds[i]
-        if i == n:
-            v = [q * b[r] - p * r for r in range(len(b))]
-        else:
-            h = len(below) - 1
-            v = [q * b[r] - p * r + below[min(h, step * r)] for r in range(len(b))]
-            if whole:
-                rest = below[h - 1] if full[i + 1] is None else max(below[h - 1], full[i + 1])
-                full[i] = q * b[-1] - p * (len(b) - 1) + rest
-        values[i] = v
-        below = list(accumulate(v, max))
-    return values, full
-
-
-def _best_chain(
-    bounds: list[list[int]], step: int, whole: bool, p: int, q: int
-) -> tuple[int, list[int]] | None:
-    """The largest value sum(q * degree_i - p * rank_i) of a proper chain,
-    with the lexicographically smallest rank chain reaching it, or None
-    when no proper chain exists.
-
+    A suffix programme: the best value from grade i on at rank r (r = 0
+    stops the chain, of value 0) reads the next grade's prefix maxima.
     Comparing entry lists is comparing rank vectors, and a prefix sorts
-    before its extensions, so the chain stops as soon as it meets the
-    maximum and otherwise takes the smallest rank that can still meet it.
+    before its extensions, so at each grade the chain takes the first
+    maximum within its rank cap, stopping before any rank.
     """
-    values, full = _tables(bounds, step, whole, p, q)
-    first = values[0][1:]
-    if whole:
-        first[-1] = full[0]
-    target = max((v for v in first if v is not None), default=None)
-    if target is None:
-        # a single line bundle: the only chain is the whole system
-        return None
+    values: list[list[int]] = []  # from the top grade down
+    below = [0]  # prefix maxima of the next grade's values
+    for b in reversed(bounds):
+        h = len(below) - 1
+        v = [q * b[r] - p * r + below[min(h, step * r)] for r in range(len(b))]
+        values.append(v)
+        below = list(accumulate(v, max))
     ranks: list[int] = []
-    acc, cap = 0, len(bounds[0]) - 1
-    for i, v in enumerate(values):
-        if ranks and acc == target:
+    first, cap = 1, len(bounds[0]) - 1  # a chain has rank at least 1 at grade 0
+    for v in reversed(values):
+        reach = v[first : cap + 1]
+        r = first + reach.index(max(reach))
+        if r == 0:
             break
-        top = len(v) - 1
-        for r in range(1, min(top, cap) + 1):
-            value = full[i] if whole and r == top else v[r]
-            if value is not None and acc + value == target:
-                break
         ranks.append(r)
-        acc += q * bounds[i][r] - p * r
-        whole = whole and r == top  # the chain so far is still the whole system's
-        cap = step * r
-    return target, ranks
+        first, cap = 0, step * r
+    return max(values[-1][1:]), ranks
 
 
 def max_slope_profile(
@@ -208,14 +177,12 @@ def max_slope_profile(
     exists.
     """
     bounds = _degree_bounds(sys, mode, subsheaf_mode)
+    if len(bounds[0]) == 1:
+        return None  # a lone line bundle: its one chain is the whole system
     step = _rank_step(sys, mode)
-    whole = all(len(b) == c.rank + 1 for b, c in zip(bounds, sys.components))
     p, q = bounds[0][1], 1  # a rank-1 piece: a chain of value 0, so no maximum is negative
     while True:
-        found = _best_chain(bounds, step, whole, p, q)
-        if found is None:
-            return None
-        excess, ranks = found
+        excess, ranks = _best_chain(bounds, step, p, q)
         if excess == 0:
             return SubsystemProfile(tuple((r, b[r]) for b, r in zip(bounds, ranks)))
         p, q = sum(b[r] for b, r in zip(bounds, ranks)), sum(ranks)

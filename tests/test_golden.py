@@ -5,7 +5,9 @@ reads (written to a temporary file whose path replaces ``{doc}``), and the
 exit code, stdout and stderr the command produced.  A case with an
 ``oracle`` field replaces the search oracle's verdict with the recorded
 one: criterion and oracle never disagree on real input, so this is the
-only way to reach exit code 2.
+only way to reach exit code 2.  Every case also replaces the Dinkelbach
+solver ``max_slope_profile`` with one that raises: no command reaches it,
+since the oracle decides every tower in closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ def _fake_oracle(monkeypatch, recorded: dict) -> None:
             monkeypatch.setattr(module, "verdict_from_search", lambda *a, **k: fake)
 
 
+def _no_solver(*args, **kwargs):
+    raise AssertionError("a command reached max_slope_profile")
+
+
 @pytest.mark.parametrize("case", CASES, ids=[f"line{i + 1}" for i in range(len(CASES))])
 def test_replay(case, tmp_path, capsys, monkeypatch):
     argv = case["argv"]
@@ -51,6 +57,7 @@ def test_replay(case, tmp_path, capsys, monkeypatch):
         path = tmp_path / "doc.json"
         path.write_text(case["document"], encoding="utf-8")
         argv = [str(path) if arg == "{doc}" else arg for arg in argv]
+    monkeypatch.setattr(search_oracle, "max_slope_profile", _no_solver)
     if "oracle" in case:
         _fake_oracle(monkeypatch, case["oracle"])
     code = cli.main(argv)

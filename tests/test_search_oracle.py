@@ -184,9 +184,17 @@ class TestEnumerate:
         }
 
     def test_full_profile_excluded(self):
-        sys = example_tower()
-        full = tuple((c.rank, c.degree) for c in sys.components)
-        assert full not in {p.entries for p in enumerate_profiles(sys)}
+        # a chain's rank grows at most step-fold per grade, so no proper
+        # profile has full rank at the top grade: the solver leaves that one
+        # cell out of its table.  (2, -2, d = 1, n = 1) is ``example_tower``.
+        for r0, d, n in itertools.product((1, 2), (1, 2, 3), range(4)):
+            sys = semistable_tower(r0, -2, omega(d, 2), n)
+            full = tuple((c.rank, c.degree) for c in sys.components)
+            top = sys.components[-1].rank
+            for mode in ConstraintMode:
+                for p in enumerate_profiles(sys, mode):
+                    assert p.entries != full
+                    assert p.support_top < n or p.entries[n][0] < top, (r0, d, n, mode)
 
     def test_declared_mode_rejected(self):
         declared = HodgeSystem(curve(2), (BundleData(1, 3),), Declared())
@@ -285,7 +293,7 @@ def towers(draw, stable: bool):
     """Attested towers small enough to enumerate: the height is cut until
     prod(rank + 1) is at most 20,000."""
     r0, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    e0, w = draw(st.integers(-8, 8)), draw(st.integers(0, 4))
+    e0, w = draw(st.integers(-8, 8)), draw(st.integers(-4, 4))
     n = draw(st.integers(0, 4))
     build = stable_tower if stable else semistable_tower
     context = omega(d, w, stable)
@@ -378,7 +386,7 @@ class TestSolverAgainstBruteForce:
         assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
 
     def test_cell_limit(self):
-        # ranks 3^i: 7,174,453 reachable cells in conservative mode, 15 in
+        # ranks 3^i: 7,174,452 reachable cells in conservative mode, 15 in
         # paper mode.  The solver refuses the first at once; the closed
         # form decides both, and check-system merges its answer.
         sys = semistable_tower(1, 0, omega(3, 2), 14)
@@ -420,25 +428,36 @@ class TestSearchCost:
 
     def test_degree_bound_rows_match_cells(self):
         # paper-mode caps fall below the ranks, conservative ones reach
-        # them, and every tower has negative degrees
+        # them, and every tower has negative degrees.  The top row ends one
+        # short of rank(E_n) exactly when its cap reaches it: only the whole
+        # system has that rank there.
         samples = [
             stable_tower(1, -3, omega(2, 1, stable=True), 4),
             stable_tower(3, -5, omega(2, 2, stable=True), 3),
             stable_tower(2, -7, omega(1, 0, stable=True), 2),
         ]
-        short = full = 0
+        short = full = lowered = 0
         for sys in samples:
             assert any(c.degree < 0 for c in sys.components)
             for mode, subsheaf_mode in itertools.product(ConstraintMode, SubsheafMode):
+                step = search_oracle._rank_step(sys, mode)
+                caps = list(itertools.accumulate(
+                    (c.rank for c in sys.components), lambda cap, rank: min(rank, step * cap)
+                ))
                 rows = search_oracle._degree_bounds(sys, mode, subsheaf_mode)
-                for row, comp in zip(rows, sys.components):
+                for i, (row, comp) in enumerate(zip(rows, sys.components)):
                     cap = len(row) - 1
                     short += cap < comp.rank
                     full += cap == comp.rank
+                    if i == sys.n and caps[i] == comp.rank:
+                        assert cap == comp.rank - 1
+                        lowered += 1
+                    else:
+                        assert cap == caps[i]
                     assert row == [0] + [
                         max_subsheaf_degree(r, comp, subsheaf_mode) for r in range(1, cap + 1)
                     ]
-        assert short and full
+        assert short and full and lowered
 
 
 class TestClosedForm:
