@@ -13,6 +13,12 @@ the semistability and stability criteria consume.  Verdicts are
 three-valued; the criteria are one-directional outside characteristic zero
 (and, for stability, outside curves), and this module never over-claims.
 
+The tower's degree sums are the power sums W(k) = sum_{i<=k} i d^(i-1)
+and S(k) = sum_{j<=k} d^j >= 1.  verify_hodge_sums checks that the
+partial slopes increase with the grade, that is W(k)/S(k) nondecreasing:
+W(k-1) S(k) <= W(k) S(k-1) for each adjacent pair, one running-sum pass
+per degree, which establishes W(r) S(n) <= W(n) S(r) for every r <= n.
+
 Two statements are recorded here as documentation only, with no operation
 behind them: for dimension at least 2 one expects stable towers to force
 polystable components, and every criterion below survives replacing the
@@ -29,6 +35,7 @@ from .slope_core import (
     BundleData,
     Frozen,
     GeometricContext,
+    InconsistencyError,
     _check_keys,
     format_slope,
     refusal,
@@ -89,6 +96,46 @@ def tower_component(base: BundleData, context: GeometricContext, i: int) -> tupl
         d**i * base.rank,
         i * d ** (i - 1) * w * base.rank + d**i * base.degree,
     )
+
+
+#: Largest sweep verify_hodge_sums runs, counted in pairs established.  The
+#: adjacent checks would allow far more, but the golden corpus and the
+#: tests record the refusals, and the limit keeps the one stderr line per
+#: degree that verify-inequalities writes bounded.
+MAX_SWEEP_CHECKS = 20_000
+
+
+def _adjacent_failures(d: int, n_max: int) -> list[tuple[int, int]]:
+    """The adjacent pairs (k-1, k), 1 <= k <= n_max, on which the power-sum
+    inequality fails for this d, in one pass: W(k) = W(k-1) + k d^(k-1)
+    and S(k) = S(k-1) + d^k, and the pair fails when W(k-1) S(k) > W(k) S(k-1)."""
+    failures = []
+    w, s, power = 0, 1, 1  # W(k-1), S(k-1) and d^(k-1) at k = 1
+    for k in range(1, n_max + 1):
+        w_k = w + k * power
+        power *= d
+        s_k = s + power
+        if w * s_k > w_k * s:
+            failures.append((k - 1, k))
+        w, s = w_k, s_k
+    return failures
+
+
+def verify_hodge_sums(d_max: int, n_max: int) -> int:
+    """Establish the power-sum inequality for 1 <= d <= d_max and every
+    pair 0 <= r <= n <= n_max, and return the pairs established per d.  A
+    sweep of more than MAX_SWEEP_CHECKS pairs is refused, and a failure of
+    the proved inequality raises InconsistencyError."""
+    if d_max < 1 or n_max < 0:
+        raise ValueError("need d_max >= 1 and n_max >= 0")
+    pairs = (n_max + 1) * (n_max + 2) // 2
+    checks = d_max * pairs
+    if checks > MAX_SWEEP_CHECKS:
+        raise refusal(lambda: f"sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}")
+    for d in range(1, d_max + 1):
+        if _adjacent_failures(d, n_max):
+            raise InconsistencyError("a proved inequality failed on the sweep")
+    return pairs
 
 
 def require_tower(pieces: tuple[BundleData, ...], context: GeometricContext, what: str) -> None:

@@ -8,20 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgeslope import inequalities
-from hodgeslope.hodge_system import derive_components
-from hodgeslope.inequalities import (
+from hodgeslope import hodge_system
+from hodgeslope.hodge_system import (
     MAX_SWEEP_CHECKS,
+    _adjacent_failures,
+    derive_components,
+    verify_hodge_sums,
+)
+from hodgeslope.inequalities import (
     InequalityCheck,
     SequencePair,
-    _adjacent_failures,
     chebyshev_lower,
     chebyshev_upper,
     geometric_sum,
     hodge_sum_inequality,
-    hodge_sum_sweep,
     make_pair,
-    verify_hodge_sums,
     weighted_power_sum,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext, InconsistencyError
@@ -321,69 +322,61 @@ class TestHodgeSum:
             hodge_sum_inequality(2, 3, 1)
 
     def test_small_exhaustive_sweep(self):
-        rows = hodge_sum_sweep(4, 8)
-        assert all(not failures for _, _, failures in rows)
-        assert sum(checked for _, checked, _ in rows) == 4 * (9 * 10 // 2)
+        assert verify_hodge_sums(4, 8) == 9 * 10 // 2
 
     def test_sweep_equals_per_pair_checks(self):
-        rows = []
+        pairs = [(r, n) for n in range(13) for r in range(n + 1)]
         for d in range(1, 5):
-            pairs = [(r, n) for n in range(13) for r in range(n + 1)]
-            failures = [(r, n) for r, n in pairs if not hodge_sum_inequality(d, r, n)]
-            rows.append((d, len(pairs), failures))
-        assert hodge_sum_sweep(4, 12) == rows
+            assert [(r, n) for r, n in pairs if not hodge_sum_inequality(d, r, n)] == []
+        assert verify_hodge_sums(4, 12) == len(pairs)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(size=sweep_sizes())
     @example(size=(1, largest_n_max(1)))
     @example(size=(6, largest_n_max(6)))
     def test_sweep_matches_the_all_pairs_reference(self, size):
-        rows = hodge_sum_sweep(*size)
+        rows = reference_hodge_sum_sweep(*size)
         assert all(not failures for _, _, failures in rows)
-        assert rows == reference_hodge_sum_sweep(*size)
+        assert [(d, checked) for d, checked, _ in rows] == [
+            (d, verify_hodge_sums(*size)) for d in range(1, size[0] + 1)
+        ]
 
     def test_sweep_checks_adjacent_pairs_only(self):
         # doubling n_max about doubles the work; an all-pairs loop quadruples it
-        rows = hodge_sum_sweep(3, 100)
-        assert sum(checked for _, checked, _ in rows) == 15_453
-        assert line_events(hodge_sum_sweep, 3, 100) < 2.2 * line_events(hodge_sum_sweep, 3, 50)
+        assert 3 * verify_hodge_sums(3, 100) == 15_453
+        assert line_events(verify_hodge_sums, 3, 100) < 2.2 * line_events(verify_hodge_sums, 3, 50)
 
     @pytest.mark.parametrize("d, k", [(1, 1), (2, 5), (3, 8)])
     def test_a_failing_adjacent_pair_is_reported_alone(self, monkeypatch, d, k):
-        failures = inequalities._adjacent_failures
+        failures = hodge_system._adjacent_failures
 
         def failing_at_k(e, n_max):
             return failures(e, n_max) + ([(k - 1, k)] if e == d else [])
 
-        monkeypatch.setattr(inequalities, "_adjacent_failures", failing_at_k)
-        rows = hodge_sum_sweep(3, 8)
-        assert [(e, failures) for e, _, failures in rows] == [
-            (e, [(k - 1, k)] if e == d else []) for e in (1, 2, 3)
-        ]
+        monkeypatch.setattr(hodge_system, "_adjacent_failures", failing_at_k)
         with pytest.raises(InconsistencyError, match="proved inequality failed"):
             verify_hodge_sums(3, 8)
 
     def test_sweep_makes_one_pass_per_degree(self, monkeypatch):
         calls = []
-        failures = inequalities._adjacent_failures
+        failures = hodge_system._adjacent_failures
 
         def counted(d, n_max):
             calls.append((d, n_max))
             return failures(d, n_max)
 
-        monkeypatch.setattr(inequalities, "_adjacent_failures", counted)
-        rows = hodge_sum_sweep(3, 40)
-        assert sum(checked for _, checked, _ in rows) == 3 * 41 * 42 // 2
+        monkeypatch.setattr(hodge_system, "_adjacent_failures", counted)
+        assert 3 * verify_hodge_sums(3, 40) == 3 * 41 * 42 // 2
         assert calls == [(1, 40), (2, 40), (3, 40)]
 
     def test_sweep_size_limit(self):
         # 3 * 101 * 102 / 2 = 15,453 checks run; 3 * 301 * 302 / 2 do not
-        assert sum(c for _, c in verify_hodge_sums(3, 100)) == 15_453 <= MAX_SWEEP_CHECKS
+        assert 3 * verify_hodge_sums(3, 100) == 15_453 <= MAX_SWEEP_CHECKS
         with pytest.raises(ValueError, match="sweep too large: 136353 checks"):
-            hodge_sum_sweep(3, 300)
+            verify_hodge_sums(3, 300)
 
     def test_failed_check_is_an_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(inequalities, "_adjacent_failures", lambda d, n_max: [(0, 1)])
+        monkeypatch.setattr(hodge_system, "_adjacent_failures", lambda d, n_max: [(0, 1)])
         with pytest.raises(InconsistencyError, match="proved inequality failed"):
             verify_hodge_sums(1, 2)
 

@@ -89,3 +89,20 @@ def test_every_library_name_has_a_caller():
     assert not unreached, f"library names nothing in src/ or perfbench/ reaches: {unreached}"
     assert not kept_yet_reached, f"KEPT names that are reached after all: {kept_yet_reached}"
     assert set(KEPT) <= defined, f"KEPT names that no longer exist: {sorted(set(KEPT) - defined)}"
+
+
+def test_no_library_module_imports_inequalities():
+    # no command decides through inequalities, whose lemmas only the tests
+    # and the benchmark call: ROADMAP item 14 moves them out of the library
+    importers = []
+    for path in sorted((ROOT / "src" / "hodgeslope").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or "", *[alias.name for alias in node.names]]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(module.split(".")[-1] == "inequalities" for module in modules):
+                importers.append(f"{path.stem}:{node.lineno}")
+    assert not importers, f"library modules importing inequalities: {importers}"

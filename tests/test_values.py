@@ -163,15 +163,23 @@ def test_repr_matches_the_dataclass_form():
 def test_cli_import_loads_no_class_generation_or_typing_machinery():
     # -S as in a cold command-line process: site-packages may import these
     # modules on their own.  Slopes are integer pairs, so nothing loads
-    # fractions (with its decimal and numbers), and only verify-inequalities
-    # loads the inequalities module.
+    # fractions (with its decimal and numbers), and no command, not even
+    # verify-inequalities, loads the inequalities module.  The sweep's
+    # report goes to a buffer, so stdout holds only the loaded names.
     heavy = (
         "dataclasses", "typing", "pathlib", "inspect", "argparse", "gettext",
         "fractions", "decimal", "numbers", "hodgeslope.inequalities",
     )
-    code = f"import sys, hodgeslope.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    loaded = f"print(*[m for m in {heavy!r} if m in sys.modules])"
+    sweep = (
+        "sys.stdout = io.StringIO(); "
+        "assert hodgeslope.cli.main(['verify-inequalities', '--d-max', '1', '--n-max', '2']) == 0; "
+        "sys.stdout = sys.__stdout__; "
     )
-    assert done.stdout.split() == []
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for run in ("", sweep):
+        code = f"import io, sys, hodgeslope.cli; {run}{loaded}"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == [], run
