@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 import sys
 from types import SimpleNamespace
 
 from . import search_oracle
 from .gallery import BUILDERS, checked_entry
-from .hn_profiles import HNProfile, tensor_hn, valid_polygon
+from .hn_profiles import HNProfile, hn_polygon, tensor_hn
 from .hodge_system import (
     Verdict, system_from_json, system_to_json, verdict_json, verify_hodge_sums,
 )
@@ -63,12 +65,23 @@ def _emit(report: dict, summary: str) -> None:
     sys.stderr.write(summary + "\n")
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
     """The document the command line names, and its ``key`` payload.  The
     bytes are decoded as a text-mode open with encoding="utf-8" decodes
-    them: strict UTF-8, a byte-order mark kept, universal newlines."""
+    them: strict UTF-8, a byte-order mark kept, universal newlines.  The
+    path must name a regular file or a FIFO, which is opened without
+    waiting for a writer; a device could block or never end."""
     try:
-        with open(args.document, "rb", buffering=0) as handle:
+        with open(args.document, "rb", buffering=0, opener=_open_nonblocking) as handle:
+            mode = os.fstat(handle.fileno()).st_mode
+            if stat.S_ISFIFO(mode):
+                os.set_blocking(handle.fileno(), True)  # with no writer, it reads as empty
+            elif not stat.S_ISREG(mode):
+                raise OSError(f"not a regular file or a FIFO: {args.document!r}")
             raw = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read document: {exc}")
@@ -195,8 +208,7 @@ def _cmd_hn_tensor(args: SimpleNamespace) -> int:
     report = {
         "valid": True,
         "quotients": [q.to_json() for q in result.quotients],
-        # tensor_hn validated the profile, and its output is valid with it
-        "polygon": valid_polygon(result),
+        "polygon": hn_polygon(result),
     }
     _emit(report, f"hn-tensor: {len(result.quotients)} quotients, polygon computed")
     return 0

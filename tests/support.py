@@ -8,6 +8,7 @@ exact rationals the library compares by cross-multiplication, and
 judges a polygon, and ``filtration_to_json`` and ``pair_to_json`` write
 documents that ``GriffithsFiltration.from_json`` and ``pair_from_json``
 read back.
+``hn_valid`` reads ``validate_hn``'s check as a truth value.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
 must keep.
 """
@@ -20,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 
-from hodgeslope.hn_profiles import HNProfile
+from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.slope_core import BundleData, GeometricContext
@@ -104,6 +105,15 @@ def is_strictly_concave(points: Sequence[tuple[int, int]]) -> bool:
         x2, y2 = points[i + 2]
         if (y1 - y0) * (x2 - x1) <= (y2 - y1) * (x1 - x0):
             return False
+    return True
+
+
+def hn_valid(p: HNProfile) -> bool:
+    """Whether ``validate_hn`` accepts the profile, rather than raising."""
+    try:
+        validate_hn(p)
+    except ValueError:
+        return False
     return True
 
 

@@ -19,7 +19,7 @@ from hodgeslope.gallery import (
     example_unstable_component,
     recompute_verdict,
 )
-from hodgeslope.hn_profiles import HNProfile, tensor_hn, validate_hn
+from hodgeslope.hn_profiles import HNProfile, tensor_hn
 from hodgeslope.hodge_system import (
     Answer,
     criterion_semistable,
@@ -43,6 +43,7 @@ from hodgeslope.search_oracle import ConstraintMode, max_slope_profile
 from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, tensor
 
 from support import (
+    hn_valid,
     is_strictly_concave,
     random_quotients,
     random_valid_profile,
@@ -215,7 +216,7 @@ def test_criterion_6_hn_tensor_lemma():
         result = tensor_hn(profile, w)
         total = totals(result.quotients)
         expected = tensor(totals(profile.quotients), w)
-        if not validate_hn(result).valid or (total.rank, total.degree) != (
+        if not hn_valid(result) or (total.rank, total.degree) != (
             expected.rank,
             expected.degree,
         ):
@@ -228,7 +229,7 @@ def test_criterion_6_hn_tensor_lemma():
         points = [(0, 0)]
         for q in quotients:
             points.append((points[-1][0] + q.rank, points[-1][1] + q.degree))
-        if is_strictly_concave(points) != validate_hn(profile).valid:
+        if is_strictly_concave(points) != hn_valid(profile):
             failures.append(("concavity", profile))
     report(
         "criterion 6 (tensor transform of Harder-Narasimhan profiles)",

@@ -5,6 +5,8 @@ import gc
 import io
 import json
 import os
+import resource
+import socket
 import subprocess
 import sys
 import time
@@ -51,16 +53,22 @@ def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
     return code, json.loads(out), err
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the package's source directory on the path."""
+def python_env() -> dict:
+    """The environment with the package's source directory on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args: str, timeout: float = 60, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package's source directory on the path."""
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+        env=python_env(),
+        preexec_fn=preexec_fn,
     )
 
 
@@ -863,6 +871,79 @@ class TestDocumentRead:
             json.dumps({"error": error}) + "\n",
             f"invalid input: {error}\n",
         )
+
+
+class TestDocumentFileType:
+    """A document path to a FIFO, a device or a socket ends in bounded
+    time.  A case that could hang runs in a child process under a timeout,
+    so a read that blocks or never ends fails the test instead of hanging
+    the suite."""
+
+    @pytest.fixture
+    def fifo(self, tmp_path):
+        path = tmp_path / "doc.fifo"
+        os.mkfifo(path)
+        return str(path)
+
+    def test_fifo_without_writer_reads_as_empty(self, fifo):
+        done = run_python("-m", "hodgeslope.cli", "check-system", fifo, timeout=10)
+        assert (done.returncode, json.loads(done.stdout)) == (
+            1,
+            {"error": "document is not valid JSON: Expecting value: line 1 column 1 (char 0)"},
+        )
+
+    def test_fifo_gives_the_regular_files_report(self, fifo, tower_doc):
+        expected = run_python("-m", "hodgeslope.cli", "check-system", tower_doc)
+        assert expected.returncode == 0
+        # the parent holds a read end open, so the writer opens at once and
+        # the pipe keeps what it wrote until the child has read it
+        keeper = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with open(fifo, "wb") as writer:
+                child = subprocess.Popen(
+                    [sys.executable, "-m", "hodgeslope.cli", "check-system", fifo],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=python_env(),
+                )
+                writer.write(Path(tower_doc).read_bytes())
+            try:
+                out, err = child.communicate(timeout=10)
+            finally:
+                child.kill()
+        finally:
+            os.close(keeper)
+        assert (child.returncode, out, err) == (0, expected.stdout, expected.stderr)
+
+    @pytest.mark.parametrize("device", ["/dev/zero", "/dev/null"])
+    def test_character_device_is_refused(self, device):
+        if not os.path.exists(device):
+            pytest.skip(f"no {device}")
+
+        def cap_memory():  # an endless read then ends in MemoryError, not a full machine
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        done = run_python(
+            "-m", "hodgeslope.cli", "check-system", device, timeout=10, preexec_fn=cap_memory
+        )
+        error = f"cannot read document: not a regular file or a FIFO: {device!r}"
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            json.dumps({"error": error}) + "\n",
+            f"invalid input: {error}\n",
+        )
+
+    def test_socket_cannot_be_opened(self, capsys, tmp_path):
+        path = str(tmp_path / "doc.sock")
+        with socket.socket(socket.AF_UNIX) as listener:
+            listener.bind(path)
+            error = f"cannot read document: [Errno 6] No such device or address: {path!r}"
+            assert run_raw(capsys, ["check-system", path]) == (
+                1,
+                json.dumps({"error": error}) + "\n",
+                f"invalid input: {error}\n",
+            )
 
 
 # The command-line grammar as a user reads it in README, written out here

@@ -15,11 +15,11 @@ from hodgeslope.gallery import (
     example_unstable_component,
     recompute_verdict,
 )
-from hodgeslope.hn_profiles import HNProfile, validate_hn
+from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import Answer, Verdict
 from hodgeslope.slope_core import BundleData, InconsistencyError
 
-from support import slope, total_slope
+from support import hn_valid, slope, total_slope
 
 
 class TestStrictlySemistable:
@@ -118,7 +118,7 @@ class TestUnstableComponent:
             l2 = BundleData(1, d0 + 2 * g - 2, semistable=True, stable=True)
             l1 = BundleData(1, -2 * d0 - (2 * g - 2), semistable=True, stable=True)
             hn = HNProfile((l2, l1))
-            assert validate_hn(hn).valid
+            assert hn_valid(hn)
             e1 = example_unstable_component(g, d0).system.components[1]
             assert (l1.rank + l2.rank, l1.degree + l2.degree) == (e1.rank, e1.degree)
 

@@ -8,7 +8,14 @@ import pytest
 from hodgeslope.hn_profiles import HNProfile, hn_polygon, tensor_hn, validate_hn
 from hodgeslope.slope_core import BundleData, tensor
 
-from support import is_strictly_concave, random_quotients, random_valid_profile, slope, totals
+from support import (
+    hn_valid,
+    is_strictly_concave,
+    random_quotients,
+    random_valid_profile,
+    slope,
+    totals,
+)
 
 
 def ss(rank: int, degree: int) -> BundleData:
@@ -17,14 +24,17 @@ def ss(rank: int, degree: int) -> BundleData:
 
 class TestValidation:
     def test_examples(self):
-        assert validate_hn(HNProfile((ss(1, 5), ss(2, 2)))).valid
-        assert validate_hn(HNProfile((ss(1, 0),))).valid
-        check = validate_hn(HNProfile((ss(1, 1), ss(1, 1))))
-        assert not check.valid and check.first_violation == 0
+        assert hn_valid(HNProfile((ss(1, 5), ss(2, 2))))
+        assert hn_valid(HNProfile((ss(1, 0),)))
+        with pytest.raises(
+            ValueError, match="^invalid profile: slopes do not strictly decrease at index 0$"
+        ):
+            validate_hn(HNProfile((ss(1, 1), ss(1, 1))))
 
     def test_reports_first_violation_only(self):
         profile = HNProfile((ss(1, 5), ss(1, 2), ss(1, 3), ss(1, 9)))
-        assert validate_hn(profile).first_violation == 1
+        with pytest.raises(ValueError, match="at index 1$"):
+            validate_hn(profile)
 
     def test_quotients_must_be_flagged(self):
         with pytest.raises(ValueError, match="flagged semistable"):
@@ -66,7 +76,7 @@ class TestTensor:
             profile = random_valid_profile(rng)
             w = ss(rng.randint(1, 4), rng.randint(-20, 20))
             result = tensor_hn(profile, w)
-            assert validate_hn(result).valid
+            assert hn_valid(result)
             expected = tensor(totals(profile.quotients), w)
             total = totals(result.quotients)
             assert (total.rank, total.degree) == (expected.rank, expected.degree)
@@ -85,9 +95,11 @@ class TestPolygon:
         assert hn_polygon(HNProfile((ss(3, -4),))) == [(0, 0), (3, -4)]
         assert hn_polygon(HNProfile((ss(2, 10), ss(4, 4)))) == [(0, 0), (2, 10), (6, 14)]
 
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(ValueError, match="strictly decrease"):
-            hn_polygon(HNProfile((ss(1, 1), ss(1, 1))))
+    def test_ill_ordered_profile_gives_its_cumulative_sums(self):
+        profile = HNProfile((ss(1, 1), ss(1, 1), ss(2, 5)))
+        points = hn_polygon(profile)
+        assert points == [(0, 0), (1, 1), (2, 2), (4, 7)]
+        assert not hn_valid(profile) and not is_strictly_concave(points)
 
     def test_segment_slopes_are_quotient_slopes(self):
         rng = random.Random(47)
@@ -107,4 +119,4 @@ class TestPolygon:
             points = [(0, 0)]
             for q in quotients:
                 points.append((points[-1][0] + q.rank, points[-1][1] + q.degree))
-            assert is_strictly_concave(points) == validate_hn(profile).valid
+            assert is_strictly_concave(points) == hn_valid(profile)

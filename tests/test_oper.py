@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hodgeslope import cli
-from hodgeslope.hn_profiles import HNProfile, validate_hn
+from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import (
     Answer,
     Declared,
@@ -27,7 +27,15 @@ from hodgeslope.oper import (
 )
 from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import curve, filtration_to_json, pair_to_json, slope, slope_text, totals
+from support import (
+    curve,
+    filtration_to_json,
+    hn_valid,
+    pair_to_json,
+    slope,
+    slope_text,
+    totals,
+)
 
 
 def iso_filtration(
@@ -312,14 +320,14 @@ class TestHnBridge:
         pieces = tower_pieces(BundleData(2, -3, semistable=True), curve(2), 3)
         f = iso_filtration(pieces, curve(2))
         assert is_generalized_oper(f)
-        assert validate_hn(HNProfile(tuple(reversed(f.graded)))).valid
+        assert hn_valid(HNProfile(tuple(reversed(f.graded))))
 
     def test_needs_positive_cotangent_degree(self):
         # at cotangent degree 0 every graded piece has the same slope
         pieces = tower_pieces(BundleData(1, 0, semistable=True), curve(0), 2)
         f = iso_filtration(pieces, curve(0))
         assert is_generalized_oper(f)
-        assert not validate_hn(HNProfile(tuple(reversed(f.graded)))).valid
+        assert not hn_valid(HNProfile(tuple(reversed(f.graded))))
 
     def test_needs_oper(self):
         # pieces not attested semistable: not an oper, and not the

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hodgeslope.gallery import GalleryEntry
-from hodgeslope.hn_profiles import HNProfile, HNValidation
+from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import Answer, Declared, HodgeSystem, Isomorphisms, Verdict
 from hodgeslope.inequalities import InequalityCheck, SequencePair
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck
@@ -91,7 +91,6 @@ CASES = {
         ("system", SYSTEM, HodgeSystem(CTX2, (LINE,), Declared()), EMPTY),
         ("expected", Verdict(), Verdict(provenance="oracle"), EMPTY),
     ],
-    HNValidation: [("valid", True, False, EMPTY), ("first_violation", None, 0, None)],
     HNProfile: [
         ("quotients", (BundleData(1, 0, True),), (BundleData(1, 1, True),), EMPTY)
     ],
@@ -105,7 +104,7 @@ def build(cls, **changed):
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 15
+    assert len(CASES) == 14
 
 
 @CLASSES
