@@ -51,6 +51,10 @@ _REQUEST_FIELDS = frozenset({"profile", "tensor_with"})
 #: characters and marked with "…", which bounds the error report.
 MAX_ECHO = 100
 
+#: Seconds a FIFO document waits for its first writer.  One with no writer
+#: by then reads as empty.
+FIFO_WRITER_WAIT = 3
+
 
 #: Writes a report as ``json.dumps(report, sort_keys=True)`` does.
 _encode = json.JSONEncoder(sort_keys=True).encode
@@ -73,12 +77,14 @@ def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
     """The document the command line names, and its ``key`` payload.  The
     bytes are decoded as a text-mode open with encoding="utf-8" decodes
     them: strict UTF-8, a byte-order mark kept, universal newlines.  The
-    path must name a regular file or a FIFO, which is opened without
-    waiting for a writer; a device could block or never end."""
+    path must name a regular file or a FIFO (a device could block or never
+    end), and a FIFO waits up to FIFO_WRITER_WAIT seconds for a writer."""
     try:
         with open(args.document, "rb", buffering=0, opener=_open_nonblocking) as handle:
             mode = os.fstat(handle.fileno()).st_mode
             if stat.S_ISFIFO(mode):
+                import select  # here, so a regular file's command never loads it
+                select.select([handle], [], [], FIFO_WRITER_WAIT)
                 os.set_blocking(handle.fileno(), True)  # with no writer, it reads as empty
             elif not stat.S_ISREG(mode):
                 raise OSError(f"not a regular file or a FIFO: {args.document!r}")

@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .hodge_system import (
-    Answer,
-    Declared,
-    HodgeSystem,
-    ISOMORPHISMS,
-    Isomorphisms,
-    Verdict,
-)
+from .hodge_system import ISOMORPHISMS, Answer, HodgeSystem, Verdict
 from .profiles import SubsystemProfile
 from .search_oracle import PROV_DECLARED, PROV_ORACLE, system_verdict, verdict_from_search
 from .slope_core import BundleData, Frozen, GeometricContext, InconsistencyError
@@ -54,7 +47,7 @@ def _prefix_destabilizes(g: int, d0: int, e1: BundleData) -> GalleryEntry:
     the prefix ((1, d0),) declared as the destabilizing subobject."""
     e0 = BundleData(1, d0, semistable=True, stable=True)
     witness = SubsystemProfile(((1, d0),))
-    system = HodgeSystem(_curve_context(g), (e0, e1), Declared((witness,)))
+    system = HodgeSystem(_curve_context(g), (e0, e1), (witness,))
     return GalleryEntry(system, Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED))
 
 
@@ -141,7 +134,7 @@ def recompute_verdict(entry: GalleryEntry) -> Verdict:
     """Reproduce the entry's verdict: an isomorphism tower by search, a
     declared system as ``check-system`` decides it, by judging its
     declared profiles."""
-    if isinstance(entry.system.theta, Isomorphisms):
+    if entry.system.theta is ISOMORPHISMS:
         return verdict_from_search(entry.system)
     return system_verdict(entry.system)
 

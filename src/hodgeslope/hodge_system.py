@@ -63,23 +63,10 @@ class Answer(Enum):
 YES, NO, UNKNOWN = Answer.YES, Answer.NO, Answer.UNKNOWN
 
 
-class Isomorphisms(Frozen):
-    """Every graded map is an isomorphism onto the next-lower piece
-    tensored with the cotangent bundle."""
-
-
-class Declared(Frozen):
-    """No isomorphism structure is asserted; invariant subobjects are
-    declared explicitly as profiles (possibly none)."""
-
-    _fields = ("profiles",)
-
-    def __init__(self, profiles: tuple[SubsystemProfile, ...] = ()) -> None:
-        self.__dict__["profiles"] = tuple(profiles)
-
-
-ThetaMode = Isomorphisms | Declared
-ISOMORPHISMS = Isomorphisms()
+#: A system's theta when every graded map is an isomorphism onto the
+#: next-lower piece tensored with the cotangent bundle.  Otherwise theta is
+#: the tuple of declared invariant subobject profiles, possibly empty.
+ISOMORPHISMS = "isomorphisms"
 
 
 def tower_component(base: BundleData, context: GeometricContext, i: int) -> tuple[int, int]:
@@ -153,13 +140,14 @@ def _join(flags: list[bool | None]) -> bool | None:
 
 
 class HodgeSystem(Frozen):
-    """Graded components E_0..E_n with the grade-lowering structure mode.
+    """Graded components E_0..E_n with the grade-lowering structure theta.
 
-    In ``Isomorphisms`` mode the component invariants must satisfy the
+    With theta ``ISOMORPHISMS`` the component invariants must satisfy the
     tower formulas; any hand-supplied list violating them is rejected at
-    construction.  ``total_rank`` and ``total_degree`` are those of the
-    whole system, summed once at construction, and ``components_semistable``
-    and ``components_stable`` join the components' attestations, each flag
+    construction.  Any other theta is a tuple of declared profiles.
+    ``total_rank`` and ``total_degree`` are those of the whole system,
+    summed once at construction, and ``components_semistable`` and
+    ``components_stable`` join the components' attestations, each flag
     read there once: True if all are attested, False if one is attested not.
     """
 
@@ -169,17 +157,18 @@ class HodgeSystem(Frozen):
         self,
         context: GeometricContext,
         components: tuple[BundleData, ...],
-        theta: ThetaMode = ISOMORPHISMS,
+        theta: str | tuple[SubsystemProfile, ...] = ISOMORPHISMS,
     ) -> None:
         components = tuple(components)
         if not components:
             raise ValueError("a system needs at least one component")
-        if not isinstance(theta, (Isomorphisms, Declared)):
-            raise ValueError("theta must be an Isomorphisms or Declared mode")
-        if isinstance(theta, Isomorphisms):
+        if theta == ISOMORPHISMS:
+            theta = ISOMORPHISMS
             require_tower(
                 components, context, "component {} is incompatible with the isomorphism tower"
             )
+        elif not isinstance(theta, tuple):
+            raise ValueError(f"theta must be {ISOMORPHISMS!r} or a tuple of declared profiles")
         self._fill(context, components, theta)
 
     def _fill(self, context, components, theta) -> None:
@@ -252,9 +241,10 @@ def verdict_json(v: Verdict, mu_total: str) -> dict:
     }
 
 
-def _require_isomorphisms(sys: HodgeSystem) -> None:
-    if not isinstance(sys.theta, Isomorphisms):
-        raise ValueError("operation requires isomorphism structure on the graded maps")
+def require_isomorphisms(sys: HodgeSystem, what: str) -> None:
+    """Refuse a declared system: ``what`` needs every graded map an isomorphism."""
+    if sys.theta is not ISOMORPHISMS:
+        raise ValueError(f"{what} requires isomorphism structure")
 
 
 def derive_components(base: BundleData, context: GeometricContext, n: int) -> HodgeSystem:
@@ -289,7 +279,7 @@ def transport_subsystem(sys: HodgeSystem, f0: BundleData) -> SubsystemProfile:
 
         slope(profile) - mu(E) = mu(f0) - mu(E_0).
     """
-    _require_isomorphisms(sys)
+    require_isomorphisms(sys, "transport")
     base = sys.components[0]
     if f0.rank > base.rank:
         raise ValueError(f"subobject rank {f0.rank} exceeds base rank {base.rank}")
@@ -310,7 +300,7 @@ def criterion_semistable(
     destabilizing subsheaf gives no, certified by transporting the datum.
     Anything else is unknown.
     """
-    _require_isomorphisms(sys)
+    require_isomorphisms(sys, "the semistability criterion")
     if sys.context.omega_degree < 0:
         raise ValueError("hypothesis violated: the cotangent degree must be nonnegative")
     if sys.components_semistable is True:
@@ -339,7 +329,7 @@ def criterion_stable(
     certificate is the transport of an equal-slope proper subobject datum
     of the base when one is supplied.  Anything else is unknown.
     """
-    _require_isomorphisms(sys)
+    require_isomorphisms(sys, "the stability criterion")
     if sys.context.omega_degree <= 0:
         raise ValueError("hypothesis violated: the cotangent degree must be positive")
     if sys.components_stable is True:
@@ -407,14 +397,11 @@ def criteria_verdicts(sys: HodgeSystem) -> list[Verdict]:
 
 
 def system_to_json(sys: HodgeSystem) -> dict:
-    if isinstance(sys.theta, Isomorphisms):
-        theta: object = "isomorphisms"
-    else:
-        theta = {"declared": [p.to_json() for p in sys.theta.profiles]}
+    theta = sys.theta
     return {
         "context": sys.context.to_json(),
         "components": [c.to_json() for c in sys.components],
-        "theta": theta,
+        "theta": theta if theta is ISOMORPHISMS else {"declared": [p.to_json() for p in theta]},
     }
 
 
@@ -424,12 +411,10 @@ def system_from_json(obj: object) -> HodgeSystem:
     if not isinstance(data["components"], list) or not data["components"]:
         raise ValueError("components must be a nonempty JSON array")
     components = tuple(BundleData.from_json(c) for c in data["components"])
-    raw_theta = data["theta"]
-    if raw_theta == "isomorphisms":
-        theta: ThetaMode = ISOMORPHISMS
-    else:
-        inner = _check_keys(raw_theta, "theta", _THETA_FIELDS, _THETA_FIELDS)
+    theta = data["theta"]
+    if theta != ISOMORPHISMS:
+        inner = _check_keys(theta, "theta", _THETA_FIELDS, _THETA_FIELDS)
         if not isinstance(inner["declared"], list):
             raise ValueError("declared profiles must be a JSON array")
-        theta = Declared(tuple(SubsystemProfile.from_json(p) for p in inner["declared"]))
+        theta = tuple(SubsystemProfile.from_json(p) for p in inner["declared"])
     return HodgeSystem(context, components, theta)

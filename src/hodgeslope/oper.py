@@ -21,11 +21,10 @@ verbatim to non-flat connections.
 from __future__ import annotations
 
 from .hodge_system import (
+    ISOMORPHISMS,
     UNKNOWN,
     YES,
-    Declared,
     HodgeSystem,
-    ISOMORPHISMS,
     Verdict,
     criteria_verdicts,
     criterion_semistable,
@@ -172,10 +171,9 @@ def graded_of_filtration(f: GriffithsFiltration) -> HodgeSystem:
             "not a Higgs-inducing filtration: transversality and a square-zero "
             "induced field are required"
         )
-    theta = ISOMORPHISMS if f.theta_iso else Declared()
     # the filtration's constructor has made every check HodgeSystem's would:
     # its pieces are a nonempty tuple, on the tower when theta_iso holds
-    return HodgeSystem._trusted(f.context, f.graded, theta)
+    return HodgeSystem._trusted(f.context, f.graded, ISOMORPHISMS if f.theta_iso else ())
 
 
 def is_generalized_oper(f: GriffithsFiltration) -> OperCheck:

@@ -52,15 +52,16 @@ from itertools import accumulate
 from math import gcd
 
 from .hodge_system import (
+    ISOMORPHISMS,
     NO,
     UNKNOWN,
     YES,
     Answer,
     HodgeSystem,
-    Isomorphisms,
     Verdict,
     criteria_verdicts,
     merge_verdicts,
+    require_isomorphisms,
     transport_subsystem,
 )
 from .profiles import SubsystemProfile
@@ -102,11 +103,6 @@ def _rank_step(sys: HodgeSystem, mode: ConstraintMode) -> int:
     return 1 if mode is ConstraintMode.MONOTONE else sys.context.dim
 
 
-def _require_iso_theta(sys: HodgeSystem) -> None:
-    if not isinstance(sys.theta, Isomorphisms):
-        raise ValueError("oracle requires isomorphism structure")
-
-
 def _degree_bounds(
     sys: HodgeSystem,
     mode: ConstraintMode,
@@ -120,7 +116,7 @@ def _degree_bounds(
     grade: a top cap reaching rank(E_n) is lowered by one to keep it out.
     The table is capped at MAX_RANK_CELLS cells.
     """
-    _require_iso_theta(sys)
+    require_isomorphisms(sys, "oracle")
     step = _rank_step(sys, mode)
     caps = [sys.components[0].rank]
     for comp in sys.components[1:]:
@@ -240,7 +236,7 @@ def verdict_from_search(
     search checks them: every semistable flag first, in component order,
     and every stable flag only when the semistable side holds.
     """
-    _require_iso_theta(sys)
+    require_isomorphisms(sys, "oracle")
     components = sys.components
     if sys.components_semistable is not True:  # then some component fails its check
         for i, comp in enumerate(components):
@@ -316,10 +312,9 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
 def _declared_verdict(sys: HodgeSystem) -> Verdict:
     """Judge every declared profile; the first that refutes semistability
     wins, then the first that refutes stability."""
-    profiles = sys.theta.profiles
-    if not profiles:
+    if not sys.theta:
         return Verdict(provenance="no declared profiles")
-    verdicts = [check_declared(sys, p) for p in profiles]
+    verdicts = [check_declared(sys, p) for p in sys.theta]
     for v in verdicts:
         if v.semistable is NO:
             return v
@@ -350,7 +345,7 @@ def system_verdict(
     that its stability side is a check too.  A definite disagreement on
     either side raises InconsistencyError.
     """
-    if not isinstance(sys.theta, Isomorphisms):
+    if sys.theta is not ISOMORPHISMS:
         return _declared_verdict(sys)
     criteria = criteria_verdicts(sys)
     if sys.components_semistable is not True:

@@ -11,18 +11,31 @@ read back.
 ``hn_valid`` reads ``validate_hn``'s check as a truth value.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
 must keep.
+
+The split model is the ground truth for systems on a curve.  A model is
+its summands ``((r_j, e_j), ...)``, each the type of a stable bundle S_j,
+the cotangent degree ``w`` and the height ``n``: E_0 is the sum of the
+S_j and E_i = E_0 (x) Omega^i, in any characteristic.  Its theta-invariant
+subsystems are exactly the decreasing chains G_0 >= ... >= G_n of
+subsheaves of E_0, F_i = G_i (x) Omega^i, with deg F_i = deg G_i +
+i*w*rank G_i.  ``split_truth`` answers both sides from the subsheaf
+bound ``summand_bound`` and from the chains of coordinate sub-sums,
+every one of which exists; ``split_document`` writes a model as a
+``hodge_system`` document that forgets attestations at random.  All of
+it is integer arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import types
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 
 from hodgeslope.hn_profiles import HNProfile, validate_hn
-from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
+from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components, tower_component
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.slope_core import BundleData, GeometricContext
 
@@ -150,3 +163,147 @@ def load_tracer() -> types.ModuleType:
     code = compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec")
     exec(code, module.__dict__)
     return module
+
+
+Summands = tuple[tuple[int, int], ...]
+
+
+def summand_bound(r: int, e: int, s: int) -> int:
+    """The largest degree of a rank-``s`` subsheaf of a stable bundle of
+    type ``(r, e)``: below the slope unless it is the whole bundle, so
+    ceil(s*e/r) - 1 for 0 < s < r."""
+    if s == 0:
+        return 0
+    if s == r:
+        return e
+    return -((-s * e) // r) - 1
+
+
+def subsheaf_bound(summands: Summands, s: int) -> int:
+    """The largest degree a rank-``s`` subsheaf of the sum of the S_j can
+    have: the best ``summand_bound`` sum over ranks s_j with sum s.  A
+    subsheaf's images in S_1, S_2, ... filter it with pieces of rank s_j
+    in S_j, so its degree is at most this."""
+    best = {0: 0}  # rank -> largest degree over the summands so far
+    for r, e in summands:
+        step: dict[int, int] = {}
+        for total, degree in best.items():
+            for part in range(r + 1):
+                value = degree + summand_bound(r, e, part)
+                step[total + part] = max(step.get(total + part, value), value)
+        best = step
+    return best[s]
+
+
+def split_components(summands: Summands, w: int, n: int) -> tuple[BundleData, ...]:
+    """E_0..E_n with their true attestations: E_i is semistable exactly
+    when every S_j has the same slope, and stable exactly when there is
+    one summand (so every rank-1 component is stable)."""
+    base = totals(BundleData(r, e) for r, e in summands)
+    r0, e0 = summands[0]
+    same_slope = all(e * r0 == e0 * r for r, e in summands)
+    context = curve(w)
+    return tuple(
+        BundleData(*tower_component(base, context, i), same_slope, len(summands) == 1)
+        for i in range(n + 1)
+    )
+
+
+def _excess(degree: int, rank: int, total: BundleData) -> int:
+    """Positive, zero or negative as degree/rank is above, at or below the
+    slope of ``total``."""
+    return degree * total.rank - total.degree * rank
+
+
+def coordinate_chains(summands: Summands, w: int, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every proper subsystem made of coordinate sub-sums, as its entries
+    (rank F_i, deg F_i): J_i holds the summands of height above i, J_0 is
+    not empty, and not every J_i holds all summands."""
+    full = len(summands)
+    for heights in itertools.product(range(n + 2), repeat=full):
+        if max(heights) == 0 or min(heights) == n + 1:
+            continue
+        entries = []
+        for i in range(n + 1):
+            chosen = [summands[j] for j in range(full) if heights[j] > i]
+            rank = sum(r for r, _ in chosen)
+            entries.append((rank, sum(e for _, e in chosen) + i * w * rank))
+        yield tuple(entries)
+
+
+def best_coordinate_excess(summands: Summands, w: int, n: int) -> int | None:
+    """The largest ``_excess`` over ``coordinate_chains`` against the
+    whole system, or None when there is no proper subsystem."""
+    whole = totals(split_components(summands, w, n))
+    return max(
+        (_excess(sum(e for _, e in c), sum(r for r, _ in c), whole)
+         for c in coordinate_chains(summands, w, n)),
+        default=None,
+    )
+
+
+def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
+    """The largest ``_excess`` any proper subsystem can have by the
+    subsheaf bound: over ranks R >= s_0 >= ... >= s_n >= 0 with s_0 >= 1,
+    not all R, of sum(subsheaf_bound(s_i) + i*w*s_i).  None when there is
+    no proper subsystem."""
+    rank = sum(r for r, _ in summands)
+    bound = [subsheaf_bound(summands, s) for s in range(rank + 1)]
+    whole = totals(split_components(summands, w, n))
+    best = None
+    for chain in itertools.combinations_with_replacement(range(rank, -1, -1), n + 1):
+        if chain[0] == 0 or chain[-1] == rank:
+            continue
+        degree = sum(bound[s] + i * w * s for i, s in enumerate(chain))
+        excess = _excess(degree, sum(chain), whole)
+        best = excess if best is None else max(best, excess)
+    return best
+
+
+def split_truth(summands: Summands, w: int, n: int) -> tuple[bool | None, bool | None]:
+    """(semistable, stable) of the split model.  Each side is True when
+    the bound decides it, False when a coordinate chain does, and None
+    otherwise; when every r_j is 1 the two meet and no side is None."""
+    bound = best_bound_excess(summands, w, n)
+    if bound is None:  # a lone line bundle: no proper subsystem
+        return True, True
+    # None when E_0 is one stable bundle and n = 0: no chain of sub-sums
+    found = best_coordinate_excess(summands, w, n)
+    semistable = True if bound <= 0 else False if found is not None and found > 0 else None
+    stable = True if bound < 0 else False if found is not None and found >= 0 else None
+    return semistable, stable
+
+
+def random_split_model(rng: random.Random, max_rank: int = 2) -> tuple[Summands, int, int]:
+    """One to three summands of rank at most ``max_rank``, a cotangent
+    degree in -2..3 and a height in 0..3."""
+    summands = tuple(
+        (rng.randint(1, max_rank), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))
+    )
+    return summands, rng.randint(-2, 3), rng.randint(0, 3)
+
+
+def split_document(
+    rng: random.Random, summands: Summands, w: int, n: int, characteristic: int = 0
+) -> dict:
+    """A ``hodge_system`` document of the model.  Each component flag and
+    the cotangent bundle's stable flag are kept or forgotten at random, and
+    so is its semistable flag when the stable one is forgotten."""
+    omega_stable = rng.random() < 0.5
+    context = GeometricContext(
+        characteristic, 1, w, omega_stable or rng.random() < 0.5, omega_stable
+    )
+    components = [
+        BundleData(
+            c.rank,
+            c.degree,
+            c.semistable if rng.random() < 0.5 else None,
+            c.stable if rng.random() < 0.5 else None,
+        )
+        for c in split_components(summands, w, n)
+    ]
+    return {"hodge_system": {
+        "context": context.to_json(),
+        "components": [c.to_json() for c in components],
+        "theta": ISOMORPHISMS,
+    }}

@@ -21,7 +21,6 @@ from hodgeslope import cli, search_oracle
 from hodgeslope.gallery import example_strictly_semistable, example_surjective_not_iso
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
-    Declared,
     HodgeSystem,
     Verdict,
     criteria_verdicts,
@@ -251,7 +250,7 @@ class TestCheckSystem:
         system = HodgeSystem(
             curve(2),
             (BundleData(2, 0, semistable=semistable), BundleData(1, 0)),
-            Declared((SubsystemProfile(((2, 5),)),)),
+            (SubsystemProfile(((2, 5),)),),
         )
         doc = write_doc(tmp_path, {"hodge_system": system_to_json(system)})
         code, report, err = run(capsys, ["check-system", doc])
@@ -914,6 +913,37 @@ class TestDocumentFileType:
                 child.kill()
         finally:
             os.close(keeper)
+        assert (child.returncode, out, err) == (0, expected.stdout, expected.stderr)
+
+    def test_fifo_whose_writer_starts_late_gives_the_regular_files_report(self, fifo, tower_doc):
+        expected = run_python("-m", "hodgeslope.cli", "check-system", tower_doc)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hodgeslope.cli", "check-system", fifo],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=python_env(),
+        )
+        try:
+            # a writer's non-blocking open succeeds only once the child has
+            # the read end open, so the writer arrives after the reader; a
+            # child that has already ended gets no writer
+            deadline = time.monotonic() + 10
+            fd = None
+            while fd is None and child.poll() is None:
+                time.sleep(0.2)
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                except OSError:  # no reader yet
+                    assert time.monotonic() < deadline, "the child never opened the FIFO"
+            if fd is not None:
+                os.set_blocking(fd, True)
+                with open(fd, "wb") as writer:
+                    writer.write(Path(tower_doc).read_bytes())
+            out, err = child.communicate(timeout=10)
+        finally:
+            child.kill()
+            child.communicate()
         assert (child.returncode, out, err) == (0, expected.stdout, expected.stderr)
 
     @pytest.mark.parametrize("device", ["/dev/zero", "/dev/null"])

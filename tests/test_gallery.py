@@ -194,7 +194,7 @@ class TestDeclaredFamilies:
     def test_prefix_is_the_one_declared_witness(self, builder, params):
         entry = builder(**params)
         witness = entry.expected.certificate
-        assert entry.system.theta.profiles == (witness,)
+        assert entry.system.theta == (witness,)
         e0 = entry.system.components[0]
         assert witness.entries == ((e0.rank, e0.degree),)
         assert recompute_verdict(entry) == entry.expected

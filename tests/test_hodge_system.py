@@ -8,7 +8,6 @@ import pytest
 from hodgeslope.gallery import example_strictly_semistable
 from hodgeslope.hodge_system import (
     Answer,
-    Declared,
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
@@ -38,19 +37,29 @@ class TestConstruction:
 
     def test_declared_mode_accepts_any_components(self):
         ctx = curve(2)
-        sys = HodgeSystem(ctx, (BundleData(1, 3), BundleData(2, 1)), Declared())
+        sys = HodgeSystem(ctx, (BundleData(1, 3), BundleData(2, 1)), ())
         assert sys.n == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             HodgeSystem(curve(2), (), ISOMORPHISMS)
 
-    def test_unknown_theta_rejected(self):
-        with pytest.raises(ValueError, match="^theta must be an Isomorphisms or Declared mode$"):
-            HodgeSystem(curve(2), (BundleData(1, 0),), "isomorphisms")
+    @pytest.mark.parametrize("theta", ["bogus", [], None])
+    def test_unknown_theta_rejected(self, theta):
+        # a bare string is refused, not read as a tuple of its characters
+        with pytest.raises(
+            ValueError, match="^theta must be 'isomorphisms' or a tuple of declared profiles$"
+        ):
+            HodgeSystem(curve(2), (BundleData(1, 0),), theta)
+
+    def test_isomorphisms_token_is_stored_as_the_constant(self):
+        # a token read from JSON is an equal string, not the same object
+        token = "".join(["isomorph", "isms"])
+        assert token is not ISOMORPHISMS
+        assert HodgeSystem(curve(2), (BundleData(1, 0),), token).theta is ISOMORPHISMS
 
     def test_totals_are_the_whole_systems(self):
-        sys = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, -5)), Declared())
+        sys = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, -5)), ())
         assert (sys.total_rank, sys.total_degree) == (3, -2)
         assert total_slope(sys) == Fraction(-2, 3)
 
@@ -132,7 +141,7 @@ class TestSlopes:
         assert rendered(example_strictly_semistable().system) == "0/1"
         single = derive_components(BundleData(3, 7), curve(2), 0)
         assert rendered(single) == "7/3"
-        declared = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, 1)), Declared())
+        declared = HodgeSystem(curve(2), (BundleData(1, 3), BundleData(2, 1)), ())
         assert rendered(declared) == "4/3"
 
     def test_partial_slope_monotone_and_capped(self):
@@ -228,7 +237,7 @@ class TestCriterionSemistable:
             criterion_semistable(sys)
 
     def test_declared_mode_rejected(self):
-        declared = HodgeSystem(curve(2), (BundleData(1, 3),), Declared())
+        declared = HodgeSystem(curve(2), (BundleData(1, 3),), ())
         with pytest.raises(ValueError, match="isomorphism structure"):
             criterion_semistable(declared)
 
@@ -320,7 +329,7 @@ class TestJson:
     def test_round_trip_declared(self):
         witness = SubsystemProfile(((1, 3),))
         sys = HodgeSystem(
-            curve(2), (BundleData(1, 3), BundleData(2, 1)), Declared((witness,))
+            curve(2), (BundleData(1, 3), BundleData(2, 1)), (witness,)
         )
         assert system_from_json(system_to_json(sys)) == sys
 

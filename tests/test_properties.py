@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
     Answer,
-    Declared,
     HodgeSystem,
     Verdict,
     derive_components,
@@ -82,7 +81,7 @@ def systems(draw) -> HodgeSystem:
     if draw(st.booleans()):
         return derive_components(draw(bundles()), context, draw(st.integers(0, 4)))
     components = draw(st.lists(bundles(), min_size=1, max_size=4))
-    return HodgeSystem(context, tuple(components), Declared(draw(st.lists(profiles, max_size=3))))
+    return HodgeSystem(context, tuple(components), tuple(draw(st.lists(profiles, max_size=3))))
 
 
 @st.composite
@@ -154,7 +153,7 @@ class TestTowerRelation:
             f"graded piece {k} violates the isomorphism relation: {detail}"
         )
         # without the isomorphism structure the same pieces are accepted
-        HodgeSystem(context, pieces, Declared())
+        HodgeSystem(context, pieces, ())
         GriffithsFiltration(context, pieces, True, True, theta_iso=False)
 
 

@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from hodgeslope import hodge_system, search_oracle
 from hodgeslope.hodge_system import (
     Answer,
-    Declared,
     HodgeSystem,
     ISOMORPHISMS,
-    Isomorphisms,
     Verdict,
     derive_components,
     transport_subsystem,
@@ -89,7 +87,7 @@ def enumerate_profiles(
     order (by support length, then rank vector lexicographically).  The
     brute-force reference for ``max_slope_profile``: its degree bounds come
     from ``max_subsheaf_degree`` cell by cell, not from the solver's rows."""
-    if not isinstance(sys.theta, Isomorphisms):
+    if sys.theta is not ISOMORPHISMS:
         raise ValueError("oracle requires isomorphism structure")
     size = profile_space_size(sys)
     if size > budget:
@@ -197,7 +195,7 @@ class TestEnumerate:
                     assert p.support_top < n or p.entries[n][0] < top, (r0, d, n, mode)
 
     def test_declared_mode_rejected(self):
-        declared = HodgeSystem(curve(2), (BundleData(1, 3),), Declared())
+        declared = HodgeSystem(curve(2), (BundleData(1, 3),), ())
         with pytest.raises(ValueError, match="isomorphism structure"):
             enumerate_profiles(declared)
 
@@ -615,7 +613,7 @@ class TestCheckDeclared:
         e0 = BundleData(1, 4, semistable=True, stable=True)
         e1 = BundleData(1, -4, semistable=True, stable=True)
         witness = SubsystemProfile(((1, 4),))
-        sys = HodgeSystem(curve(2), (e0, e1), Declared((witness,)))
+        sys = HodgeSystem(curve(2), (e0, e1), (witness,))
         verdict = check_declared(sys, witness)
         assert verdict.semistable is Answer.NO
         assert verdict.certificate is witness
@@ -624,7 +622,7 @@ class TestCheckDeclared:
         e0 = BundleData(1, 1, semistable=True, stable=True)
         e1 = BundleData(2, -1, semistable=False)
         witness = SubsystemProfile(((1, 1),))
-        sys = HodgeSystem(curve(2), (e0, e1), Declared((witness,)))
+        sys = HodgeSystem(curve(2), (e0, e1), (witness,))
         verdict = check_declared(sys, witness)
         assert verdict.semistable is Answer.NO
         assert slope(witness) == 1 > total_slope(sys) == 0
@@ -658,7 +656,7 @@ class TestCheckDeclared:
     def test_full_rank_degree_bounded_by_component(self):
         # the quotient of a full-rank subsheaf is torsion, so no attestation
         # is needed for this bound
-        sys = HodgeSystem(curve(2), (BundleData(2, 0), BundleData(1, 0)), Declared())
+        sys = HodgeSystem(curve(2), (BundleData(2, 0), BundleData(1, 0)), ())
         with pytest.raises(ValueError, match="exceeds the component degree at full rank"):
             check_declared(sys, SubsystemProfile(((2, 5),)))
         with pytest.raises(ValueError, match="exceeds the component degree at full rank"):
@@ -668,7 +666,7 @@ class TestCheckDeclared:
     def test_degree_unchecked_without_flag(self):
         e0 = BundleData(1, 1, semistable=True, stable=True)
         e1 = BundleData(2, -1, semistable=False)
-        sys = HodgeSystem(curve(2), (e0, e1), Declared())
+        sys = HodgeSystem(curve(2), (e0, e1), ())
         # grade 1 carries no semistable attestation: any degree is plausible
         verdict = check_declared(sys, SubsystemProfile(((1, 1), (1, 5))))
         assert verdict.semistable is Answer.NO
@@ -713,7 +711,7 @@ def random_declared_case(rng: random.Random) -> tuple[HodgeSystem, SubsystemProf
         BundleData(rng.randint(1, 4), rng.randint(-6, 6), *rng.choice(FLAG_CHOICES))
         for _ in range(rng.randint(1, 5))
     )
-    sys = HodgeSystem(curve(rng.randint(-2, 2)), comps, Declared())
+    sys = HodgeSystem(curve(rng.randint(-2, 2)), comps, ())
     kind = rng.randrange(3)
     if kind == 0:  # anything, often out of range
         entries = [

@@ -16,7 +16,7 @@ import pytest
 
 from hodgeslope.gallery import GalleryEntry
 from hodgeslope.hn_profiles import HNProfile
-from hodgeslope.hodge_system import Answer, Declared, HodgeSystem, Isomorphisms, Verdict
+from hodgeslope.hodge_system import ISOMORPHISMS, Answer, HodgeSystem, Verdict
 from hodgeslope.inequalities import InequalityCheck, SequencePair
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck
 from hodgeslope.profiles import SubsystemProfile
@@ -29,7 +29,7 @@ CTX = GeometricContext(0, 1, 2, omega_semistable=True)
 CTX2 = GeometricContext(5, 1, 2)
 LINE = BundleData(1, 0)
 PROFILE = SubsystemProfile(((1, 0),))
-SYSTEM = HodgeSystem(CTX, (LINE,), Declared())
+SYSTEM = HodgeSystem(CTX, (LINE,), ())
 FILTRATION = GriffithsFiltration(CTX, (LINE,), True, True, False)
 
 # class -> fields in order as (name, value, another valid value, default)
@@ -48,12 +48,10 @@ CASES = {
         ("omega_stable", False, True, False),
     ],
     SubsystemProfile: [("entries", ((1, 0),), ((1, 1),), EMPTY)],
-    Isomorphisms: [],
-    Declared: [("profiles", (), (PROFILE,), ())],
     HodgeSystem: [
         ("context", CTX, CTX2, EMPTY),
         ("components", (LINE,), (BundleData(1, 1),), EMPTY),
-        ("theta", Declared(), Declared((PROFILE,)), Isomorphisms()),
+        ("theta", (), (PROFILE,), ISOMORPHISMS),
     ],
     Verdict: [
         ("semistable", Answer.YES, Answer.UNKNOWN, Answer.UNKNOWN),
@@ -88,7 +86,7 @@ CASES = {
         ("classical", False, True, False),
     ],
     GalleryEntry: [
-        ("system", SYSTEM, HodgeSystem(CTX2, (LINE,), Declared()), EMPTY),
+        ("system", SYSTEM, HodgeSystem(CTX2, (LINE,), ()), EMPTY),
         ("expected", Verdict(), Verdict(provenance="oracle"), EMPTY),
     ],
     HNProfile: [
@@ -104,7 +102,7 @@ def build(cls, **changed):
 
 
 def test_every_value_type_is_covered():
-    assert len(CASES) == 14
+    assert len(CASES) == 12
 
 
 @CLASSES
@@ -156,7 +154,6 @@ def test_repr_matches_the_dataclass_form():
     assert repr(BundleData(2, 3, stable=True)) == (
         "BundleData(rank=2, degree=3, semistable=True, stable=True)"
     )
-    assert repr(Isomorphisms()) == "Isomorphisms()"
 
 
 def test_cli_import_loads_no_class_generation_or_typing_machinery():
