@@ -32,11 +32,12 @@ from .hodge_system import (
     Verdict, system_from_json, system_to_json, verdict_json, verify_hodge_sums,
 )
 from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
-from .search_oracle import ConstraintMode
+from .search_oracle import CONSERVATIVE, MONOTONE
 from .slope_core import (
+    SEMISTABLE,
+    STABLE,
     BundleData,
     InconsistencyError,
-    SubsheafMode,
     _check_keys,
     format_slope,
     too_large,
@@ -109,22 +110,19 @@ def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
     return obj, obj[key]
 
 
-_MODES = {m.value: m for m in ConstraintMode}
-_SUBSHEAVES = {m.value: m for m in SubsheafMode}
+_MODES = frozenset({MONOTONE, CONSERVATIVE})
+_SUBSHEAVES = frozenset({SEMISTABLE, STABLE})
 #: What a search runs with when neither the document nor the command line
 #: sets the search_options field.
-_SEARCH_DEFAULTS = {
-    "constraint_mode": ConstraintMode.MONOTONE,
-    "subsheaf_mode": SubsheafMode.SEMISTABLE,
-}
+_SEARCH_DEFAULTS = {"constraint_mode": MONOTONE, "subsheaf_mode": SEMISTABLE}
 
 
-def _choice(data: dict, key: str, table: dict):
+def _choice(data: dict, key: str, choices: frozenset) -> str:
     value = data[key]
     # a list or object is unhashable, so test the type before the lookup
-    if not isinstance(value, str) or value not in table:
-        raise ValueError(f"{key} must be one of {sorted(table)}")
-    return table[value]
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{key} must be one of {sorted(choices)}")
+    return value
 
 
 def _search_options(doc: dict, args: SimpleNamespace) -> dict:
@@ -135,10 +133,10 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     raw = doc.get("search_options")
     data = {} if raw is None else _check_keys(raw, "search_options", frozenset(), fields.keys())
     options = {}
-    for field, (table, dest) in fields.items():
-        options[dest] = _choice(data, field, table) if field in data else _SEARCH_DEFAULTS[field]
+    for field, (choices, dest) in fields.items():
+        options[dest] = _choice(data, field, choices) if field in data else _SEARCH_DEFAULTS[field]
         if getattr(args, dest) is not None:
-            options[dest] = table[getattr(args, dest)]
+            options[dest] = getattr(args, dest)
     return options
 
 
@@ -152,7 +150,7 @@ def _verdict_report(verdict: Verdict, degree: int, rank: int) -> dict:
 
 def _summary(command: str, verdict: Verdict) -> str:
     return (
-        f"{command}: semistable={verdict.semistable._value_} stable={verdict.stable._value_}"
+        f"{command}: semistable={verdict.semistable} stable={verdict.stable}"
         f" ({verdict.provenance})"
     )
 
@@ -254,11 +252,11 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
 
 #: The command-line grammar: for each command, its handler, its help line,
 #: its positional as (name, choices or None) or None, and its options as
-#: (name, kind, default, field).  An option's kind is a choice table (its
-#: keys are the valid values) or ``int``.  ``field`` is the search_options
-#: field the option overrides, or None: a command's document may set
-#: exactly the fields of its options.  The order is the order of the help
-#: and error texts.
+#: (name, kind, default, field).  An option's kind is the frozenset of its
+#: valid values or ``int``.  ``field`` is the search_options field the
+#: option overrides, or None: a command's document may set exactly the
+#: fields of its options.  The order is the order of the help and error
+#: texts.
 _GRAMMAR = {
     "check-system": (
         _cmd_check_system, "criteria verdict for a graded system", ("document", None),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .hodge_system import ISOMORPHISMS, Answer, HodgeSystem, Verdict
+from .hodge_system import ISOMORPHISMS, NO, YES, HodgeSystem, Verdict
 from .profiles import SubsystemProfile
 from .search_oracle import PROV_DECLARED, PROV_ORACLE, system_verdict, verdict_from_search
 from .slope_core import BundleData, Frozen, GeometricContext, InconsistencyError
@@ -48,7 +48,7 @@ def _prefix_destabilizes(g: int, d0: int, e1: BundleData) -> GalleryEntry:
     e0 = BundleData(1, d0, semistable=True, stable=True)
     witness = SubsystemProfile(((1, d0),))
     system = HodgeSystem(_curve_context(g), (e0, e1), (witness,))
-    return GalleryEntry(system, Verdict(Answer.NO, Answer.NO, witness, PROV_DECLARED))
+    return GalleryEntry(system, Verdict(NO, NO, witness, PROV_DECLARED))
 
 
 def example_strictly_semistable(g: int = 2) -> GalleryEntry:
@@ -65,7 +65,7 @@ def example_strictly_semistable(g: int = 2) -> GalleryEntry:
     e1 = BundleData(2, 2 * g - 2, semistable=True, stable=False)
     system = HodgeSystem(_curve_context(g), (e0, e1), ISOMORPHISMS)
     witness = SubsystemProfile(((1, -(g - 1)), (1, g - 1)))
-    return GalleryEntry(system, Verdict(Answer.YES, Answer.NO, witness, PROV_ORACLE))
+    return GalleryEntry(system, Verdict(YES, NO, witness, PROV_ORACLE))
 
 
 def example_surjective_not_iso(g: int = 2, d_line: int = 3) -> GalleryEntry:

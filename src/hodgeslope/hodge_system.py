@@ -28,8 +28,6 @@ cotangent bundle by an arbitrary semistable bundle of nonnegative degree
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .profiles import SubsystemProfile
 from .slope_core import (
     BundleData,
@@ -52,15 +50,8 @@ _SYSTEM_FIELDS = frozenset({"context", "components", "theta"})
 _THETA_FIELDS = frozenset({"declared"})
 
 
-class Answer(Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
-# the members as globals: on Python 3.11 a read through the Enum class takes
-# its metaclass's __getattr__ hook, and one verdict reads members dozens of times
-YES, NO, UNKNOWN = Answer.YES, Answer.NO, Answer.UNKNOWN
+#: The three answers a verdict side takes, as the reports write them.
+YES, NO, UNKNOWN = "yes", "no", "unknown"
 
 
 #: A system's theta when every graded map is an isomorphism onto the
@@ -206,15 +197,15 @@ class Verdict(Frozen):
 
     def __init__(
         self,
-        semistable: Answer = UNKNOWN,
-        stable: Answer = UNKNOWN,
+        semistable: str = UNKNOWN,
+        stable: str = UNKNOWN,
         certificate: SubsystemProfile | None = None,
         provenance: str = "",
     ) -> None:
-        if stable is YES and semistable is not YES:
+        if stable == YES and semistable != YES:
             raise ValueError("stable=yes forces semistable=yes")
-        if semistable is NO:
-            if stable is UNKNOWN:
+        if semistable == NO:
+            if stable == UNKNOWN:
                 stable = NO
             if certificate is None:
                 raise ValueError("a semistable=no verdict needs a destabilizing certificate")
@@ -229,9 +220,8 @@ def verdict_json(v: Verdict, mu_total: str) -> dict:
     """The wire form of a verdict, with the total slope ``mu_total`` rendered."""
     cert = v.certificate
     return {
-        # _value_ is where Enum keeps .value, read without its descriptor
-        "semistable": v.semistable._value_,
-        "stable": v.stable._value_,
+        "semistable": v.semistable,
+        "stable": v.stable,
         "certificate": None if cert is None else {
             "profile": cert.to_json(),
             "slope": format_slope(cert.degree, cert.rank),
@@ -346,7 +336,7 @@ def criterion_stable(
                 raise ValueError("equal-slope datum must match the base slope")
             certificate = transport_subsystem(sys, equal_slope_sub)
         return Verdict(semistable_side, NO, certificate, PROV_CURVE_CONVERSE)
-    provenance = PROV_TOWER_SEMISTABLE if semistable_side is YES else PROV_INCONCLUSIVE
+    provenance = PROV_TOWER_SEMISTABLE if semistable_side == YES else PROV_INCONCLUSIVE
     return Verdict(semistable_side, UNKNOWN, provenance=provenance)
 
 
@@ -362,20 +352,20 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
         return verdicts[0]
     semistable = stable = UNKNOWN
     for v in verdicts:
-        if semistable is UNKNOWN:
+        if semistable == UNKNOWN:
             semistable = v.semistable
-        if stable is UNKNOWN:
+        if stable == UNKNOWN:
             stable = v.stable
     # a certificate is only meaningful when it justifies a surviving no
     certificate = None
-    if semistable is NO:
+    if semistable == NO:
         for v in verdicts:
-            if v.semistable is NO and v.certificate is not None:
+            if v.semistable == NO and v.certificate is not None:
                 certificate = v.certificate
                 break
-    elif stable is NO:
+    elif stable == NO:
         for v in verdicts:
-            if v.stable is NO and v.certificate is not None:
+            if v.stable == NO and v.certificate is not None:
                 certificate = v.certificate
                 break
     parts: list[str] = []

@@ -223,14 +223,14 @@ def connection_verdict(pair: ConnectionPair, graded_verdict: Verdict | None = No
     stable = UNKNOWN
     sources = []
     if graded_verdict is not None:
-        if graded_verdict.semistable is YES:
+        if graded_verdict.semistable == YES:
             semistable = YES
             sources.append(PROV_GRADED_TRANSFER)
-        if graded_verdict.stable is YES:
+        if graded_verdict.stable == YES:
             stable = YES
             semistable = YES
     context = pair.context
-    if semistable is not YES and pair.flat and context is not None and context.characteristic == 0:
+    if semistable != YES and pair.flat and context is not None and context.characteristic == 0:
         semistable = YES
         sources.append(PROV_FLAT_CHAR_ZERO)
     provenance = "; ".join(sources) if sources else PROV_NO_TRANSFER

@@ -31,10 +31,11 @@ more than MAX_RANK_CELLS cells is refused with BudgetExceededError.  The
 tests keep a brute-force enumeration of every profile as the reference
 the solver and the closed form are checked against.
 
-Two rank-chain modes are provided.  The monotone mode requires
-rank(F_i) <= rank(F_{i-1}), which is immediate from the embedding
-F_i -> F_{i-1} tensor Omega when the cotangent rank d is 1 but is an
-extra assertion for d > 1; the conservative mode only requires
+Two rank-chain modes are provided, each held as its --mode token.  The
+monotone mode (MONOTONE, "paper") requires rank(F_i) <= rank(F_{i-1}),
+which is immediate from the embedding F_i -> F_{i-1} tensor Omega when
+the cotangent rank d is 1 but is an extra assertion for d > 1; the
+conservative mode (CONSERVATIVE) only requires
 rank(F_i) <= d * rank(F_{i-1}).  The monotone mode is the default; the
 conservative mode exists to hunt for discrepancies, and any system where
 the conservative search finds a violating profile that the monotone search
@@ -47,7 +48,6 @@ cross-checked against the closed form.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import accumulate
 from math import gcd
 
@@ -56,7 +56,6 @@ from .hodge_system import (
     NO,
     UNKNOWN,
     YES,
-    Answer,
     HodgeSystem,
     Verdict,
     criteria_verdicts,
@@ -67,8 +66,9 @@ from .hodge_system import (
 from .profiles import SubsystemProfile
 from .slope_core import (
     BundleData,
+    SEMISTABLE,
+    STABLE,
     InconsistencyError,
-    SubsheafMode,
     max_subsheaf_degree,
     require_flag,
     slope_excess,
@@ -90,23 +90,19 @@ class BudgetExceededError(ValueError):
     """The search is larger than the solver's cell limit (``max_slope_profile`` only)."""
 
 
-class ConstraintMode(Enum):
-    """Rank-chain constraint imposed on admissible profiles."""
-
-    # values are the CLI/document tokens (--mode paper|conservative)
-    MONOTONE = "paper"
-    CONSERVATIVE = "conservative"
+#: The rank-chain constraints on admissible profiles, as --mode spells them.
+MONOTONE, CONSERVATIVE = "paper", "conservative"
 
 
-def _rank_step(sys: HodgeSystem, mode: ConstraintMode) -> int:
+def _rank_step(sys: HodgeSystem, mode: str) -> int:
     """The rank at grade i is at most this factor times the rank at grade i-1."""
-    return 1 if mode is ConstraintMode.MONOTONE else sys.context.dim
+    return 1 if mode == MONOTONE else sys.context.dim
 
 
 def _degree_bounds(
     sys: HodgeSystem,
-    mode: ConstraintMode,
-    subsheaf_mode: SubsheafMode,
+    mode: str,
+    subsheaf_mode: str,
 ) -> list[list[int]]:
     """Validate oracle preconditions and tabulate degree bounds per grade
     and rank, for the ranks a proper chain can reach (entry 0 is rank 0).
@@ -165,8 +161,8 @@ def _best_chain(bounds: list[list[int]], step: int, p: int, q: int) -> tuple[int
 
 def max_slope_profile(
     sys: HodgeSystem,
-    mode: ConstraintMode = ConstraintMode.MONOTONE,
-    subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
+    mode: str = MONOTONE,
+    subsheaf_mode: str = SEMISTABLE,
 ) -> SubsystemProfile | None:
     """The admissible proper profile of maximal slope, ties going to the
     lexicographically smallest entry list, or None when no proper profile
@@ -186,8 +182,8 @@ def max_slope_profile(
 
 def verdict_from_search(
     sys: HodgeSystem,
-    mode: ConstraintMode = ConstraintMode.MONOTONE,
-    subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
+    mode: str = MONOTONE,
+    subsheaf_mode: str = SEMISTABLE,
 ) -> Verdict:
     """Ground-truth verdict within the admissible profile class, in closed
     form.
@@ -240,7 +236,7 @@ def verdict_from_search(
     components = sys.components
     if sys.components_semistable is not True:  # then some component fails its check
         for i, comp in enumerate(components):
-            require_flag(comp, SubsheafMode.SEMISTABLE, f"component {i}")
+            require_flag(comp, SEMISTABLE, f"component {i}")
     rank, degree = components[0].rank, components[0].degree
     g = gcd(rank, degree)
     least = (rank // g, degree // g)
@@ -248,16 +244,16 @@ def verdict_from_search(
     if w < 0 and n >= 1:
         return Verdict(NO, NO, SubsystemProfile((least,)), PROV_ORACLE)
     certificate = None
-    if subsheaf_mode is SubsheafMode.STABLE:
+    if subsheaf_mode == STABLE:
         if sys.components_stable is not True:
             for i, comp in enumerate(components):
-                require_flag(comp, SubsheafMode.STABLE, f"component {i}")
+                require_flag(comp, STABLE, f"component {i}")
         if w == 0 and n >= 1:
             certificate = SubsystemProfile(((rank, degree),))
     elif w == 0 or n == 0:
         if least[0] < rank or n >= 1:
             certificate = SubsystemProfile((least,))
-    elif least[0] < rank and (mode is ConstraintMode.CONSERVATIVE or d == 1):
+    elif least[0] < rank and (mode == CONSERVATIVE or d == 1):
         certificate = transport_subsystem(sys, BundleData(*least))
     if certificate is not None:
         return Verdict(YES, NO, certificate, PROV_ORACLE)
@@ -288,7 +284,7 @@ def check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
         comp = components[i]
         if rk > comp.rank:
             raise ValueError(f"rank domination violated at grade {i}: {rk} > {comp.rank}")
-        if comp.semistable is True and dg > max_subsheaf_degree(rk, comp, SubsheafMode.SEMISTABLE):
+        if comp.semistable is True and dg > max_subsheaf_degree(rk, comp, SEMISTABLE):
             raise ValueError(
                 f"degree at grade {i} exceeds the semistable subsheaf bound"
             )
@@ -316,22 +312,22 @@ def _declared_verdict(sys: HodgeSystem) -> Verdict:
         return Verdict(provenance="no declared profiles")
     verdicts = [check_declared(sys, p) for p in sys.theta]
     for v in verdicts:
-        if v.semistable is NO:
+        if v.semistable == NO:
             return v
     for v in verdicts:
-        if v.stable is NO:
+        if v.stable == NO:
             return v
     return Verdict(provenance="declared profiles do not destabilize")
 
 
-def _require_agreement(criterion: Answer, oracle: Answer, side: str) -> None:
-    if UNKNOWN not in (criterion, oracle) and criterion is not oracle:
+def _require_agreement(criterion: str, oracle: str, side: str) -> None:
+    if UNKNOWN not in (criterion, oracle) and criterion != oracle:
         raise InconsistencyError(f"criterion and oracle disagree on {side}")
 
 
 def system_verdict(
     sys: HodgeSystem,
-    mode: ConstraintMode = ConstraintMode.MONOTONE,
+    mode: str = MONOTONE,
 ) -> Verdict:
     """Decide a system of Hodge bundles.
 
@@ -351,7 +347,7 @@ def system_verdict(
     if sys.components_semistable is not True:
         return merge_verdicts(*criteria)
     check_stable = sys.context.omega_degree > 0 and sys.components_stable is True
-    subsheaf_mode = SubsheafMode.STABLE if check_stable else SubsheafMode.SEMISTABLE
+    subsheaf_mode = STABLE if check_stable else SEMISTABLE
     oracle = verdict_from_search(sys, mode, subsheaf_mode)
     verdict = merge_verdicts(*criteria, oracle)
     # the merge keeps the criteria's answer on each side they decide

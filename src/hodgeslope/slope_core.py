@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from enum import Enum
 from math import gcd
 
 #: Miller-Rabin with these bases is exact below 3.1e23, which covers every
@@ -117,11 +116,8 @@ class InconsistencyError(RuntimeError):
     proved inequality fails: always a bug, never a property of the input."""
 
 
-class SubsheafMode(Enum):
-    """Which attestation a subsheaf degree bound may lean on."""
-
-    SEMISTABLE = "semistable"
-    STABLE = "stable"
+#: The attestation a subsheaf degree bound may lean on, as the flag is named.
+SEMISTABLE, STABLE = "semistable", "stable"
 
 
 class Frozen:
@@ -279,16 +275,16 @@ def tensor(a: BundleData, b: BundleData, semistable: bool | None = None) -> Bund
     return BundleData(a.rank * b.rank, b.rank * a.degree + a.rank * b.degree, semistable)
 
 
-def require_flag(ambient: BundleData, mode: SubsheafMode, what: str = "ambient bundle") -> None:
+def require_flag(ambient: BundleData, mode: str, what: str = "ambient bundle") -> None:
     """Refuse a bundle that lacks the attestation a ``mode`` bound leans
     on; ``what`` names the bundle in the error message."""
-    flag = ambient.semistable if mode is SubsheafMode.SEMISTABLE else ambient.stable
+    flag = ambient.semistable if mode == SEMISTABLE else ambient.stable
     if flag is not True:
-        raise ValueError(f"flag precondition violated: {what} is not flagged {mode.value}")
+        raise ValueError(f"flag precondition violated: {what} is not flagged {mode}")
 
 
 def subsheaf_degree_row(
-    ambient: BundleData, mode: SubsheafMode, ranks: range, what: str = "ambient bundle"
+    ambient: BundleData, mode: str, ranks: range, what: str = "ambient bundle"
 ) -> list[int]:
     """``max_subsheaf_degree`` for every rank in ``ranks`` (a step-1 range
     within 1..rank), with the attestation checked once by ``require_flag``.
@@ -302,12 +298,12 @@ def subsheaf_degree_row(
     """
     require_flag(ambient, mode, what)
     degree, rank = ambient.degree, ambient.rank
-    if mode is SubsheafMode.SEMISTABLE:
+    if mode == SEMISTABLE:
         return [r * degree // rank for r in ranks]
     return [(r * degree - 1) // rank if r < rank else degree for r in ranks]
 
 
-def max_subsheaf_degree(sub_rank: int, ambient: BundleData, mode: SubsheafMode) -> int:
+def max_subsheaf_degree(sub_rank: int, ambient: BundleData, mode: str) -> int:
     """Largest degree a rank ``sub_rank`` subsheaf of ``ambient`` may have;
     the bound is stated in ``subsheaf_degree_row``."""
     if not 1 <= sub_rank <= ambient.rank:

@@ -12,17 +12,31 @@ read back.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
 must keep.
 
-The split model is the ground truth for systems on a curve.  A model is
+The split model is the ground truth for isomorphism towers.  A model is
 its summands ``((r_j, e_j), ...)``, each the type of a stable bundle S_j,
-the cotangent degree ``w`` and the height ``n``: E_0 is the sum of the
-S_j and E_i = E_0 (x) Omega^i, in any characteristic.  Its theta-invariant
-subsystems are exactly the decreasing chains G_0 >= ... >= G_n of
-subsheaves of E_0, F_i = G_i (x) Omega^i, with deg F_i = deg G_i +
-i*w*rank G_i.  ``split_truth`` answers both sides from the subsheaf
-bound ``summand_bound`` and from the chains of coordinate sub-sums,
-every one of which exists; ``split_document`` writes a model as a
-``hodge_system`` document that forgets attestations at random.  All of
-it is integer arithmetic.
+the degrees ``omega = (w_1, ..., w_d)`` of a split cotangent bundle
+Omega = M_1 + ... + M_d of degree w = sum(omega), and the height ``n``:
+E_0 is the sum of the S_j and E_i = E_0 (x) Omega^i, in any
+characteristic.  E_i is the sum, over the words u of length i in the
+letters 1..d, of S_j (x) M_u with M_u = M_{u_1} (x) ... (x) M_{u_i}, of
+slope mu(S_j) + w(u) for w(u) = w_{u_1} + ... + w_{u_i}.
+``split_components`` writes the components with their true
+attestations, and ``split_document`` writes a model as a
+``hodge_system`` document that forgets attestations at random.
+
+On a curve (d = 1, omega = (w,)) the theta-invariant subsystems are
+exactly the decreasing chains G_0 >= ... >= G_n of subsheaves of E_0,
+F_i = G_i (x) Omega^i, with deg F_i = deg G_i + i*w*rank G_i.
+``split_truth`` answers both sides from the subsheaf bound
+``summand_bound`` and from the chains of coordinate sub-sums, every one
+of which exists.
+
+At any d, theta maps S_j (x) M_u into (S_j (x) M_{u'}) (x) Omega, where
+u' is u less its last letter.  So for each summand a set of words closed
+under dropping the last letter spans a theta-invariant coordinate
+subsystem, and every union of those exists.  They only refute:
+``split_refutations`` finds the best of them.  All of it is integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -195,16 +209,23 @@ def subsheaf_bound(summands: Summands, s: int) -> int:
     return best[s]
 
 
-def split_components(summands: Summands, w: int, n: int) -> tuple[BundleData, ...]:
-    """E_0..E_n with their true attestations: E_i is semistable exactly
-    when every S_j has the same slope, and stable exactly when there is
-    one summand (so every rank-1 component is stable)."""
+def split_components(summands: Summands, omega: tuple[int, ...], n: int) -> tuple[BundleData, ...]:
+    """E_0..E_n with their true attestations.  E_i is a sum of stable
+    bundles, so it is semistable exactly when they share one slope: every
+    S_j has the same slope, and for i >= 1 every w_k is the same.  It is
+    stable exactly when it is one stable summand: one S_j, and i = 0 or
+    d = 1 (so every rank-1 component is stable)."""
     base = totals(BundleData(r, e) for r, e in summands)
     r0, e0 = summands[0]
     same_slope = all(e * r0 == e0 * r for r, e in summands)
-    context = curve(w)
+    same_w = len(set(omega)) == 1
+    context = GeometricContext(0, len(omega), sum(omega))
     return tuple(
-        BundleData(*tower_component(base, context, i), same_slope, len(summands) == 1)
+        BundleData(
+            *tower_component(base, context, i),
+            same_slope and (i == 0 or same_w),
+            len(summands) == 1 and (i == 0 or len(omega) == 1),
+        )
         for i in range(n + 1)
     )
 
@@ -234,7 +255,7 @@ def coordinate_chains(summands: Summands, w: int, n: int) -> Iterator[tuple[tupl
 def best_coordinate_excess(summands: Summands, w: int, n: int) -> int | None:
     """The largest ``_excess`` over ``coordinate_chains`` against the
     whole system, or None when there is no proper subsystem."""
-    whole = totals(split_components(summands, w, n))
+    whole = totals(split_components(summands, (w,), n))
     return max(
         (_excess(sum(e for _, e in c), sum(r for r, _ in c), whole)
          for c in coordinate_chains(summands, w, n)),
@@ -249,7 +270,7 @@ def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
     no proper subsystem."""
     rank = sum(r for r, _ in summands)
     bound = [subsheaf_bound(summands, s) for s in range(rank + 1)]
-    whole = totals(split_components(summands, w, n))
+    whole = totals(split_components(summands, (w,), n))
     best = None
     for chain in itertools.combinations_with_replacement(range(rank, -1, -1), n + 1):
         if chain[0] == 0 or chain[-1] == rank:
@@ -284,14 +305,18 @@ def random_split_model(rng: random.Random, max_rank: int = 2) -> tuple[Summands,
 
 
 def split_document(
-    rng: random.Random, summands: Summands, w: int, n: int, characteristic: int = 0
+    rng: random.Random, summands: Summands, omega: tuple[int, ...], n: int,
+    characteristic: int = 0,
 ) -> dict:
     """A ``hodge_system`` document of the model.  Each component flag and
     the cotangent bundle's stable flag are kept or forgotten at random, and
-    so is its semistable flag when the stable one is forgotten."""
-    omega_stable = rng.random() < 0.5
+    so is its semistable flag when the stable one is forgotten.  Omega is
+    semistable exactly when every w_k is the same, and stable exactly when
+    d = 1."""
+    omega_stable = len(omega) == 1 and rng.random() < 0.5
+    omega_semistable = len(set(omega)) == 1 and (omega_stable or rng.random() < 0.5)
     context = GeometricContext(
-        characteristic, 1, w, omega_stable or rng.random() < 0.5, omega_stable
+        characteristic, len(omega), sum(omega), omega_semistable, omega_stable
     )
     components = [
         BundleData(
@@ -300,10 +325,57 @@ def split_document(
             c.semistable if rng.random() < 0.5 else None,
             c.stable if rng.random() < 0.5 else None,
         )
-        for c in split_components(summands, w, n)
+        for c in split_components(summands, omega, n)
     ]
     return {"hodge_system": {
         "context": context.to_json(),
         "components": [c.to_json() for c in components],
         "theta": ISOMORPHISMS,
     }}
+
+
+def split_refutations(
+    summands: Summands, omega: tuple[int, ...], n: int
+) -> tuple[bool | None, bool | None]:
+    """(semistable, stable) as far as the coordinate subsystems decide
+    them: False when one refutes the side, None otherwise.  Semistability
+    falls to a subsystem above mu(E), stability to a proper one at or
+    above it.
+
+    Each coordinate S_j (x) M_u adds a fixed excess over mu(E), so the
+    best subsystem is a tree programme over the words.  With N coordinates
+    in all, it maximizes (N + 1) * excess less the subsystem's number of
+    coordinates, that is the excess first and then the fewest
+    coordinates.  The whole system has excess 0 and N coordinates, so it
+    is the best exactly when no proper subsystem reaches excess 0."""
+    whole = totals(split_components(summands, omega, n))
+    big_n = len(summands) * sum(len(omega) ** i for i in range(n + 1))
+
+    def best(r: int, e: int, i: int, shift: int) -> int:
+        """The best value of a word u of length i with w(u) = shift together
+        with a set of its extensions closed under dropping the last letter."""
+        value = (big_n + 1) * _excess(e + r * shift, r, whole) - 1
+        for w_k in omega if i < n else ():
+            value += max(best(r, e, i + 1, shift + w_k), 0)
+        return value
+
+    tops = [best(r, e, 0, 0) for r, e in summands]
+    spare = sum(max(top, 0) for top in tops)
+    # a subsystem holds the empty word of at least one summand
+    found = max(spare - max(top, 0) + top for top in tops)
+    return (False if found > 0 else None), (False if found > -big_n else None)
+
+
+def random_tower_model(rng: random.Random) -> tuple[Summands, tuple[int, ...], int]:
+    """A model at d = 2 or 3: one to three summands of rank at most 2, w_k
+    in -1..2 and a height in 0..2.  Half the time every summand has the
+    type of the first, and half the time every w_k is the same, so that
+    semistable towers are common."""
+    d = rng.choice((2, 3))
+    summands = [(rng.randint(1, 2), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        summands = [summands[0]] * len(summands)
+    omega = [rng.randint(-1, 2) for _ in range(d)]
+    if rng.random() < 0.5:
+        omega = [omega[0]] * d
+    return tuple(summands), tuple(omega), rng.randint(0, 2)

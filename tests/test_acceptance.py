@@ -21,7 +21,8 @@ from hodgeslope.gallery import (
 )
 from hodgeslope.hn_profiles import HNProfile, tensor_hn
 from hodgeslope.hodge_system import (
-    Answer,
+    NO,
+    YES,
     criterion_semistable,
     derive_components,
     system_to_json,
@@ -39,8 +40,8 @@ from hodgeslope.oper import (
     connection_verdict,
     graded_of_filtration,
 )
-from hodgeslope.search_oracle import ConstraintMode, max_slope_profile
-from hodgeslope.slope_core import BundleData, GeometricContext, SubsheafMode, tensor
+from hodgeslope.search_oracle import MONOTONE, max_slope_profile
+from hodgeslope.slope_core import SEMISTABLE, STABLE, BundleData, GeometricContext, tensor
 
 from support import (
     hn_valid,
@@ -100,7 +101,7 @@ def test_criterion_2_oracle_agreement_semistable_bounds():
         for r0, n, e0 in itertools.product(range(1, 4), range(0, 4), range(-5, 6)):
             sys = semistable_tower(r0, e0, context, n)
             systems += 1
-            best = max_slope_profile(sys, ConstraintMode.MONOTONE, SubsheafMode.SEMISTABLE)
+            best = max_slope_profile(sys, MONOTONE, SEMISTABLE)
             if best is not None and slope(best) > total_slope(sys):
                 exceptions.append((r0, e0, context.dim, context.omega_degree, n, best.entries))
     report(
@@ -117,7 +118,7 @@ def test_criterion_3_oracle_agreement_stable_bounds():
         for r0, n, e0 in itertools.product(range(1, 4), range(0, 4), range(-5, 6)):
             sys = stable_tower(r0, e0, context, n)
             systems += 1
-            best = max_slope_profile(sys, ConstraintMode.MONOTONE, SubsheafMode.STABLE)
+            best = max_slope_profile(sys, MONOTONE, STABLE)
             if best is not None and not slope(best) < total_slope(sys):
                 exceptions.append((r0, e0, context.dim, context.omega_degree, n, best.entries))
     report(
@@ -158,36 +159,36 @@ def test_criterion_4_converse_transport_identity():
 
 def test_criterion_5_gallery_regression():
     cases = [
-        (example_strictly_semistable, {"g": 2}, Answer.YES, Answer.NO, Fraction(0)),
-        (example_strictly_semistable, {"g": 1}, Answer.YES, Answer.NO, Fraction(0)),
-        (example_strictly_semistable, {"g": 3}, Answer.YES, Answer.NO, Fraction(0)),
+        (example_strictly_semistable, {"g": 2}, YES, NO, Fraction(0)),
+        (example_strictly_semistable, {"g": 1}, YES, NO, Fraction(0)),
+        (example_strictly_semistable, {"g": 3}, YES, NO, Fraction(0)),
         (
             example_surjective_not_iso,
             {"g": 2, "d_line": 3},
-            Answer.NO,
-            Answer.NO,
+            NO,
+            NO,
             3 - Fraction(2 * 3 + 2 * 2 - 2, 3),
         ),
         (
             example_surjective_not_iso,
             {"g": 2, "d_line": 5},
-            Answer.NO,
-            Answer.NO,
+            NO,
+            NO,
             5 - Fraction(2 * 5 + 2 * 2 - 2, 3),
         ),
         (
             example_surjective_not_iso,
             {"g": 3, "d_line": 5},
-            Answer.NO,
-            Answer.NO,
+            NO,
+            NO,
             5 - Fraction(2 * 5 + 2 * 3 - 2, 3),
         ),
-        (example_injective_not_iso, {"g": 2, "d0": 4}, Answer.NO, Answer.NO, Fraction(4)),
-        (example_injective_not_iso, {"g": 2, "d0": 1}, Answer.NO, Answer.NO, Fraction(1)),
-        (example_injective_not_iso, {"g": 5, "d0": 2}, Answer.NO, Answer.NO, Fraction(2)),
-        (example_unstable_component, {"g": 2, "d0": 1}, Answer.NO, Answer.NO, Fraction(1)),
-        (example_unstable_component, {"g": 2, "d0": 3}, Answer.NO, Answer.NO, Fraction(3)),
-        (example_unstable_component, {"g": 3, "d0": 2}, Answer.NO, Answer.NO, Fraction(2)),
+        (example_injective_not_iso, {"g": 2, "d0": 4}, NO, NO, Fraction(4)),
+        (example_injective_not_iso, {"g": 2, "d0": 1}, NO, NO, Fraction(1)),
+        (example_injective_not_iso, {"g": 5, "d0": 2}, NO, NO, Fraction(2)),
+        (example_unstable_component, {"g": 2, "d0": 1}, NO, NO, Fraction(1)),
+        (example_unstable_component, {"g": 2, "d0": 3}, NO, NO, Fraction(3)),
+        (example_unstable_component, {"g": 3, "d0": 2}, NO, NO, Fraction(2)),
     ]
     failures = []
     for builder, params, want_ss, want_st, want_gap in cases:
@@ -291,15 +292,15 @@ def test_criterion_7_connection_additivity_and_transfer():
         if filtration.theta_iso and filtration.context.omega_degree >= 0:
             graded_verdict = criterion_semistable(graded_of_filtration(filtration))
         verdict = connection_verdict(pair, graded_verdict)
-        if graded_verdict is not None and graded_verdict.semistable is Answer.YES:
-            if verdict.semistable is not Answer.YES:
+        if graded_verdict is not None and graded_verdict.semistable == YES:
+            if verdict.semistable != YES:
                 failures.append(("graded transfer", filtration))
         if filtration.context.characteristic == 0 and flat:
-            if verdict.semistable is not Answer.YES:
+            if verdict.semistable != YES:
                 failures.append(("flat char 0", filtration))
     # the flat route must fire with no filtration at all
     bare = ConnectionPair(BundleData(3, 0), flat=True, context=GeometricContext(0, 1, 2))
-    if connection_verdict(bare).semistable is not Answer.YES:
+    if connection_verdict(bare).semistable != YES:
         failures.append(("flat char 0, no filtration", None))
     report(
         "criterion 7 (connection additivity and transfer)",

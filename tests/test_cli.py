@@ -184,11 +184,9 @@ class TestCheckSystem:
         assert report["certificate"] is None
 
     def test_inconsistency_exits_two(self, capsys, tower_doc, monkeypatch):
-        from hodgeslope.hodge_system import Answer
+        from hodgeslope.hodge_system import NO
 
-        fake = Verdict(
-            Answer.NO, Answer.NO, SubsystemProfile(((1, 5),)), "oracle"
-        )
+        fake = Verdict(NO, NO, SubsystemProfile(((1, 5),)), "oracle")
         monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a, **k: fake)
         code, report, err = run(capsys, ["check-system", tower_doc])
         assert code == 2
@@ -199,7 +197,7 @@ class TestCheckSystem:
         # every component stable, positive cotangent degree: the stable-bounds
         # oracle agrees with the criterion's stable=yes, which the
         # semistable-bounds oracle would contradict with [[1, 0], [1, 2]]
-        from hodgeslope.hodge_system import ISOMORPHISMS, Answer
+        from hodgeslope.hodge_system import ISOMORPHISMS, NO, YES
 
         components = (
             BundleData(2, 0, semistable=True, stable=True),
@@ -211,7 +209,7 @@ class TestCheckSystem:
         assert code == 0
         assert (report["semistable"], report["stable"]) == ("yes", "yes")
         assert report["provenance"].endswith("; oracle")
-        fake = Verdict(Answer.YES, Answer.NO, SubsystemProfile(((1, 0), (1, 2))), "oracle")
+        fake = Verdict(YES, NO, SubsystemProfile(((1, 0), (1, 2))), "oracle")
         monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a, **k: fake)
         code, report, err = run(capsys, ["check-system", doc])
         assert code == 2
@@ -239,7 +237,7 @@ class TestCheckSystem:
         code, report, _ = run(capsys, ["check-system", doc, "--mode", "conservative"])
         assert code == 0
         criteria = merge_verdicts(*criteria_verdicts(system))
-        assert (criteria.semistable.value, criteria.stable.value) == ("yes", "unknown")
+        assert (criteria.semistable, criteria.stable) == ("yes", "unknown")
         assert (report["semistable"], report["stable"], report["certificate"]) == ("yes", "yes", None)
         assert report["provenance"] == f"{criteria.provenance}; oracle"
 

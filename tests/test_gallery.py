@@ -16,7 +16,7 @@ from hodgeslope.gallery import (
     recompute_verdict,
 )
 from hodgeslope.hn_profiles import HNProfile
-from hodgeslope.hodge_system import Answer, Verdict
+from hodgeslope.hodge_system import NO, YES, Verdict
 from hodgeslope.slope_core import BundleData, InconsistencyError
 
 from support import hn_valid, slope, total_slope
@@ -49,8 +49,8 @@ class TestStrictlySemistable:
         for g in (1, 2, 3):
             entry = example_strictly_semistable(g)
             verdict = recompute_verdict(entry)
-            assert verdict.semistable is Answer.YES
-            assert verdict.stable is Answer.NO
+            assert verdict.semistable == YES
+            assert verdict.stable == NO
             # equal-slope witness: zero gap
             assert slope(verdict.certificate) == total_slope(entry.system)
 
@@ -72,7 +72,7 @@ class TestSurjectiveNotIso:
             assert mu == Fraction(2 * d + 2 * g - 2, 3)
             assert mu < d
             verdict = recompute_verdict(entry)
-            assert verdict.semistable is Answer.NO
+            assert verdict.semistable == NO
             assert slope(verdict.certificate) - mu == d - mu
 
     def test_degree_hypothesis_enforced(self):
@@ -88,7 +88,7 @@ class TestInjectiveNotIso:
             entry = example_injective_not_iso(g, d0)
             assert total_slope(entry.system) == 0
             verdict = recompute_verdict(entry)
-            assert verdict.semistable is Answer.NO
+            assert verdict.semistable == NO
             assert slope(verdict.certificate) == d0
 
     def test_positive_degree_required(self):
@@ -126,7 +126,7 @@ class TestUnstableComponent:
         for g, d0 in [(2, 1), (2, 3), (3, 2)]:
             entry = example_unstable_component(g, d0)
             verdict = recompute_verdict(entry)
-            assert verdict.semistable is Answer.NO
+            assert verdict.semistable == NO
             assert slope(verdict.certificate) == d0 == d0 - total_slope(entry.system)
 
     def test_positive_degree_required(self):
@@ -165,8 +165,8 @@ class TestRegistry:
 
     def test_checked_entry_reports_drift(self, monkeypatch):
         entry, verdict = checked_entry("strictly-semistable", g=3)
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.NO)
-        monkeypatch.setattr(gallery, "recompute_verdict", lambda entry: Verdict(Answer.YES, Answer.YES))
+        assert (verdict.semistable, verdict.stable) == (YES, NO)
+        monkeypatch.setattr(gallery, "recompute_verdict", lambda entry: Verdict(YES, YES))
         with pytest.raises(InconsistencyError, match="drifted"):
             checked_entry("strictly-semistable", g=3)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hodgeslope import cli, search_oracle
-from hodgeslope.hodge_system import Answer, Verdict
+from hodgeslope.hodge_system import Verdict
 from hodgeslope.profiles import SubsystemProfile
 
 CASES = [
@@ -32,9 +32,11 @@ CASES = [
 
 def _fake_oracle(monkeypatch, recorded: dict) -> None:
     certificate = recorded["certificate"]
+    # the sides are the strings JSON gives, equal to the answer constants
+    # but not the same objects
     fake = Verdict(
-        Answer(recorded["semistable"]),
-        Answer(recorded["stable"]),
+        recorded["semistable"],
+        recorded["stable"],
         SubsystemProfile.from_json(certificate) if certificate else None,
         recorded["provenance"],
     )

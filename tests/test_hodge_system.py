@@ -7,7 +7,9 @@ import pytest
 
 from hodgeslope.gallery import example_strictly_semistable
 from hodgeslope.hodge_system import (
-    Answer,
+    NO,
+    UNKNOWN,
+    YES,
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
@@ -198,19 +200,19 @@ class TestTransport:
 class TestCriterionSemistable:
     def test_all_components_semistable(self):
         verdict = criterion_semistable(example_strictly_semistable().system)
-        assert verdict.semistable is Answer.YES
-        assert verdict.stable is Answer.UNKNOWN
+        assert verdict.semistable == YES
+        assert verdict.stable == UNKNOWN
 
     def test_single_component(self):
         sys = derive_components(BundleData(2, 5, semistable=True), curve(2), 0)
-        assert criterion_semistable(sys).semistable is Answer.YES
+        assert criterion_semistable(sys).semistable == YES
 
     def test_converse_with_destabilizer_datum(self):
         base = BundleData(2, 1, semistable=False)
         sys = derive_components(base, curve(2), 1)
         verdict = criterion_semistable(sys, base_destabilizer=BundleData(1, 1))
-        assert verdict.semistable is Answer.NO
-        assert verdict.stable is Answer.NO
+        assert verdict.semistable == NO
+        assert verdict.stable == NO
         assert verdict.certificate is not None
         assert slope(verdict.certificate) == 2 > total_slope(sys)
 
@@ -218,11 +220,11 @@ class TestCriterionSemistable:
         base = BundleData(2, 1, semistable=False)
         sys = derive_components(base, curve(2, char=5), 1)
         verdict = criterion_semistable(sys, base_destabilizer=BundleData(1, 1))
-        assert verdict.semistable is Answer.UNKNOWN
+        assert verdict.semistable == UNKNOWN
 
     def test_unknown_without_datum(self):
         sys = derive_components(BundleData(2, 1, semistable=False), curve(2), 1)
-        assert criterion_semistable(sys).semistable is Answer.UNKNOWN
+        assert criterion_semistable(sys).semistable == UNKNOWN
 
     def test_invalid_datum_rejected(self):
         sys = derive_components(BundleData(2, 1, semistable=False), curve(2), 1)
@@ -253,7 +255,7 @@ class TestCriterionSemistable:
             # force a strictly larger slope
             sub_degree = (sub_rank * degree) // rank + 1
             verdict = criterion_semistable(sys, base_destabilizer=BundleData(sub_rank, sub_degree))
-            assert verdict.semistable is Answer.NO
+            assert verdict.semistable == NO
             assert slope(verdict.certificate) > total_slope(sys)
 
 
@@ -263,19 +265,19 @@ class TestCriterionStable:
         e1 = BundleData(2, 2, semistable=True, stable=True)
         sys = HodgeSystem(curve(2), (e0, e1), ISOMORPHISMS)
         verdict = criterion_stable(sys)
-        assert verdict.stable is Answer.YES
-        assert verdict.semistable is Answer.YES
+        assert verdict.stable == YES
+        assert verdict.semistable == YES
 
     def test_strictly_semistable_tower_not_stable(self):
         verdict = criterion_stable(example_strictly_semistable().system)
-        assert verdict.stable is Answer.NO
-        assert verdict.semistable is Answer.YES
+        assert verdict.stable == NO
+        assert verdict.semistable == YES
         assert verdict.certificate is None
 
     def test_equal_slope_datum_builds_certificate(self):
         sys = example_strictly_semistable().system
         verdict = criterion_stable(sys, equal_slope_sub=BundleData(1, -1))
-        assert verdict.stable is Answer.NO
+        assert verdict.stable == NO
         assert verdict.certificate.entries == ((1, -1), (1, 1))
         assert slope(verdict.certificate) == total_slope(sys)
 
@@ -289,7 +291,7 @@ class TestCriterionStable:
 
     def test_single_stable_component(self):
         sys = derive_components(BundleData(2, 1, semistable=True, stable=True), curve(2), 0)
-        assert criterion_stable(sys).stable is Answer.YES
+        assert criterion_stable(sys).stable == YES
 
     def test_unknown_off_curves(self):
         ctx = GeometricContext(0, 2, 3, omega_semistable=True)
@@ -298,7 +300,7 @@ class TestCriterionStable:
             4, 1 * 1 * 3 * 2 + 2 * 1, semistable=True, stable=False
         )
         sys = HodgeSystem(ctx, (base, e1), ISOMORPHISMS)
-        assert criterion_stable(sys).stable is Answer.UNKNOWN
+        assert criterion_stable(sys).stable == UNKNOWN
 
     def test_nonpositive_cotangent_degree_rejected(self):
         sys = derive_components(BundleData(1, 0, semistable=True), curve(0), 1)
@@ -309,16 +311,16 @@ class TestCriterionStable:
 class TestVerdictInvariants:
     def test_stable_yes_needs_semistable_yes(self):
         with pytest.raises(ValueError):
-            Verdict(Answer.UNKNOWN, Answer.YES)
+            Verdict(UNKNOWN, YES)
 
     def test_semistable_no_needs_certificate(self):
         with pytest.raises(ValueError):
-            Verdict(Answer.NO, Answer.NO)
+            Verdict(NO, NO)
 
     def test_semistable_no_forces_stable_no(self):
         witness = SubsystemProfile(((1, 5),))
-        v = Verdict(Answer.NO, Answer.UNKNOWN, witness)
-        assert v.stable is Answer.NO
+        v = Verdict(NO, UNKNOWN, witness)
+        assert v.stable == NO
 
 
 class TestJson:

@@ -91,10 +91,10 @@ def test_every_library_name_has_a_caller():
     assert set(KEPT) <= defined, f"KEPT names that no longer exist: {sorted(set(KEPT) - defined)}"
 
 
-def test_no_library_module_imports_inequalities():
-    # no command decides through inequalities, whose lemmas only the tests
-    # and the benchmark call: ROADMAP item 14 moves them out of the library
-    importers = []
+def importers(name: str) -> list[str]:
+    """Each "module:line" in ``src/`` that imports a module whose last
+    dotted part is ``name``."""
+    found = []
     for path in sorted((ROOT / "src" / "hodgeslope").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
@@ -103,6 +103,20 @@ def test_no_library_module_imports_inequalities():
                 modules = [alias.name for alias in node.names]
             else:
                 continue
-            if any(module.split(".")[-1] == "inequalities" for module in modules):
-                importers.append(f"{path.stem}:{node.lineno}")
-    assert not importers, f"library modules importing inequalities: {importers}"
+            if any(module.split(".")[-1] == name for module in modules):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_library_module_imports_inequalities():
+    # no command decides through inequalities, whose lemmas only the tests
+    # and the benchmark call: ROADMAP item 14 moves them out of the library
+    found = importers("inequalities")
+    assert not found, f"library modules importing inequalities: {found}"
+
+
+def test_no_library_module_imports_enum():
+    # answers and modes are the strings the reports and the command line
+    # use, compared with ==, so no module needs an Enum
+    found = importers("enum")
+    assert not found, f"library modules importing enum: {found}"

@@ -10,7 +10,8 @@ from hodgeslope import cli
 from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
-    Answer,
+    UNKNOWN,
+    YES,
     criterion_semistable,
     criterion_stable,
 )
@@ -177,16 +178,16 @@ class TestOperSemistability:
             BundleData(2, 2, semistable=True),
         )
         verdict = oper_semistability(iso_filtration(pieces, curve(2)))
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
 
     def test_single_piece(self):
         f = iso_filtration((BundleData(2, 3, semistable=True),), curve(2))
-        assert oper_semistability(f).semistable is Answer.YES
+        assert oper_semistability(f).semistable == YES
 
     def test_rank_one_tower(self):
         pieces = tower_pieces(BundleData(1, 0, semistable=True), curve(2), 3)
         assert [(p.rank, p.degree) for p in pieces] == [(1, 0), (1, 2), (1, 4)]
-        assert oper_semistability(iso_filtration(pieces, curve(2))).semistable is Answer.YES
+        assert oper_semistability(iso_filtration(pieces, curve(2))).semistable == YES
 
     def test_not_an_oper_rejected(self):
         f = GriffithsFiltration(
@@ -214,7 +215,7 @@ class TestOperSemistability:
             pieces = tower_pieces(base, ctx, rng.randint(1, 3))
             f = iso_filtration(pieces, ctx)
             assert is_generalized_oper(f)
-            assert oper_semistability(f).semistable is Answer.YES
+            assert oper_semistability(f).semistable == YES
 
 
 class TestConnectionPair:
@@ -270,15 +271,15 @@ class TestConnectionVerdict:
     def test_flat_characteristic_zero_without_filtration(self):
         pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2))
         verdict = connection_verdict(pair)
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
 
     def test_flat_characteristic_zero_overrides_unknown_graded(self):
         f = iso_filtration((BundleData(1, 3), BundleData(1, 5)), curve(2))
         pair = ConnectionPair(BundleData(2, 8), flat=True, filtration=f)
         unknown = criterion_semistable(graded_of_filtration(f))
-        assert unknown.semistable is Answer.UNKNOWN
+        assert unknown.semistable == UNKNOWN
         verdict = connection_verdict(pair, unknown)
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
 
     def test_graded_transfer_in_positive_characteristic(self):
         ctx = curve(2, char=5)
@@ -287,7 +288,7 @@ class TestConnectionVerdict:
         pair = ConnectionPair(BundleData(2, 2), flat=True, filtration=f)
         graded_verdict = criterion_semistable(graded_of_filtration(f))
         verdict = connection_verdict(pair, graded_verdict)
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
 
     def test_stability_transfers(self):
         ctx = curve(2, char=5)
@@ -300,14 +301,14 @@ class TestConnectionVerdict:
         graded = graded_of_filtration(f)
         graded_verdict = criterion_stable(graded)
         verdict = connection_verdict(pair, graded_verdict)
-        assert verdict.stable is Answer.YES
-        assert verdict.semistable is Answer.YES
+        assert verdict.stable == YES
+        assert verdict.semistable == YES
 
     def test_unknown_without_any_route(self):
         pair = ConnectionPair(BundleData(3, 0), flat=True, context=curve(2, char=5))
-        assert connection_verdict(pair).semistable is Answer.UNKNOWN
+        assert connection_verdict(pair).semistable == UNKNOWN
         pair = ConnectionPair(BundleData(3, 0), flat=True)
-        assert connection_verdict(pair).semistable is Answer.UNKNOWN
+        assert connection_verdict(pair).semistable == UNKNOWN
 
 
 class TestHnBridge:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
-    Answer,
+    NO,
+    UNKNOWN,
+    YES,
     HodgeSystem,
     Verdict,
     derive_components,
@@ -192,7 +194,7 @@ class TestJsonRoundTrips:
 class TestVerdictInvariants:
     @pytest.mark.parametrize(
         "semistable, stable, certified",
-        list(itertools.product(Answer, Answer, (False, True))),
+        list(itertools.product((YES, NO, UNKNOWN), (YES, NO, UNKNOWN), (False, True))),
     )
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(profile=profiles, provenance=st.text(max_size=20))
@@ -200,8 +202,8 @@ class TestVerdictInvariants:
         # stable=yes needs semistable=yes, semistable=no needs a
         # certificate and forces stable=no, and nothing else changes
         certificate = profile if certified else None
-        invalid = (stable is Answer.YES and semistable is not Answer.YES) or (
-            semistable is Answer.NO and certificate is None
+        invalid = (stable == YES and semistable != YES) or (
+            semistable == NO and certificate is None
         )
         if invalid:
             with pytest.raises(ValueError):
@@ -209,6 +211,6 @@ class TestVerdictInvariants:
             return
         v = Verdict(semistable, stable, certificate, provenance)
         assert v.semistable is semistable
-        assert v.stable is (Answer.NO if semistable is Answer.NO else stable)
+        assert v.stable is (NO if semistable == NO else stable)
         assert v.certificate is certificate
         assert v.provenance is provenance

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 import time
@@ -14,17 +15,21 @@ from hypothesis import strategies as st
 
 from hodgeslope import hodge_system, search_oracle
 from hodgeslope.hodge_system import (
-    Answer,
+    NO,
+    UNKNOWN,
+    YES,
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
     derive_components,
+    merge_verdicts,
     transport_subsystem,
 )
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.search_oracle import (
+    CONSERVATIVE,
+    MONOTONE,
     BudgetExceededError,
-    ConstraintMode,
     MAX_RANK_CELLS,
     check_declared,
     max_slope_profile,
@@ -32,14 +37,20 @@ from hodgeslope.search_oracle import (
     verdict_from_search,
 )
 from hodgeslope.slope_core import (
+    SEMISTABLE,
+    STABLE,
     BundleData,
     GeometricContext,
-    SubsheafMode,
+    InconsistencyError,
     max_subsheaf_degree,
 )
 
 from support import curve, semistable_tower, slope, stable_tower, total_slope
 
+
+#: The rank-chain modes and the subsheaf-bound modes.
+MODES = (MONOTONE, CONSERVATIVE)
+BOUNDS = (SEMISTABLE, STABLE)
 
 #: Default budget of ``enumerate_profiles``, which visits every profile.
 DEFAULT_PROFILE_BUDGET = 10_000_000
@@ -56,7 +67,7 @@ def profile_space_size(sys: HodgeSystem) -> int:
 def _profiles(
     sys: HodgeSystem,
     bounds: list[list[int]],
-    mode: ConstraintMode,
+    mode: str,
 ) -> Iterator[SubsystemProfile]:
     ranks = [c.rank for c in sys.components]
     step = search_oracle._rank_step(sys, mode)
@@ -79,8 +90,8 @@ def _profiles(
 
 def enumerate_profiles(
     sys: HodgeSystem,
-    mode: ConstraintMode = ConstraintMode.MONOTONE,
-    subsheaf_mode: SubsheafMode = SubsheafMode.SEMISTABLE,
+    mode: str = MONOTONE,
+    subsheaf_mode: str = SEMISTABLE,
     budget: int = DEFAULT_PROFILE_BUDGET,
 ) -> Iterator[SubsystemProfile]:
     """Stream every admissible proper profile in a fixed deterministic
@@ -111,8 +122,8 @@ def example_tower(g: int = 2) -> HodgeSystem:
 
 def brute_max(
     sys: HodgeSystem,
-    mode: ConstraintMode,
-    subsheaf_mode: SubsheafMode,
+    mode: str,
+    subsheaf_mode: str,
     budget: int = DEFAULT_PROFILE_BUDGET,
 ):
     """Independent maximum: materialize the stream, compare with Fractions."""
@@ -124,21 +135,21 @@ def brute_max(
     return None if best is None else best[1]
 
 
-def dp_verdict(sys: HodgeSystem, mode: ConstraintMode, subsheaf_mode: SubsheafMode, solver=None):
+def dp_verdict(sys: HodgeSystem, mode: str, subsheaf_mode: str, solver=None):
     """The verdict composed from one Dinkelbach search per bound mode, each
     maximum compared with mu(E): the reference the closed form in
     ``verdict_from_search`` replaces.  ``solver`` swaps in another
     maximizer with ``max_slope_profile``'s signature."""
     solver = solver or max_slope_profile
     mu = total_slope(sys)
-    best = solver(sys, mode, SubsheafMode.SEMISTABLE)
+    best = solver(sys, mode, SEMISTABLE)
     if best is not None and slope(best) > mu:
-        return Verdict(Answer.NO, Answer.NO, best, search_oracle.PROV_ORACLE)
-    if subsheaf_mode is SubsheafMode.STABLE:
-        best = solver(sys, mode, SubsheafMode.STABLE)
+        return Verdict(NO, NO, best, search_oracle.PROV_ORACLE)
+    if subsheaf_mode == STABLE:
+        best = solver(sys, mode, STABLE)
     if best is not None and slope(best) == mu:
-        return Verdict(Answer.YES, Answer.NO, best, search_oracle.PROV_ORACLE)
-    return Verdict(Answer.YES, Answer.YES, provenance=search_oracle.PROV_ORACLE)
+        return Verdict(YES, NO, best, search_oracle.PROV_ORACLE)
+    return Verdict(YES, YES, provenance=search_oracle.PROV_ORACLE)
 
 
 def outcome(fn, *args):
@@ -189,7 +200,7 @@ class TestEnumerate:
             sys = semistable_tower(r0, -2, omega(d, 2), n)
             full = tuple((c.rank, c.degree) for c in sys.components)
             top = sys.components[-1].rank
-            for mode in ConstraintMode:
+            for mode in MODES:
                 for p in enumerate_profiles(sys, mode):
                     assert p.entries != full
                     assert p.support_top < n or p.entries[n][0] < top, (r0, d, n, mode)
@@ -205,7 +216,7 @@ class TestEnumerate:
             enumerate_profiles(sys)
         semi = example_tower()
         with pytest.raises(ValueError, match="flag precondition violated"):
-            enumerate_profiles(semi, subsheaf_mode=SubsheafMode.STABLE)
+            enumerate_profiles(semi, subsheaf_mode=STABLE)
 
     def test_budget_guard(self):
         sys = semistable_tower(3, 0, omega(2, 1), 3)
@@ -215,17 +226,17 @@ class TestEnumerate:
 
     def test_monotone_stream_contained_in_conservative(self):
         for sys in (example_tower(), semistable_tower(2, 1, omega(2, 3), 2)):
-            paper = {p.entries for p in enumerate_profiles(sys, ConstraintMode.MONOTONE)}
+            paper = {p.entries for p in enumerate_profiles(sys, MONOTONE)}
             conservative = {
-                p.entries for p in enumerate_profiles(sys, ConstraintMode.CONSERVATIVE)
+                p.entries for p in enumerate_profiles(sys, CONSERVATIVE)
             }
             assert paper <= conservative
 
     def test_conservative_allows_growing_ranks(self):
         sys = semistable_tower(1, 0, omega(2, 1), 2)
-        paper = {p.entries for p in enumerate_profiles(sys, ConstraintMode.MONOTONE)}
+        paper = {p.entries for p in enumerate_profiles(sys, MONOTONE)}
         conservative = {
-            p.entries for p in enumerate_profiles(sys, ConstraintMode.CONSERVATIVE)
+            p.entries for p in enumerate_profiles(sys, CONSERVATIVE)
         }
         assert all(len({r for r, _ in p}) == 1 for p in paper)
         assert any(p[-1][0] > p[0][0] for p in conservative - paper)
@@ -276,8 +287,8 @@ class TestMaxSlope:
                 omega(rng.randint(1, 2), rng.randint(0, 4)),
                 rng.randint(0, 2),
             )
-            mode = rng.choice(list(ConstraintMode))
-            expected = brute_max(sys, mode, SubsheafMode.SEMISTABLE)
+            mode = rng.choice(MODES)
+            expected = brute_max(sys, mode, SEMISTABLE)
             actual = max_slope_profile(sys, mode)
             if expected is None:
                 assert actual is None
@@ -308,11 +319,11 @@ def same_result(actual, expected) -> bool:
     return actual.entries == expected.entries
 
 
-def bound_modes(sys: HodgeSystem) -> list[SubsheafMode]:
+def bound_modes(sys: HodgeSystem) -> list[str]:
     """The subsheaf modes whose attestations every component carries."""
-    modes = [SubsheafMode.SEMISTABLE]
+    modes = [SEMISTABLE]
     if all(c.stable is True for c in sys.components):
-        modes.append(SubsheafMode.STABLE)
+        modes.append(STABLE)
     return modes
 
 
@@ -350,15 +361,15 @@ class TestSolverAgainstBruteForce:
     verdict agrees with the verdict both compose."""
 
     @settings(max_examples=150, deadline=None)
-    @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(ConstraintMode))
+    @given(sys=st.one_of(towers(stable=True), towers(stable=False)), mode=st.sampled_from(MODES))
     def test_max_slope_profile(self, sys, mode):
         for subsheaf_mode in bound_modes(sys):
             expected = brute_max(sys, mode, subsheaf_mode)
             assert same_result(max_slope_profile(sys, mode, subsheaf_mode), expected)
 
     @settings(max_examples=400, deadline=None)
-    @given(sys=flagged_towers(), mode=st.sampled_from(ConstraintMode),
-           subsheaf_mode=st.sampled_from(SubsheafMode))
+    @given(sys=flagged_towers(), mode=st.sampled_from(MODES),
+           subsheaf_mode=st.sampled_from(BOUNDS))
     def test_verdict_from_search(self, sys, mode, subsheaf_mode):
         # the closed form against the solver's composition, error texts
         # included, and against the brute force where it can enumerate
@@ -372,16 +383,16 @@ class TestSolverAgainstBruteForce:
         # budget refuses it, an explicit one lets the brute force run
         sys = semistable_tower(8, -3, omega(1, 2), 8)
         assert profile_space_size(sys) > DEFAULT_PROFILE_BUDGET
-        for mode in ConstraintMode:
-            expected = brute_max(sys, mode, SubsheafMode.SEMISTABLE, budget=10**9)
+        for mode in MODES:
+            expected = brute_max(sys, mode, SEMISTABLE, budget=10**9)
             assert same_result(max_slope_profile(sys, mode), expected)
 
     def test_tall_tower_is_fast(self):
         sys = stable_tower(50, 1, omega(1, 2, stable=True), 50)
         start = time.perf_counter()
-        verdict = verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
+        verdict = verdict_from_search(sys, subsheaf_mode=STABLE)
         assert time.perf_counter() - start < 1.0
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        assert (verdict.semistable, verdict.stable) == (YES, YES)
 
     def test_cell_limit(self):
         # ranks 3^i: 7,174,452 reachable cells in conservative mode, 15 in
@@ -390,25 +401,25 @@ class TestSolverAgainstBruteForce:
         sys = semistable_tower(1, 0, omega(3, 2), 14)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="search too large"):
-            max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
+            max_slope_profile(sys, CONSERVATIVE)
         assert time.perf_counter() - start < 0.1
         assert sum(c.rank for c in sys.components) > MAX_RANK_CELLS
-        assert max_slope_profile(sys, ConstraintMode.MONOTONE) is not None
-        for mode in ConstraintMode:
+        assert max_slope_profile(sys, MONOTONE) is not None
+        for mode in MODES:
             verdict = verdict_from_search(sys, mode)
             assert (verdict.semistable, verdict.stable, verdict.certificate) == (
-                Answer.YES, Answer.YES, None
+                YES, YES, None
             )
             decided = system_verdict(sys, mode)
-            assert (decided.semistable, decided.stable) == (Answer.YES, Answer.YES)
+            assert (decided.semistable, decided.stable) == (YES, YES)
             assert decided.provenance == "semistable components in an isomorphism tower; oracle"
 
 
 COST_CASES = [
-    (semistable_tower(1, 1, omega(2, 2), 6), SubsheafMode.SEMISTABLE),
-    (semistable_tower(2, -2, omega(1, 0), 1), SubsheafMode.SEMISTABLE),  # maximum equals mu
-    (stable_tower(1, 1, omega(2, 2, stable=True), 6), SubsheafMode.STABLE),
-    (stable_tower(3, -1, omega(2, 2, stable=True), 4), SubsheafMode.STABLE),
+    (semistable_tower(1, 1, omega(2, 2), 6), SEMISTABLE),
+    (semistable_tower(2, -2, omega(1, 0), 1), SEMISTABLE),  # maximum equals mu
+    (stable_tower(1, 1, omega(2, 2, stable=True), 6), STABLE),
+    (stable_tower(3, -1, omega(2, 2, stable=True), 4), STABLE),
 ]
 COST_IDS = ["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"]
 
@@ -416,12 +427,12 @@ COST_IDS = ["semistable-d2", "semistable-tie", "stable-d2", "stable-r3"]
 class TestSearchCost:
     """The verdict takes no DP step at all."""
 
-    @pytest.mark.parametrize("mode", list(ConstraintMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("sys, subsheaf_mode", COST_CASES, ids=COST_IDS)
     def test_verdict_takes_no_step(self, monkeypatch, sys, subsheaf_mode, mode):
         calls = count_steps(monkeypatch)
         verdict = verdict_from_search(sys, mode, subsheaf_mode)
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
         assert calls == []
 
     def test_degree_bound_rows_match_cells(self):
@@ -437,7 +448,7 @@ class TestSearchCost:
         short = full = lowered = 0
         for sys in samples:
             assert any(c.degree < 0 for c in sys.components)
-            for mode, subsheaf_mode in itertools.product(ConstraintMode, SubsheafMode):
+            for mode, subsheaf_mode in itertools.product(MODES, BOUNDS):
                 step = search_oracle._rank_step(sys, mode)
                 caps = list(itertools.accumulate(
                     (c.rank for c in sys.components), lambda cap, rank: min(rank, step * cap)
@@ -471,7 +482,7 @@ class TestClosedForm:
         for r0, d, w, n in itertools.product(range(1, 7), range(1, 4), range(-2, 4), range(5)):
             for e0 in range(-r0, r0 + 1):
                 sys = flagged_tower(r0, e0, d, w, n, (True, True))
-                for mode, subsheaf_mode in itertools.product(ConstraintMode, SubsheafMode):
+                for mode, subsheaf_mode in itertools.product(MODES, BOUNDS):
                     expected = dp_verdict(sys, mode, subsheaf_mode)
                     assert verdict_from_search(sys, mode, subsheaf_mode) == expected, (
                         r0, e0, d, w, n, mode, subsheaf_mode
@@ -489,15 +500,15 @@ class TestClosedForm:
         # certificate is the transport of the least exact base piece
         sys = semistable_tower(r0, e0, omega(d, 2), n)
         with pytest.raises(BudgetExceededError, match="search too large"):
-            max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
+            max_slope_profile(sys, CONSERVATIVE)
         start = time.perf_counter()
-        verdict = verdict_from_search(sys, ConstraintMode.CONSERVATIVE)
+        verdict = verdict_from_search(sys, CONSERVATIVE)
         assert time.perf_counter() - start < 0.1
-        assert verdict.semistable is Answer.YES
+        assert verdict.semistable == YES
         if certificate is None:
-            assert (verdict.stable, verdict.certificate) == (Answer.YES, None)
+            assert (verdict.stable, verdict.certificate) == (YES, None)
         else:
-            assert verdict.stable is Answer.NO
+            assert verdict.stable == NO
             assert verdict.certificate == transport_subsystem(sys, BundleData(*certificate))
             assert slope(verdict.certificate) == total_slope(sys)
 
@@ -505,17 +516,17 @@ class TestClosedForm:
         # the semistable flags are checked first, every one of them, and
         # the stable flags only when the semistable side holds
         missing = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (None, None)])
-        for subsheaf_mode in SubsheafMode:
+        for subsheaf_mode in BOUNDS:
             with pytest.raises(ValueError, match="component 2 is not flagged semistable"):
                 verdict_from_search(missing, subsheaf_mode=subsheaf_mode)
         unstable = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (True, False)])
         with pytest.raises(ValueError, match="component 1 is not flagged stable"):
-            verdict_from_search(unstable, subsheaf_mode=SubsheafMode.STABLE)
+            verdict_from_search(unstable, subsheaf_mode=STABLE)
         # a negative cotangent degree refutes semistability before the
         # stable flags are looked at
         falling = flagged_tower(2, 1, 1, -2, 2, [(True, True), (True, None), (True, False)])
-        verdict = verdict_from_search(falling, subsheaf_mode=SubsheafMode.STABLE)
-        assert (verdict.semistable, verdict.certificate.entries) == (Answer.NO, ((2, 1),))
+        verdict = verdict_from_search(falling, subsheaf_mode=STABLE)
+        assert (verdict.semistable, verdict.certificate.entries) == (NO, ((2, 1),))
 
     def test_each_attestation_read_once_per_check(self):
         # the system records "every component attested" when it is built,
@@ -526,8 +537,8 @@ class TestClosedForm:
         comps = tuple(CountedFlags(c.rank, c.degree, True, True) for c in tower.components)
         sys = HodgeSystem(ctx, comps, ISOMORPHISMS)
         verdict = system_verdict(sys)
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
-        verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
+        assert (verdict.semistable, verdict.stable) == (YES, YES)
+        verdict_from_search(sys, subsheaf_mode=STABLE)
         assert CountedFlags.reads == {"semistable": 4, "stable": 4}
 
     def test_semistable_tower_reads_each_flag_once(self):
@@ -538,7 +549,7 @@ class TestClosedForm:
         CountedFlags.reads.clear()
         comps = tuple(CountedFlags(c.rank, c.degree, True) for c in tower.components)
         verdict = system_verdict(HodgeSystem(ctx, comps, ISOMORPHISMS))
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        assert (verdict.semistable, verdict.stable) == (YES, YES)
         assert CountedFlags.reads == {"semistable": 4, "stable": 4}
 
     def test_oracle_bounds_follow_the_attestations_not_the_criteria(self, monkeypatch):
@@ -546,10 +557,10 @@ class TestClosedForm:
         # answer yes on this tower; the oracle must still run under
         # semistable bounds, since only E_0 is attested stable
         sys = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (True, None)])
-        stable = Verdict(Answer.YES, Answer.YES, provenance="stable base component")
+        stable = Verdict(YES, YES, provenance="stable base component")
         monkeypatch.setattr(hodge_system, "criterion_stable", lambda sys: stable)
         verdict = system_verdict(sys)
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        assert (verdict.semistable, verdict.stable) == (YES, YES)
 
 
 class CountedFlags(BundleData):
@@ -571,25 +582,25 @@ class CountedFlags(BundleData):
 class TestVerdictFromSearch:
     def test_example_tower(self):
         verdict = verdict_from_search(example_tower())
-        assert verdict.semistable is Answer.YES
-        assert verdict.stable is Answer.NO
+        assert verdict.semistable == YES
+        assert verdict.stable == NO
         assert slope(verdict.certificate) == total_slope(example_tower())
 
     def test_strictly_below_gives_both_yes(self):
         verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 2))
-        assert verdict.semistable is Answer.YES
-        assert verdict.stable is Answer.YES
+        assert verdict.semistable == YES
+        assert verdict.stable == YES
         assert verdict.certificate is None
 
     def test_equal_slope_at_zero_cotangent_degree(self):
         verdict = verdict_from_search(semistable_tower(2, -2, omega(1, 0), 1))
-        assert verdict.stable is Answer.NO
+        assert verdict.stable == NO
         assert verdict.certificate.entries == ((1, -1),)
         assert slope(verdict.certificate) == Fraction(-1)
 
     def test_empty_stream(self):
         verdict = verdict_from_search(semistable_tower(1, 0, omega(1, 2), 0))
-        assert (verdict.semistable, verdict.stable) == (Answer.YES, Answer.YES)
+        assert (verdict.semistable, verdict.stable) == (YES, YES)
 
     def test_flag_precondition(self):
         sys = derive_components(BundleData(2, -2), curve(2), 1)
@@ -598,14 +609,14 @@ class TestVerdictFromSearch:
 
     def test_stable_bounds_verdict(self):
         sys = stable_tower(2, 1, omega(1, 2, stable=True), 1)
-        verdict = verdict_from_search(sys, subsheaf_mode=SubsheafMode.STABLE)
-        assert verdict.stable is Answer.YES
+        verdict = verdict_from_search(sys, subsheaf_mode=STABLE)
+        assert verdict.stable == YES
         # integral-slope components: the strict bound is what rescues stability
         integral = stable_tower(2, 2, omega(1, 2, stable=True), 1)
-        strict = verdict_from_search(integral, subsheaf_mode=SubsheafMode.STABLE)
-        assert strict.stable is Answer.YES
-        loose = verdict_from_search(integral, subsheaf_mode=SubsheafMode.SEMISTABLE)
-        assert loose.stable is Answer.NO
+        strict = verdict_from_search(integral, subsheaf_mode=STABLE)
+        assert strict.stable == YES
+        loose = verdict_from_search(integral, subsheaf_mode=SEMISTABLE)
+        assert loose.stable == NO
 
 
 class TestCheckDeclared:
@@ -615,7 +626,7 @@ class TestCheckDeclared:
         witness = SubsystemProfile(((1, 4),))
         sys = HodgeSystem(curve(2), (e0, e1), (witness,))
         verdict = check_declared(sys, witness)
-        assert verdict.semistable is Answer.NO
+        assert verdict.semistable == NO
         assert verdict.certificate is witness
 
     def test_unstable_component_example(self):
@@ -624,22 +635,22 @@ class TestCheckDeclared:
         witness = SubsystemProfile(((1, 1),))
         sys = HodgeSystem(curve(2), (e0, e1), (witness,))
         verdict = check_declared(sys, witness)
-        assert verdict.semistable is Answer.NO
+        assert verdict.semistable == NO
         assert slope(witness) == 1 > total_slope(sys) == 0
 
     def test_full_profile_suppressed(self):
         sys = example_tower()
         full = SubsystemProfile(tuple((c.rank, c.degree) for c in sys.components))
         verdict = check_declared(sys, full)
-        assert verdict.semistable is Answer.UNKNOWN
-        assert verdict.stable is Answer.UNKNOWN
+        assert verdict.semistable == UNKNOWN
+        assert verdict.stable == UNKNOWN
 
     def test_equal_slope_proper_profile_refutes_stability(self):
         sys = example_tower()
         witness = SubsystemProfile(((1, -1), (1, 1)))
         verdict = check_declared(sys, witness)
-        assert verdict.semistable is Answer.UNKNOWN
-        assert verdict.stable is Answer.NO
+        assert verdict.semistable == UNKNOWN
+        assert verdict.stable == NO
 
     def test_rank_domination_errors(self):
         sys = example_tower()
@@ -661,7 +672,7 @@ class TestCheckDeclared:
             check_declared(sys, SubsystemProfile(((2, 5),)))
         with pytest.raises(ValueError, match="exceeds the component degree at full rank"):
             check_declared(sys, SubsystemProfile(((1, 9), (1, 1))))
-        assert check_declared(sys, SubsystemProfile(((2, 0),))).semistable is Answer.UNKNOWN
+        assert check_declared(sys, SubsystemProfile(((2, 0),))).semistable == UNKNOWN
 
     def test_degree_unchecked_without_flag(self):
         e0 = BundleData(1, 1, semistable=True, stable=True)
@@ -669,7 +680,7 @@ class TestCheckDeclared:
         sys = HodgeSystem(curve(2), (e0, e1), ())
         # grade 1 carries no semistable attestation: any degree is plausible
         verdict = check_declared(sys, SubsystemProfile(((1, 1), (1, 5))))
-        assert verdict.semistable is Answer.NO
+        assert verdict.semistable == NO
 
 
 def reference_check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Verdict:
@@ -682,7 +693,7 @@ def reference_check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Ver
         comp = components[i]
         if rk > comp.rank:
             raise ValueError(f"rank domination violated at grade {i}: {rk} > {comp.rank}")
-        if comp.semistable is True and dg > max_subsheaf_degree(rk, comp, SubsheafMode.SEMISTABLE):
+        if comp.semistable is True and dg > max_subsheaf_degree(rk, comp, SEMISTABLE):
             raise ValueError(f"degree at grade {i} exceeds the semistable subsheaf bound")
         if rk == comp.rank and dg > comp.degree:
             raise ValueError(
@@ -692,14 +703,14 @@ def reference_check_declared(sys: HodgeSystem, profile: SubsystemProfile) -> Ver
     mu = Fraction(sum(c.degree for c in components), sum(c.rank for c in components))
     s = Fraction(sum(d for _, d in profile.entries), sum(r for r, _ in profile.entries))
     if s > mu:
-        return Verdict(Answer.NO, Answer.NO, profile, search_oracle.PROV_DECLARED)
+        return Verdict(NO, NO, profile, search_oracle.PROV_DECLARED)
     if s == mu:
         full = profile.support_top == sys.n and profile.entries == tuple(
             (c.rank, c.degree) for c in components
         )
         if full:
             return Verdict(provenance=search_oracle.PROV_DECLARED_FULL)
-        return Verdict(Answer.UNKNOWN, Answer.NO, profile, search_oracle.PROV_DECLARED)
+        return Verdict(UNKNOWN, NO, profile, search_oracle.PROV_DECLARED)
     return Verdict(provenance=search_oracle.PROV_DECLARED_SLACK)
 
 
@@ -734,7 +745,7 @@ def declared_outcome_kind(result) -> str:
     sides and provenance."""
     if isinstance(result, str):
         return re.sub(r"-?\d+", "#", result)
-    return f"{result.semistable.value}/{result.stable.value} {result.provenance}"
+    return f"{result.semistable}/{result.stable} {result.provenance}"
 
 
 class TestCheckDeclaredAgainstFractions:
@@ -797,10 +808,89 @@ def test_conservative_mode_never_violates_within_sweep():
     ):
         sys = semistable_tower(r0, e0, omega(d, w), n)
         mu = total_slope(sys)
-        paper = max_slope_profile(sys, ConstraintMode.MONOTONE)
-        conservative = max_slope_profile(sys, ConstraintMode.CONSERVATIVE)
+        paper = max_slope_profile(sys, MONOTONE)
+        conservative = max_slope_profile(sys, CONSERVATIVE)
         paper_violates = paper is not None and slope(paper) > mu
         conservative_violates = conservative is not None and slope(conservative) > mu
         if conservative_violates and not paper_violates:
             findings.append((r0, e0, d, w, n, conservative.entries))
     assert not findings, f"conservative-only violations found: {findings}"
+
+
+def parsed(token: str) -> str:
+    """``token`` as JSON reads it: equal to the constant, another object."""
+    copy = json.loads(json.dumps(token))
+    assert copy == token and copy is not token
+    return copy
+
+
+def same(token: str) -> str:
+    return token
+
+
+WITNESS = SubsystemProfile(((1, 0),))
+ANSWER_PAIRS = list(itertools.product((YES, NO, UNKNOWN), repeat=2))
+
+
+class TestTokensParsedFromJson:
+    """Answers and modes read from JSON, as a library caller's may be,
+    behave exactly as the constants do, since they are compared with ==."""
+
+    @pytest.mark.parametrize("semistable, stable", ANSWER_PAIRS)
+    @pytest.mark.parametrize("certificate", (None, WITNESS))
+    def test_verdict_rules(self, semistable, stable, certificate):
+        # stable=yes needs semistable=yes; semistable=no needs a certificate
+        # and forces stable=no
+        expected = outcome(Verdict, semistable, stable, certificate)
+        assert outcome(Verdict, parsed(semistable), parsed(stable), certificate) == expected
+
+    def test_merge_verdicts(self):
+        def verdicts(token):
+            return [
+                Verdict(token(s), token(t), WITNESS if NO in (s, t) else None, f"{s}/{t}")
+                for s, t in ANSWER_PAIRS
+                if t != YES or s == YES
+            ]
+
+        constants, tokens = verdicts(same), verdicts(parsed)
+        for i, j in itertools.product(range(len(constants)), repeat=2):
+            assert merge_verdicts(tokens[i], tokens[j]) == merge_verdicts(constants[i], constants[j])
+
+    @pytest.mark.parametrize("semistable, stable, disagreement", [
+        (YES, YES, None),
+        (YES, NO, "criterion and oracle disagree on stability"),
+        (NO, NO, "criterion and oracle disagree on semistability"),
+    ])
+    def test_system_verdict_agreement(self, monkeypatch, semistable, stable, disagreement):
+        # every component stable at w > 0: the criteria answer yes/yes, and
+        # the oracle runs under stable bounds, so both sides are compared
+        sys = stable_tower(2, 1, curve(2), 1)
+        results = []
+        for token in (same, parsed):
+            fake = Verdict(token(semistable), token(stable), WITNESS if stable == NO else None)
+            monkeypatch.setattr(search_oracle, "verdict_from_search", lambda *a: fake)
+            try:
+                results.append(system_verdict(sys))
+            except InconsistencyError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        if disagreement:
+            assert results[1] == disagreement
+        else:
+            assert isinstance(results[1], Verdict)
+
+    @pytest.mark.parametrize("sys", [
+        # only the conservative class holds the transport of (1, 0) at d = 2
+        semistable_tower(2, 0, omega(2, 2), 1),
+        # at w = 0 the stable bounds certify the base, not its half
+        stable_tower(2, 2, omega(1, 0, stable=True), 1),
+        # the stable bounds refuse a base not attested stable
+        semistable_tower(2, 1, curve(2), 1),
+    ])
+    def test_verdict_from_search_modes(self, sys):
+        answers = set()
+        for mode, bound in itertools.product(MODES, BOUNDS):
+            expected = outcome(verdict_from_search, sys, mode, bound)
+            assert outcome(verdict_from_search, sys, parsed(mode), parsed(bound)) == expected
+            answers.add(repr(expected))
+        assert len(answers) > 1

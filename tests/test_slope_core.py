@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from hodgeslope.slope_core import (
     BundleData,
+    SEMISTABLE,
+    STABLE,
     GeometricContext,
-    SubsheafMode,
     _as_bool,
     _as_int,
     _check_keys,
@@ -370,34 +371,34 @@ class TestTensor:
 class TestMaxSubsheafDegree:
     def test_semistable_examples(self):
         ambient = BundleData(2, 2, semistable=True)
-        assert max_subsheaf_degree(1, ambient, SubsheafMode.SEMISTABLE) == 1
+        assert max_subsheaf_degree(1, ambient, SEMISTABLE) == 1
         for r, d in [(3, 5), (2, -7), (4, 0)]:
             full = BundleData(r, d, semistable=True)
-            assert max_subsheaf_degree(r, full, SubsheafMode.SEMISTABLE) == d
+            assert max_subsheaf_degree(r, full, SEMISTABLE) == d
 
     def test_stable_strict_bound(self):
         ambient = BundleData(2, 2, semistable=True, stable=True)
         # largest integer strictly below 1 * mu = 1
-        assert max_subsheaf_degree(1, ambient, SubsheafMode.STABLE) == 0
+        assert max_subsheaf_degree(1, ambient, STABLE) == 0
         # full rank keeps the ambient degree
-        assert max_subsheaf_degree(2, ambient, SubsheafMode.STABLE) == 2
+        assert max_subsheaf_degree(2, ambient, STABLE) == 2
 
     def test_floor_respects_negative_slopes(self):
         ambient = BundleData(2, -1, semistable=True)
         # 1 * mu = -1/2, floor is -1
-        assert max_subsheaf_degree(1, ambient, SubsheafMode.SEMISTABLE) == -1
+        assert max_subsheaf_degree(1, ambient, SEMISTABLE) == -1
 
     def test_rank_out_of_range(self):
         ambient = BundleData(2, 2, semistable=True)
         for bad in (0, 3):
             with pytest.raises(ValueError, match="out of range"):
-                max_subsheaf_degree(bad, ambient, SubsheafMode.SEMISTABLE)
+                max_subsheaf_degree(bad, ambient, SEMISTABLE)
 
     def test_missing_flag_rejected(self):
         with pytest.raises(ValueError, match="flag precondition violated"):
-            max_subsheaf_degree(1, BundleData(2, 2), SubsheafMode.SEMISTABLE)
+            max_subsheaf_degree(1, BundleData(2, 2), SEMISTABLE)
         with pytest.raises(ValueError, match="flag precondition violated"):
-            max_subsheaf_degree(1, BundleData(2, 2, semistable=True), SubsheafMode.STABLE)
+            max_subsheaf_degree(1, BundleData(2, 2, semistable=True), STABLE)
 
     def test_stable_bound_gap_exactly_on_integral_slopes(self):
         rng = random.Random(13)
@@ -406,8 +407,8 @@ class TestMaxSubsheafDegree:
             ambient = BundleData(rank, rng.randint(-12, 12), semistable=True, stable=True)
             mu = slope(ambient)
             for r in range(1, rank + 1):
-                loose = max_subsheaf_degree(r, ambient, SubsheafMode.SEMISTABLE)
-                strict = max_subsheaf_degree(r, ambient, SubsheafMode.STABLE)
+                loose = max_subsheaf_degree(r, ambient, SEMISTABLE)
+                strict = max_subsheaf_degree(r, ambient, STABLE)
                 assert strict <= loose
                 gap_expected = r < rank and (r * mu).denominator == 1
                 assert (strict < loose) == gap_expected
@@ -419,14 +420,14 @@ class TestMaxSubsheafDegree:
         for _ in range(200):
             rank = rng.randint(1, 6)
             ambient = BundleData(rank, rng.randint(0, 12), semistable=True, stable=True)
-            for mode in SubsheafMode:
+            for mode in (SEMISTABLE, STABLE):
                 bounds = [max_subsheaf_degree(r, ambient, mode) for r in range(1, rank + 1)]
                 assert bounds == sorted(bounds)
 
     def test_negative_slope_bound_decreases(self):
         ambient = BundleData(2, -2, semistable=True)
-        assert max_subsheaf_degree(1, ambient, SubsheafMode.SEMISTABLE) == -1
-        assert max_subsheaf_degree(2, ambient, SubsheafMode.SEMISTABLE) == -2
+        assert max_subsheaf_degree(1, ambient, SEMISTABLE) == -1
+        assert max_subsheaf_degree(2, ambient, SEMISTABLE) == -2
 
 
 class TestSubsheafDegreeRow:
@@ -441,16 +442,16 @@ class TestSubsheafDegreeRow:
             mu = slope(ambient)
             for cap in range(1, rank + 1):
                 ranks = range(1, cap + 1)
-                loose = subsheaf_degree_row(ambient, SubsheafMode.SEMISTABLE, ranks)
-                strict = subsheaf_degree_row(ambient, SubsheafMode.STABLE, ranks)
+                loose = subsheaf_degree_row(ambient, SEMISTABLE, ranks)
+                strict = subsheaf_degree_row(ambient, STABLE, ranks)
                 assert loose == [math.floor(r * mu) for r in ranks]
                 assert strict == [math.ceil(r * mu) - 1 if r < rank else ambient.degree for r in ranks]
-                for mode, row in ((SubsheafMode.SEMISTABLE, loose), (SubsheafMode.STABLE, strict)):
+                for mode, row in ((SEMISTABLE, loose), (STABLE, strict)):
                     assert row == [max_subsheaf_degree(r, ambient, mode) for r in ranks]
         assert negative
 
     def test_flag_checked_once_and_named(self):
         with pytest.raises(ValueError, match="component 4 is not flagged semistable"):
-            subsheaf_degree_row(BundleData(2, 2), SubsheafMode.SEMISTABLE, range(1, 3), "component 4")
+            subsheaf_degree_row(BundleData(2, 2), SEMISTABLE, range(1, 3), "component 4")
         with pytest.raises(ValueError, match="ambient bundle is not flagged stable"):
-            subsheaf_degree_row(BundleData(2, 2, semistable=True), SubsheafMode.STABLE, range(1, 3))
+            subsheaf_degree_row(BundleData(2, 2, semistable=True), STABLE, range(1, 3))

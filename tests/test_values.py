@@ -16,7 +16,7 @@ import pytest
 
 from hodgeslope.gallery import GalleryEntry
 from hodgeslope.hn_profiles import HNProfile
-from hodgeslope.hodge_system import ISOMORPHISMS, Answer, HodgeSystem, Verdict
+from hodgeslope.hodge_system import ISOMORPHISMS, NO, UNKNOWN, YES, HodgeSystem, Verdict
 from hodgeslope.inequalities import InequalityCheck, SequencePair
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck
 from hodgeslope.profiles import SubsystemProfile
@@ -54,8 +54,8 @@ CASES = {
         ("theta", (), (PROFILE,), ISOMORPHISMS),
     ],
     Verdict: [
-        ("semistable", Answer.YES, Answer.UNKNOWN, Answer.UNKNOWN),
-        ("stable", Answer.UNKNOWN, Answer.NO, Answer.UNKNOWN),
+        ("semistable", YES, UNKNOWN, UNKNOWN),
+        ("stable", UNKNOWN, NO, UNKNOWN),
         ("certificate", None, PROFILE, None),
         ("provenance", "", "oracle", ""),
     ],
