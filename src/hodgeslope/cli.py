@@ -32,14 +32,15 @@ from .hodge_system import (
     Verdict, system_from_json, system_to_json, verdict_json, verify_hodge_sums,
 )
 from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
-from .search_oracle import CONSERVATIVE, MONOTONE
+from .search_oracle import MODES, MONOTONE
 from .slope_core import (
     SEMISTABLE,
-    STABLE,
+    SUBSHEAF_MODES,
     BundleData,
     InconsistencyError,
     _check_keys,
     format_slope,
+    require_token,
     too_large,
 )
 
@@ -110,19 +111,9 @@ def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
     return obj, obj[key]
 
 
-_MODES = frozenset({MONOTONE, CONSERVATIVE})
-_SUBSHEAVES = frozenset({SEMISTABLE, STABLE})
 #: What a search runs with when neither the document nor the command line
 #: sets the search_options field.
 _SEARCH_DEFAULTS = {"constraint_mode": MONOTONE, "subsheaf_mode": SEMISTABLE}
-
-
-def _choice(data: dict, key: str, choices: frozenset) -> str:
-    value = data[key]
-    # a list or object is unhashable, so test the type before the lookup
-    if not isinstance(value, str) or value not in choices:
-        raise ValueError(f"{key} must be one of {sorted(choices)}")
-    return value
 
 
 def _search_options(doc: dict, args: SimpleNamespace) -> dict:
@@ -134,9 +125,8 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     data = {} if raw is None else _check_keys(raw, "search_options", frozenset(), fields.keys())
     options = {}
     for field, (choices, dest) in fields.items():
-        options[dest] = _choice(data, field, choices) if field in data else _SEARCH_DEFAULTS[field]
-        if getattr(args, dest) is not None:
-            options[dest] = getattr(args, dest)
+        from_document = require_token(field, data.get(field, _SEARCH_DEFAULTS[field]), choices)
+        options[dest] = from_document if getattr(args, dest) is None else getattr(args, dest)
     return options
 
 
@@ -260,13 +250,13 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
 _GRAMMAR = {
     "check-system": (
         _cmd_check_system, "criteria verdict for a graded system", ("document", None),
-        (("--mode", _MODES, None, "constraint_mode"),),
+        (("--mode", MODES, None, "constraint_mode"),),
     ),
     "search": (
         _cmd_search, "oracle verdict with certificate", ("document", None),
         (
-            ("--mode", _MODES, None, "constraint_mode"),
-            ("--subsheaf", _SUBSHEAVES, None, "subsheaf_mode"),
+            ("--mode", MODES, None, "constraint_mode"),
+            ("--subsheaf", SUBSHEAF_MODES, None, "subsheaf_mode"),
         ),
     ),
     "check-oper": (

@@ -15,9 +15,9 @@ three-valued; the criteria are one-directional outside characteristic zero
 
 The tower's degree sums are the power sums W(k) = sum_{i<=k} i d^(i-1)
 and S(k) = sum_{j<=k} d^j >= 1.  verify_hodge_sums checks that the
-partial slopes increase with the grade, that is W(k)/S(k) nondecreasing:
-W(k-1) S(k) <= W(k) S(k-1) for each adjacent pair, one running-sum pass
-per degree, which establishes W(r) S(n) <= W(n) S(r) for every r <= n.
+partial slopes W(k)/S(k) increase with the grade, so W(r) S(n) <= W(n) S(r)
+for r <= n.  As W(k-1) S(k) - W(k) S(k-1) = d^(k-1) (d W(k-1) - k S(k-1)),
+it compares each adjacent pair in divided form: d W(k-1) <= k S(k-1), d >= 1.
 
 Two statements are recorded here as documentation only, with no operation
 behind them: for dimension at least 2 one expects stable towers to force
@@ -85,17 +85,16 @@ MAX_SWEEP_CHECKS = 20_000
 
 def _adjacent_failures(d: int, n_max: int) -> list[tuple[int, int]]:
     """The adjacent pairs (k-1, k), 1 <= k <= n_max, on which the power-sum
-    inequality fails for this d, in one pass: W(k) = W(k-1) + k d^(k-1)
-    and S(k) = S(k-1) + d^k, and the pair fails when W(k-1) S(k) > W(k) S(k-1)."""
+    inequality fails for this d, in one pass: it fails when d^(k-1) (t - k
+    S(k-1)) > 0 with t = d W(k-1), so t is compared with k S(k-1) in the
+    direction the sign of d^(k-1) gives, and a zero d^(k-1) never fails."""
     failures = []
-    w, s, power = 0, 1, 1  # W(k-1), S(k-1) and d^(k-1) at k = 1
+    t, s, power = 0, 1, 1  # d W(k-1), S(k-1) and d^(k-1) at k = 1
     for k in range(1, n_max + 1):
-        w_k = w + k * power
-        power *= d
-        s_k = s + power
-        if w * s_k > w_k * s:
+        if (t > k * s) if power > 0 else (power and t < k * s):
             failures.append((k - 1, k))
-        w, s = w_k, s_k
+        power *= d
+        t, s = t + k * power, s + power
     return failures
 
 

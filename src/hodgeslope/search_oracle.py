@@ -68,9 +68,11 @@ from .slope_core import (
     BundleData,
     SEMISTABLE,
     STABLE,
+    SUBSHEAF_MODES,
     InconsistencyError,
     max_subsheaf_degree,
     require_flag,
+    require_token,
     slope_excess,
     subsheaf_degree_row,
 )
@@ -92,6 +94,7 @@ class BudgetExceededError(ValueError):
 
 #: The rank-chain constraints on admissible profiles, as --mode spells them.
 MONOTONE, CONSERVATIVE = "paper", "conservative"
+MODES = frozenset({MONOTONE, CONSERVATIVE})
 
 
 def _rank_step(sys: HodgeSystem, mode: str) -> int:
@@ -168,6 +171,8 @@ def max_slope_profile(
     lexicographically smallest entry list, or None when no proper profile
     exists.
     """
+    require_token("mode", mode, MODES)
+    require_token("subsheaf_mode", subsheaf_mode, SUBSHEAF_MODES)
     bounds = _degree_bounds(sys, mode, subsheaf_mode)
     if len(bounds[0]) == 1:
         return None  # a lone line bundle: its one chain is the whole system
@@ -232,6 +237,8 @@ def verdict_from_search(
     search checks them: every semistable flag first, in component order,
     and every stable flag only when the semistable side holds.
     """
+    require_token("mode", mode, MODES)
+    require_token("subsheaf_mode", subsheaf_mode, SUBSHEAF_MODES)
     require_isomorphisms(sys, "oracle")
     components = sys.components
     if sys.components_semistable is not True:  # then some component fails its check
@@ -341,6 +348,7 @@ def system_verdict(
     that its stability side is a check too.  A definite disagreement on
     either side raises InconsistencyError.
     """
+    require_token("mode", mode, MODES)
     if sys.theta is not ISOMORPHISMS:
         return _declared_verdict(sys)
     criteria = criteria_verdicts(sys)

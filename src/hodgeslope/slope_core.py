@@ -118,6 +118,14 @@ class InconsistencyError(RuntimeError):
 
 #: The attestation a subsheaf degree bound may lean on, as the flag is named.
 SEMISTABLE, STABLE = "semistable", "stable"
+SUBSHEAF_MODES = frozenset({SEMISTABLE, STABLE})
+
+
+def require_token(name: str, value: object, tokens: frozenset) -> str:
+    """``value`` if it is a string among ``tokens``, else a ValueError naming ``name``."""
+    if isinstance(value, str) and value in tokens:
+        return value
+    raise ValueError(f"{name} must be one of {sorted(tokens)}")
 
 
 class Frozen:
@@ -278,6 +286,7 @@ def tensor(a: BundleData, b: BundleData, semistable: bool | None = None) -> Bund
 def require_flag(ambient: BundleData, mode: str, what: str = "ambient bundle") -> None:
     """Refuse a bundle that lacks the attestation a ``mode`` bound leans
     on; ``what`` names the bundle in the error message."""
+    require_token("mode", mode, SUBSHEAF_MODES)
     flag = ambient.semistable if mode == SEMISTABLE else ambient.stable
     if flag is not True:
         raise ValueError(f"flag precondition violated: {what} is not flagged {mode}")

@@ -341,6 +341,26 @@ class TestSearch:
             assert report["error"].startswith(f"{key} must be one of [")
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("options, flags, error", [
+        ({}, ["--mode", "bogus"],
+         "argument --mode: invalid choice: 'bogus' (choose from 'conservative', 'paper')"),
+        ({}, ["--subsheaf", "Stable"],
+         "argument --subsheaf: invalid choice: 'Stable' (choose from 'semistable', 'stable')"),
+        ({"constraint_mode": "Conservative"}, [],
+         "constraint_mode must be one of ['conservative', 'paper']"),
+        ({"subsheaf_mode": "Stable"}, [], "subsheaf_mode must be one of ['semistable', 'stable']"),
+        # the document's field is checked even where the command line overrides it
+        ({"constraint_mode": "bogus"}, ["--mode", "paper"],
+         "constraint_mode must be one of ['conservative', 'paper']"),
+    ])
+    def test_misspelled_mode_texts(self, capsys, tmp_path, options, flags, error):
+        system = example_strictly_semistable(2).system
+        doc = write_doc(
+            tmp_path, {"hodge_system": system_to_json(system), "search_options": options}
+        )
+        expected = (1, {"error": error}, f"invalid input: {error}\n")
+        assert run(capsys, ["search", doc, *flags]) == expected
+
 
 class TestCheckOper:
     def test_classical_tower(self, capsys, tmp_path):

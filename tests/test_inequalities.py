@@ -303,6 +303,20 @@ class TestHodgeSum:
                 want = [pair for pair in expected if pair[1] <= n_max]
                 assert _adjacent_failures(d, n_max) == want, (d, n_max)
 
+    def test_adjacent_failures_match_term_sums_on_large_operands(self):
+        # the sweep's largest sizes, d = 1 at n = 198 through d = 6 at
+        # n = 80, where the sums run to hundreds of bits; and negative d,
+        # where the sign of d^(k-1), and so the comparison's direction,
+        # alternates on operands that large (only d = -1 has failures)
+        for d in range(1, 7):
+            n_max = largest_n_max(d)
+            assert _adjacent_failures(d, n_max) == reference_adjacent_failures(d, n_max) == []
+        for d in range(-6, 0):
+            expected = reference_adjacent_failures(d, 120)
+            for n_max in range(121):
+                want = [pair for pair in expected if pair[1] <= n_max]
+                assert _adjacent_failures(d, n_max) == want, (d, n_max)
+
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
         assert check.holds and (check.lhs, check.rhs) == (7, 15)

@@ -43,6 +43,8 @@ from hodgeslope.slope_core import (
     GeometricContext,
     InconsistencyError,
     max_subsheaf_degree,
+    require_flag,
+    subsheaf_degree_row,
 )
 
 from support import curve, semistable_tower, slope, stable_tower, total_slope
@@ -894,3 +896,66 @@ class TestTokensParsedFromJson:
             assert outcome(verdict_from_search, sys, parsed(mode), parsed(bound)) == expected
             answers.add(repr(expected))
         assert len(answers) > 1
+
+
+#: Tokens a library caller may misspell: a case, the other vocabulary's
+#: token, no token at all, and values that are not strings (a list is
+#: unhashable, so the type is tested before the lookup).
+MISSPELLED = ("Conservative", "Paper", "Stable", "Semistable", "bogus", "", None, 1, ["paper"])
+MODE_TEXT = "mode must be one of ['conservative', 'paper']"
+BOUND_TEXT = "subsheaf_mode must be one of ['semistable', 'stable']"
+FLAG_TEXT = "mode must be one of ['semistable', 'stable']"
+
+
+class TestModeTokens:
+    """Every library entry point that reads a mode refuses a token outside
+    its vocabulary, whatever the system, instead of running another mode."""
+
+    TOWER = stable_tower(2, 1, curve(2), 1)
+    # besides a tower the oracle decides, systems that a valid mode refuses
+    # on other grounds, or answers before the mode would be read
+    SYSTEMS = (
+        TOWER,
+        HodgeSystem(curve(2), (BundleData(1, 3),), ()),  # declared: no oracle
+        HodgeSystem(curve(2), (BundleData(2, 1),)),  # no attestation: criteria only
+        semistable_tower(1, 0, curve(-1), 1),  # w < 0: answered before the bounds
+    )
+
+    @pytest.mark.parametrize("value", MISSPELLED)
+    @pytest.mark.parametrize("sys", SYSTEMS)
+    def test_search_entry_points_refuse(self, sys, value):
+        for call, text in (
+            (lambda: verdict_from_search(sys, value), MODE_TEXT),
+            (lambda: verdict_from_search(sys, MONOTONE, value), BOUND_TEXT),
+            (lambda: max_slope_profile(sys, value), MODE_TEXT),
+            (lambda: max_slope_profile(sys, MONOTONE, value), BOUND_TEXT),
+            (lambda: system_verdict(sys, value), MODE_TEXT),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == text
+
+    @pytest.mark.parametrize("value", MISSPELLED)
+    @pytest.mark.parametrize("flags", [(True, True), (None, None)])
+    def test_bound_entry_points_refuse(self, value, flags):
+        bundle = BundleData(2, 1, *flags)
+        for call in (
+            lambda: require_flag(bundle, value),
+            lambda: subsheaf_degree_row(bundle, value, range(1, 3)),
+            lambda: max_subsheaf_degree(1, bundle, value),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == FLAG_TEXT
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_tokens_read_from_json_are_accepted(self, mode, bound):
+        sys, bundle = self.TOWER, self.TOWER.components[0]
+        for fn, args in (
+            (max_slope_profile, (sys, mode, bound)),
+            (system_verdict, (sys, mode)),
+            (require_flag, (bundle, bound)),
+            (max_subsheaf_degree, (1, bundle, bound)),
+        ):
+            assert fn(*[parsed(a) if isinstance(a, str) else a for a in args]) == fn(*args)
