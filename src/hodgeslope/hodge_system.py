@@ -14,10 +14,11 @@ three-valued; the criteria are one-directional outside characteristic zero
 (and, for stability, outside curves), and this module never over-claims.
 
 The tower's degree sums are the power sums W(k) = sum_{i<=k} i d^(i-1)
-and S(k) = sum_{j<=k} d^j >= 1.  verify_hodge_sums checks that the
-partial slopes W(k)/S(k) increase with the grade, so W(r) S(n) <= W(n) S(r)
-for r <= n.  As W(k-1) S(k) - W(k) S(k-1) = d^(k-1) (d W(k-1) - k S(k-1)),
-it compares each adjacent pair in divided form: d W(k-1) <= k S(k-1), d >= 1.
+and S(k) = sum_{j<=k} d^j >= 1.  verify_hodge_sums checks that the partial
+slopes W(k)/S(k) increase with the grade: W(r) S(n) <= W(n) S(r), r <= n.  As
+W(k-1) S(k) - W(k) S(k-1) = -d^(k-1) g(k), each adjacent pair holds, d >= 1,
+when its gap g(k) = k S(k-1) - d W(k-1) = sum_{i<k} (k-i) d^i is >= 0; the gap
+is carried by second differences, g(1) = 1 and g(k+1) = g(k) + S(k).
 
 Two statements are recorded here as documentation only, with no operation
 behind them: for dimension at least 2 one expects stable towers to force
@@ -85,16 +86,16 @@ MAX_SWEEP_CHECKS = 20_000
 
 def _adjacent_failures(d: int, n_max: int) -> list[tuple[int, int]]:
     """The adjacent pairs (k-1, k), 1 <= k <= n_max, on which the power-sum
-    inequality fails for this d, in one pass: it fails when d^(k-1) (t - k
-    S(k-1)) > 0 with t = d W(k-1), so t is compared with k S(k-1) in the
-    direction the sign of d^(k-1) gives, and a zero d^(k-1) never fails."""
+    inequality fails for this d, in one pass: exactly where d^(k-1) g(k) < 0,
+    so a zero d^(k-1) never fails and a negative one fails on g(k) > 0."""
     failures = []
-    t, s, power = 0, 1, 1  # d W(k-1), S(k-1) and d^(k-1) at k = 1
+    gap, s, power = 1, 1, 1  # g(k), S(k-1) and d^(k-1) at k = 1
     for k in range(1, n_max + 1):
-        if (t > k * s) if power > 0 else (power and t < k * s):
+        if (gap < 0) if power > 0 else (power and gap > 0):
             failures.append((k - 1, k))
         power *= d
-        t, s = t + k * power, s + power
+        s += power
+        gap += s
     return failures
 
 
@@ -110,8 +111,9 @@ def verify_hodge_sums(d_max: int, n_max: int) -> int:
     if checks > MAX_SWEEP_CHECKS:
         raise refusal(lambda: f"sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}")
     for d in range(1, d_max + 1):
-        if _adjacent_failures(d, n_max):
-            raise InconsistencyError("a proved inequality failed on the sweep")
+        if failures := _adjacent_failures(d, n_max):
+            raise InconsistencyError(
+                f"a proved inequality failed on the sweep: d={d}, pair {failures[0]}")
     return pairs
 
 

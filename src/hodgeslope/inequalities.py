@@ -126,7 +126,7 @@ def hodge_sum_inequality(d: int, r: int, n: int) -> InequalityCheck:
     in the truncation grade.  A paper statement: the acceptance suite
     checks it and the benchmark's tracer counts its calls, so it stays in
     the library; verify-inequalities establishes it from adjacent pairs,
-    compared in divided form in hodge_system._adjacent_failures.
+    by second differences of their gaps in hodge_system._adjacent_failures.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")

@@ -317,6 +317,34 @@ class TestHodgeSum:
                 want = [pair for pair in expected if pair[1] <= n_max]
                 assert _adjacent_failures(d, n_max) == want, (d, n_max)
 
+    def test_gap_identity_over_term_sums(self):
+        # the adjacent pass carries g(k) = k S(k-1) - d W(k-1) from g(1) = 1
+        # by g(k+1) = g(k) + S(k), and a pair fails exactly where
+        # d^(k-1) g(k) < 0: W(k-1) S(k) - W(k) S(k-1) = -d^(k-1) g(k)
+        for d in range(-8, 10):
+            w = [reference_weighted_power_sum(d, k) for k in range(152)]
+            s = [reference_geometric_sum(d, k) for k in range(152)]
+            gaps = [k * s[k - 1] - d * w[k - 1] for k in range(1, 152)]
+            assert gaps[0] == 1, d
+            for k in range(1, 151):
+                gap = gaps[k - 1]
+                assert gap == sum((k - i) * d**i for i in range(k)), (d, k)
+                assert gaps[k] == gap + s[k], (d, k)
+                assert w[k - 1] * s[k] - w[k] * s[k - 1] == -(d ** (k - 1)) * gap, (d, k)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(d=st.integers(-40, 40), n_max=st.integers(0, 120))
+    @example(d=-1, n_max=120)
+    @example(d=40, n_max=120)
+    @example(d=-40, n_max=120)
+    def test_adjacent_failures_match_term_sums_at_large_d(self, d, n_max):
+        # operands of up to n_max log2 |d| bits; only d = -1 has failures,
+        # at every even k, and at d = 0 the zero power never fails
+        failures = _adjacent_failures(d, n_max)
+        assert failures == reference_adjacent_failures(d, n_max)
+        if d == -1:  # 60 failing pairs at n_max = 120
+            assert failures == [(k - 1, k) for k in range(2, n_max + 1, 2)]
+
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
         assert check.holds and (check.lhs, check.rhs) == (7, 15)
@@ -368,8 +396,10 @@ class TestHodgeSum:
             return failures(e, n_max) + ([(k - 1, k)] if e == d else [])
 
         monkeypatch.setattr(hodge_system, "_adjacent_failures", failing_at_k)
-        with pytest.raises(InconsistencyError, match="proved inequality failed"):
+        with pytest.raises(InconsistencyError) as raised:
             verify_hodge_sums(3, 8)
+        assert str(raised.value) == (
+            f"a proved inequality failed on the sweep: d={d}, pair ({k - 1}, {k})")
 
     def test_sweep_makes_one_pass_per_degree(self, monkeypatch):
         calls = []
@@ -390,8 +420,9 @@ class TestHodgeSum:
             verify_hodge_sums(3, 300)
 
     def test_failed_check_is_an_inconsistency(self, monkeypatch):
-        monkeypatch.setattr(hodge_system, "_adjacent_failures", lambda d, n_max: [(0, 1)])
-        with pytest.raises(InconsistencyError, match="proved inequality failed"):
+        # the first failing pair of the first failing degree is named
+        monkeypatch.setattr(hodge_system, "_adjacent_failures", lambda d, n_max: [(0, 1), (1, 2)])
+        with pytest.raises(InconsistencyError, match=r"failed on the sweep: d=1, pair \(0, 1\)$"):
             verify_hodge_sums(1, 2)
 
     def test_matches_partial_slope_monotonicity(self):
