@@ -47,7 +47,6 @@ PROV_BASE_TRANSPORT = "transported destabilizer of the base component"
 PROV_CURVE_CONVERSE = "non-stable component of a curve tower in characteristic zero"
 PROV_INCONCLUSIVE = "criteria inconclusive"
 
-_SYSTEM_FIELDS = frozenset({"context", "components", "theta"})
 _THETA_FIELDS = frozenset({"declared"})
 
 
@@ -144,6 +143,7 @@ class HodgeSystem(Frozen):
     """
 
     _fields = ("context", "components", "theta")
+    _keys = frozenset(_fields)  # all required: a document states its theta
 
     def __init__(
         self,
@@ -159,7 +159,8 @@ class HodgeSystem(Frozen):
             require_tower(
                 components, context, "component {} is incompatible with the isomorphism tower"
             )
-        elif not isinstance(theta, tuple):
+        elif not (isinstance(theta, tuple)
+                  and all(isinstance(p, SubsystemProfile) for p in theta)):
             raise ValueError(f"theta must be {ISOMORPHISMS!r} or a tuple of declared profiles")
         self._fill(context, components, theta)
 
@@ -397,7 +398,7 @@ def system_to_json(sys: HodgeSystem) -> dict:
 
 
 def system_from_json(obj: object) -> HodgeSystem:
-    data = _check_keys(obj, "hodge system", _SYSTEM_FIELDS, _SYSTEM_FIELDS)
+    data = _check_keys(obj, "hodge system", HodgeSystem._keys, HodgeSystem._keys)
     context = GeometricContext.from_json(data["context"])
     if not isinstance(data["components"], list) or not data["components"]:
         raise ValueError("components must be a nonempty JSON array")

@@ -46,12 +46,6 @@ PROV_FLAT_CHAR_ZERO = "flat connection in characteristic zero"
 PROV_NO_TRANSFER = "no applicable transfer"
 PROV_NOT_OPER = "not a generalized oper"
 
-_FILTRATION_FIELDS = frozenset(
-    {"context", "graded", "transversal", "theta_squares_to_zero", "theta_iso"}
-)
-_PAIR_REQUIRED = frozenset({"total", "flat"})
-_PAIR_FIELDS = _PAIR_REQUIRED | {"filtration", "context"}
-
 
 class GriffithsFiltration(Frozen):
     """Graded pieces gr^0..gr^(n-1) of a filtration plus its attestations.
@@ -63,6 +57,7 @@ class GriffithsFiltration(Frozen):
     """
 
     _fields = ("context", "graded", "transversal", "theta_squares_to_zero", "theta_iso")
+    _keys = frozenset(_fields)
 
     def __init__(
         self,
@@ -91,16 +86,15 @@ class GriffithsFiltration(Frozen):
 
     @staticmethod
     def from_json(obj: object) -> "GriffithsFiltration":
-        data = _check_keys(obj, "griffiths filtration", _FILTRATION_FIELDS, _FILTRATION_FIELDS)
+        keys = GriffithsFiltration._keys
+        data = _check_keys(obj, "griffiths filtration", keys, keys)
         if not isinstance(data["graded"], list) or not data["graded"]:
             raise ValueError("graded must be a nonempty JSON array")
-        return GriffithsFiltration(
-            context=GeometricContext.from_json(data["context"]),
-            graded=tuple(BundleData.from_json(g) for g in data["graded"]),
-            transversal=data["transversal"],
-            theta_squares_to_zero=data["theta_squares_to_zero"],
-            theta_iso=data["theta_iso"],
-        )
+        return GriffithsFiltration(**{
+            **data,
+            "context": GeometricContext.from_json(data["context"]),
+            "graded": tuple(BundleData.from_json(g) for g in data["graded"]),
+        })
 
 
 class ConnectionPair(Frozen):
@@ -113,6 +107,8 @@ class ConnectionPair(Frozen):
     """
 
     _fields = ("total", "flat", "filtration", "context")
+    _keys = frozenset(_fields)
+    _required = frozenset({"total", "flat"})
 
     def __init__(
         self,
@@ -263,14 +259,9 @@ def pair_from_json(obj: object) -> ConnectionPair:
     A pair carries its context in its ``filtration`` or, without one, in
     an optional ``context`` field; a document that gives both is refused.
     """
-    data = _check_keys(obj, "connection pair", _PAIR_REQUIRED, _PAIR_FIELDS)
+    data = _check_keys(obj, "connection pair", ConnectionPair._required, ConnectionPair._keys)
     filtration = (
         GriffithsFiltration.from_json(data["filtration"]) if "filtration" in data else None
     )
     context = GeometricContext.from_json(data["context"]) if "context" in data else None
-    return ConnectionPair(
-        total=BundleData.from_json(data["total"]),
-        flat=data["flat"],
-        filtration=filtration,
-        context=context,
-    )
+    return ConnectionPair(BundleData.from_json(data["total"]), data["flat"], filtration, context)

@@ -105,12 +105,6 @@ def _as_bool(value: object, what: str) -> bool:
     return value
 
 
-_BUNDLE_REQUIRED = frozenset({"rank", "degree"})
-_BUNDLE_FIELDS = _BUNDLE_REQUIRED | {"semistable", "stable"}
-_CONTEXT_REQUIRED = frozenset({"characteristic", "dim", "omega_degree"})
-_CONTEXT_FIELDS = _CONTEXT_REQUIRED | {"omega_semistable", "omega_stable"}
-
-
 class InconsistencyError(RuntimeError):
     """Two independent computations disagree on a definite answer, or a
     proved inequality fails: always a bug, never a property of the input."""
@@ -136,6 +130,12 @@ class Frozen:
     derived from them.  After that no attribute can be assigned or deleted.
     Two values are equal when their types and fields are, hash as the
     tuple of their fields, and read back as ``Name(field=value, ...)``.
+
+    For a type read from a document, ``_fields`` is also the document's
+    shape: ``_keys = frozenset(_fields)`` are the keys it may give, a type
+    with optional keys names the ones a document must give in
+    ``_required``, and its reader and writer take every other field name
+    from ``_fields``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -169,6 +169,8 @@ class BundleData(Frozen):
     """
 
     _fields = ("rank", "degree", "semistable", "stable")
+    _keys = frozenset(_fields)
+    _required = frozenset({"rank", "degree"})
 
     def __init__(
         self,
@@ -200,21 +202,17 @@ class BundleData(Frozen):
         fields["stable"] = stable
 
     def to_json(self) -> dict:
-        out: dict = {"rank": self.rank, "degree": self.degree}
-        if self.semistable is not None:
-            out["semistable"] = self.semistable
-        if self.stable is not None:
-            out["stable"] = self.stable
-        return out
+        fields = self.__dict__  # an unattested flag is not written
+        return {name: fields[name] for name in self._fields if fields[name] is not None}
 
     @staticmethod
     def from_json(obj: object) -> "BundleData":
-        data = _check_keys(obj, "bundle", _BUNDLE_REQUIRED, _BUNDLE_FIELDS)
+        data = _check_keys(obj, "bundle", BundleData._required, BundleData._keys)
         if None in data.values():
             # a flag of None is unattested, but a JSON null is no boolean:
             # it goes on as its JSON text, which the constructor rejects
             data = {key: "null" if value is None else value for key, value in data.items()}
-        return BundleData(data["rank"], data["degree"], data.get("semistable"), data.get("stable"))
+        return BundleData(**data)
 
 
 class GeometricContext(Frozen):
@@ -226,6 +224,8 @@ class GeometricContext(Frozen):
     """
 
     _fields = ("characteristic", "dim", "omega_degree", "omega_semistable", "omega_stable")
+    _keys = frozenset(_fields)
+    _required = frozenset({"characteristic", "dim", "omega_degree"})
 
     def __init__(
         self,
@@ -257,23 +257,13 @@ class GeometricContext(Frozen):
         fields["omega_stable"] = omega_stable
 
     def to_json(self) -> dict:
-        return {
-            "characteristic": self.characteristic,
-            "dim": self.dim,
-            "omega_degree": self.omega_degree,
-            "omega_semistable": self.omega_semistable,
-            "omega_stable": self.omega_stable,
-        }
+        fields = self.__dict__
+        return {name: fields[name] for name in self._fields}
 
     @staticmethod
     def from_json(obj: object) -> "GeometricContext":
-        data = _check_keys(obj, "context", _CONTEXT_REQUIRED, _CONTEXT_FIELDS)
         return GeometricContext(
-            data["characteristic"],
-            data["dim"],
-            data["omega_degree"],
-            data.get("omega_semistable", False),
-            data.get("omega_stable", False),
+            **_check_keys(obj, "context", GeometricContext._required, GeometricContext._keys)
         )
 
 

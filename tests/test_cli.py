@@ -479,32 +479,35 @@ def connection_doc(**fields) -> dict:
     return {**pair_to_json(ConnectionPair(BundleData(2, 2), flat=True)), **fields}
 
 
+def expect_error(capsys, tmp_path, command, payload, message):
+    """``payload`` as the filtration of ``check-oper`` or the pair of
+    ``check-connection`` is invalid input reported as ``message``."""
+    key = "griffiths_filtration" if command == "check-oper" else "connection_pair"
+    doc = write_doc(tmp_path, {key: payload})
+    assert run_raw(capsys, [command, doc]) == (
+        1,
+        json.dumps({"error": message}) + "\n",
+        f"invalid input: {message}\n",
+    )
+
+
 class TestBooleanAttestations:
     """A non-boolean attestation is invalid input naming the field; with
     several bad fields the first in field order is named, and the
     document's earlier parts are validated before any attestation."""
 
-    def expect_error(self, capsys, tmp_path, command, payload, message):
-        key = "griffiths_filtration" if command == "check-oper" else "connection_pair"
-        doc = write_doc(tmp_path, {key: payload})
-        assert run_raw(capsys, [command, doc]) == (
-            1,
-            json.dumps({"error": message}) + "\n",
-            f"invalid input: {message}\n",
-        )
-
     @pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
     @pytest.mark.parametrize("field", FILTRATION_FLAGS)
     def test_filtration_flag(self, capsys, tmp_path, field, value):
         payload = filtration_doc(**{field: value})
-        self.expect_error(capsys, tmp_path, "check-oper", payload, f"{field} must be a boolean")
+        expect_error(capsys, tmp_path, "check-oper", payload, f"{field} must be a boolean")
         # the same filtration inside a connection pair, whose flat is bad too
         pair = connection_doc(flat=value, total={"rank": 2, "degree": 2}, filtration=payload)
-        self.expect_error(capsys, tmp_path, "check-connection", pair, f"{field} must be a boolean")
+        expect_error(capsys, tmp_path, "check-connection", pair, f"{field} must be a boolean")
 
     @pytest.mark.parametrize("value", NOT_BOOLEANS, ids=json.dumps)
     def test_flat(self, capsys, tmp_path, value):
-        self.expect_error(
+        expect_error(
             capsys, tmp_path, "check-connection", connection_doc(flat=value), "flat must be a boolean"
         )
 
@@ -515,25 +518,61 @@ class TestBooleanAttestations:
     ])
     def test_first_bad_flag_is_named(self, capsys, tmp_path, first, second):
         payload = filtration_doc(**{first: 1, second: "true"})
-        self.expect_error(capsys, tmp_path, "check-oper", payload, f"{first} must be a boolean")
+        expect_error(capsys, tmp_path, "check-oper", payload, f"{first} must be a boolean")
 
     def test_flags_are_checked_after_the_pieces_and_before_the_tower(self, capsys, tmp_path):
         bad_piece = [{"rank": 1, "degree": 0, "semistable": "yes"}]
         payload = filtration_doc(graded=bad_piece, theta_iso=None)
-        self.expect_error(
+        expect_error(
             capsys, tmp_path, "check-oper", payload, "bundle semistable flag must be a boolean"
         )
         off_tower = [{"rank": 1, "degree": 0}, {"rank": 1, "degree": 3}]
         payload = filtration_doc(graded=off_tower, theta_iso=None)
-        self.expect_error(capsys, tmp_path, "check-oper", payload, "theta_iso must be a boolean")
+        expect_error(capsys, tmp_path, "check-oper", payload, "theta_iso must be a boolean")
 
     def test_flat_is_checked_after_the_total_and_before_the_sums(self, capsys, tmp_path):
         pair = connection_doc(total={"rank": "2", "degree": 2}, flat=None)
-        self.expect_error(
+        expect_error(
             capsys, tmp_path, "check-connection", pair, "bundle rank must be an integer"
         )
         pair = connection_doc(total={"rank": 5, "degree": 2}, flat=None, filtration=filtration_doc())
-        self.expect_error(capsys, tmp_path, "check-connection", pair, "flat must be a boolean")
+        expect_error(capsys, tmp_path, "check-connection", pair, "flat must be a boolean")
+
+
+BAD_CONTEXT = {"characteristic": 0, "dim": "1", "omega_degree": 2}
+BAD_PIECE = {"rank": 1, "degree": "0"}
+
+
+class TestCompositeReadOrder:
+    """A filtration or a pair made of several bad parts reports the one its
+    reader checks first: a filtration its graded array, its context, then
+    its pieces; a pair its filtration, its context, then its total."""
+
+    @pytest.mark.parametrize("graded", [{}, [], "[]"], ids=json.dumps)
+    def test_filtration_graded_array_before_context(self, capsys, tmp_path, graded):
+        payload = filtration_doc(graded=graded, context=BAD_CONTEXT)
+        expect_error(
+            capsys, tmp_path, "check-oper", payload, "graded must be a nonempty JSON array"
+        )
+
+    def test_filtration_context_before_pieces(self, capsys, tmp_path):
+        payload = filtration_doc(context=BAD_CONTEXT, graded=[BAD_PIECE])
+        expect_error(capsys, tmp_path, "check-oper", payload, "dim must be an integer")
+        payload = filtration_doc(graded=[{"rank": 1, "degree": 0}, BAD_PIECE])
+        expect_error(capsys, tmp_path, "check-oper", payload, "bundle degree must be an integer")
+
+    def test_pair_filtration_before_context_before_total(self, capsys, tmp_path):
+        bad_filtration = filtration_doc(transversal=1)
+        pair = connection_doc(filtration=bad_filtration, context=BAD_CONTEXT, total=BAD_PIECE)
+        expect_error(capsys, tmp_path, "check-connection", pair, "transversal must be a boolean")
+        pair = connection_doc(filtration=filtration_doc(), context=BAD_CONTEXT, total=BAD_PIECE)
+        expect_error(capsys, tmp_path, "check-connection", pair, "dim must be an integer")
+        pair = connection_doc(context=BAD_CONTEXT, total=BAD_PIECE)
+        expect_error(capsys, tmp_path, "check-connection", pair, "dim must be an integer")
+        pair = connection_doc(context=curve(2).to_json(), total=BAD_PIECE)
+        expect_error(
+            capsys, tmp_path, "check-connection", pair, "bundle degree must be an integer"
+        )
 
 
 class TestHnTensor:

@@ -54,6 +54,17 @@ class TestConstruction:
         ):
             HodgeSystem(curve(2), (BundleData(1, 0),), theta)
 
+    @pytest.mark.parametrize("entry", [((1, 0),), [[1, 0]], BundleData(1, 0), None])
+    def test_declared_theta_of_non_profiles_rejected(self, entry):
+        # refused at construction, not left to fail later in a verdict or
+        # a writer, also behind a valid profile
+        components = (BundleData(1, 0, True), BundleData(1, 2, True))
+        for theta in [(entry,), (SubsystemProfile(((1, 0),)), entry)]:
+            with pytest.raises(
+                ValueError, match="^theta must be 'isomorphisms' or a tuple of declared profiles$"
+            ):
+                HodgeSystem(curve(2), components, theta)
+
     def test_isomorphisms_token_is_stored_as_the_constant(self):
         # a token read from JSON is an equal string, not the same object
         token = "".join(["isomorph", "isms"])

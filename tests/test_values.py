@@ -1,7 +1,8 @@
 """What the value types keep: immutability, equality and hashing by type
-and fields, the ``Name(field=value, ...)`` repr, and their constructor
-signatures; plus a guard that importing the CLI loads no class-generation
-or typing machinery."""
+and fields, the ``Name(field=value, ...)`` repr, their constructor
+signatures, and which keys a document type's reader requires; plus a
+guard that importing the CLI loads no class-generation or typing
+machinery."""
 
 from __future__ import annotations
 
@@ -16,9 +17,17 @@ import pytest
 
 from hodgeslope.gallery import GalleryEntry
 from hodgeslope.hn_profiles import HNProfile
-from hodgeslope.hodge_system import ISOMORPHISMS, NO, UNKNOWN, YES, HodgeSystem, Verdict
+from hodgeslope.hodge_system import (
+    ISOMORPHISMS,
+    NO,
+    UNKNOWN,
+    YES,
+    HodgeSystem,
+    Verdict,
+    system_from_json,
+)
 from hodgeslope.inequalities import InequalityCheck, SequencePair
-from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck
+from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck, pair_from_json
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
@@ -114,6 +123,49 @@ def test_signature(cls):
     values = [value for _, value, _, _ in CASES[cls]]
     assert cls(*values) == build(cls)
     assert [getattr(build(cls), name) for name, _, _, _ in CASES[cls]] == values
+
+
+CONTEXT_DOC = {
+    "characteristic": 0, "dim": 1, "omega_degree": 2, "omega_semistable": True,
+    "omega_stable": False,
+}
+LINE_DOC = {"rank": 1, "degree": 0}
+FILTRATION_DOC = {
+    "context": CONTEXT_DOC, "graded": [LINE_DOC], "transversal": True,
+    "theta_squares_to_zero": True, "theta_iso": False,
+}
+# document type -> its reader and a document giving every field
+DOCUMENTS = {
+    BundleData: (
+        BundleData.from_json, {"rank": 2, "degree": 3, "semistable": True, "stable": True}
+    ),
+    GeometricContext: (GeometricContext.from_json, CONTEXT_DOC),
+    HodgeSystem: (
+        system_from_json,
+        {"context": CONTEXT_DOC, "components": [LINE_DOC], "theta": {"declared": []}},
+    ),
+    GriffithsFiltration: (GriffithsFiltration.from_json, FILTRATION_DOC),
+    ConnectionPair: (
+        pair_from_json,
+        {"total": LINE_DOC, "flat": True, "filtration": FILTRATION_DOC, "context": CONTEXT_DOC},
+    ),
+}
+#: A constructor default that a document may not leave out: theta is
+#: written in every hodge_system document.
+REQUIRED_DESPITE_DEFAULT = {(HodgeSystem, "theta")}
+
+
+@pytest.mark.parametrize("cls", list(DOCUMENTS), ids=lambda cls: cls.__name__)
+def test_required_keys_follow_the_constructor(cls):
+    read, doc = DOCUMENTS[cls]
+    assert list(doc) == list(cls._fields)
+    for name, _, _, default in CASES[cls]:
+        partial = {key: value for key, value in doc.items() if key != name}
+        if default is EMPTY or (cls, name) in REQUIRED_DESPITE_DEFAULT:
+            with pytest.raises(ValueError, match=rf" is missing field\(s\): {name}$"):
+                read(partial)
+        else:
+            assert isinstance(read(partial), cls), name
 
 
 @CLASSES
