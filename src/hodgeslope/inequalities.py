@@ -125,8 +125,8 @@ def hodge_sum_inequality(d: int, r: int, n: int) -> InequalityCheck:
     This is exactly the statement that partial tower slopes are monotone
     in the truncation grade.  A paper statement: the acceptance suite
     checks it and the benchmark's tracer counts its calls, so it stays in
-    the library; verify-inequalities establishes it from adjacent pairs,
-    by second differences of their gaps in hodge_system._adjacent_failures.
+    the library; verify-inequalities evaluates no pair, as the proof in
+    hodge_system.verify_hodge_sums establishes every one.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")

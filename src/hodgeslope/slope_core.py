@@ -106,8 +106,8 @@ def _as_bool(value: object, what: str) -> bool:
 
 
 class InconsistencyError(RuntimeError):
-    """Two independent computations disagree on a definite answer, or a
-    proved inequality fails: always a bug, never a property of the input."""
+    """Two independent computations disagree on a definite answer: always
+    a bug, never a property of the input."""
 
 
 #: The attestation a subsheaf degree bound may lean on, as the flag is named.
