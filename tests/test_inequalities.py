@@ -299,6 +299,17 @@ class TestHodgeSum:
                 if d >= 1:
                     assert gap >= k and d ** (k - 1) >= 1, (d, k)
 
+    def test_the_proof_needs_d_at_least_one(self):
+        # below d = 1 the adjacent pairs do not all hold strictly, which is
+        # why the sweep refuses d_max < 1: at d = -1 every even k fails, and
+        # at d = 0 every k >= 2 is an equality
+        for d, fails, ties in ((-1, range(2, 61, 2), ()), (0, (), range(2, 61))):
+            w = [reference_weighted_power_sum(d, k) for k in range(61)]
+            s = [reference_geometric_sum(d, k) for k in range(61)]
+            gaps = [w[k - 1] * s[k] - w[k] * s[k - 1] for k in range(1, 61)]
+            assert [k for k in range(1, 61) if gaps[k - 1] > 0] == list(fails), d
+            assert [k for k in range(1, 61) if gaps[k - 1] == 0] == list(ties), d
+
     def test_examples(self):
         check = hodge_sum_inequality(2, 1, 2)
         assert check.holds and (check.lhs, check.rhs) == (7, 15)
@@ -347,6 +358,29 @@ class TestHodgeSum:
         assert 3 * verify_hodge_sums(3, 100) == 15_453 <= MAX_SWEEP_CHECKS
         with pytest.raises(ValueError, match="sweep too large: 136353 checks"):
             verify_hodge_sums(3, 300)
+
+    @pytest.mark.parametrize("d_max", range(1, 7))
+    def test_sweep_limit_is_exact(self, d_max):
+        # the largest accepted n_max for each d_max, and the first refused one
+        n_max = largest_n_max(d_max)
+        pairs = (n_max + 1) * (n_max + 2) // 2
+        assert verify_hodge_sums(d_max, n_max) == pairs
+        assert d_max * pairs <= MAX_SWEEP_CHECKS
+        checks = d_max * (n_max + 2) * (n_max + 3) // 2
+        with pytest.raises(ValueError, match=(
+                f"^sweep too large: {checks} checks, the limit is {MAX_SWEEP_CHECKS}$")):
+            verify_hodge_sums(d_max, n_max + 1)
+
+    @pytest.mark.parametrize("d_max, n_max", [(0, 5), (-1, 5), (1, -1), (0, -1)])
+    def test_sweep_argument_check(self, d_max, n_max):
+        with pytest.raises(ValueError, match=r"^need d_max >= 1 and n_max >= 0$"):
+            verify_hodge_sums(d_max, n_max)
+
+    def test_an_over_long_sweep_count_is_report_too_large(self):
+        # the refusal's count would print past the digit limit
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=f"^report too large: .* more than {limit} digits$"):
+            verify_hodge_sums(1, 10**limit)
 
     def test_matches_partial_slope_monotonicity(self):
         # the inequality is exactly monotonicity of partial tower slopes
