@@ -171,10 +171,7 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "griffiths_filtration")
     filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
-    graded = filtration.graded
-    report = _verdict_report(
-        verdict, sum([g.degree for g in graded]), sum([g.rank for g in graded])
-    )
+    report = _verdict_report(verdict, filtration.total_degree, filtration.total_rank)
     report["generalized_oper"] = bool(check)
     report["classical_oper"] = check.classical
     report["reasons"] = list(check.reasons)
@@ -223,7 +220,8 @@ def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
 
 
 def _cmd_gallery(args: SimpleNamespace) -> int:
-    params = {k: v for k, v in vars(args).items() if k in ("g", "d_line", "d0") and v is not None}
+    options = _READ_TABLE["gallery"][2]  # the option destinations, from _GRAMMAR
+    params = {k: v for k, v in vars(args).items() if k in options and v is not None}
     entry, recomputed = checked_entry(args.name, **params)
     mu = format_slope(entry.system.total_degree, entry.system.total_rank)
     expected = entry.expected

@@ -335,10 +335,9 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
     Each side takes the first answer that is not unknown.  The certificate
     is one that justifies a surviving no, and the provenance lists every
     source that decided something, in order.  A single verdict is its own
-    merge.
+    merge, as every verdict the library builds has a provenance and a
+    certificate only on a no side.
     """
-    if len(verdicts) == 1:
-        return verdicts[0]
     semistable = stable = UNKNOWN
     for v in verdicts:
         if semistable == UNKNOWN:

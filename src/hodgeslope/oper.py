@@ -54,6 +54,7 @@ class GriffithsFiltration(Frozen):
     must satisfy rank(gr^i) = d * rank(gr^(i-1)) and degree(gr^i) =
     d * degree(gr^(i-1)) + rank(gr^(i-1)) * w, that is, form the tensor
     tower over gr^0; inconsistent values are rejected at construction.
+    ``total_rank`` and ``total_degree`` sum the pieces once, at construction.
     """
 
     _fields = ("context", "graded", "transversal", "theta_squares_to_zero", "theta_iso")
@@ -83,6 +84,8 @@ class GriffithsFiltration(Frozen):
         fields["context"] = context
         fields["graded"] = graded
         fields.update(flags)
+        fields["total_rank"] = sum([g.rank for g in graded])
+        fields["total_degree"] = sum([g.degree for g in graded])
 
     @staticmethod
     def from_json(obj: object) -> "GriffithsFiltration":
@@ -122,12 +125,10 @@ class ConnectionPair(Frozen):
             if context is not None:
                 raise ValueError("a filtered pair takes its filtration's context and no other")
             context = filtration.context
-            rank_total = sum(g.rank for g in filtration.graded)
-            degree_total = sum(g.degree for g in filtration.graded)
-            if (total.rank, total.degree) != (rank_total, degree_total):
+            if (total.rank, total.degree) != (filtration.total_rank, filtration.total_degree):
                 raise refusal(
                     lambda: "total invariants do not match the graded pieces: "
-                    f"expected (rank {rank_total}, degree {degree_total}), "
+                    f"expected (rank {filtration.total_rank}, degree {filtration.total_degree}), "
                     f"got (rank {total.rank}, degree {total.degree})"
                 )
         fields = self.__dict__
@@ -192,18 +193,18 @@ def oper_verdict(f: GriffithsFiltration) -> tuple[OperCheck, Verdict]:
     """Recognition outcome and verdict: the oper reduction for a
     generalized oper, an unknown verdict for anything else."""
     check = is_generalized_oper(f)
-    return check, oper_semistability(f, check) if check else Verdict(provenance=PROV_NOT_OPER)
+    if not check:
+        return check, Verdict(provenance=PROV_NOT_OPER)
+    inner = criterion_semistable(graded_of_filtration(f))
+    return check, Verdict(inner.semistable, inner.stable, inner.certificate, PROV_OPER)
 
 
-def oper_semistability(f: GriffithsFiltration, check: OperCheck | None = None) -> Verdict:
-    """Semistability of the graded system of a generalized oper.  ``check``
-    is ``is_generalized_oper(f)`` when the caller has already run it."""
-    if check is None:
-        check = is_generalized_oper(f)
+def oper_semistability(f: GriffithsFiltration) -> Verdict:
+    """``oper_verdict``'s verdict, refusing a filtration that is not a generalized oper."""
+    check, verdict = oper_verdict(f)
     if not check:
         raise ValueError("not a generalized oper: " + "; ".join(check.reasons))
-    inner = criterion_semistable(graded_of_filtration(f))
-    return Verdict(inner.semistable, inner.stable, inner.certificate, PROV_OPER)
+    return verdict
 
 
 def connection_verdict(pair: ConnectionPair, graded_verdict: Verdict | None = None) -> Verdict:
@@ -222,9 +223,8 @@ def connection_verdict(pair: ConnectionPair, graded_verdict: Verdict | None = No
         if graded_verdict.semistable == YES:
             semistable = YES
             sources.append(PROV_GRADED_TRANSFER)
-        if graded_verdict.stable == YES:
+        if graded_verdict.stable == YES:  # a Verdict's stable=yes carries semistable=yes
             stable = YES
-            semistable = YES
     context = pair.context
     if semistable != YES and pair.flat and context is not None and context.characteristic == 0:
         semistable = YES

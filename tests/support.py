@@ -23,6 +23,8 @@ slope mu(S_j) + w(u) for w(u) = w_{u_1} + ... + w_{u_i}.
 ``split_components`` writes the components with their true
 attestations, and ``split_document`` writes a model as a
 ``hodge_system`` document that forgets attestations at random.
+``split_whole`` gives the whole system's rank and degree from the model
+alone, so the truths below never read the library's tower.
 
 On a curve (d = 1, omega = (w,)) the theta-invariant subsystems are
 exactly the decreasing chains G_0 >= ... >= G_n of subsheaves of E_0,
@@ -230,10 +232,23 @@ def split_components(summands: Summands, omega: tuple[int, ...], n: int) -> tupl
     )
 
 
-def _excess(degree: int, rank: int, total: BundleData) -> int:
+def split_whole(summands: Summands, omega: tuple[int, ...], n: int) -> tuple[int, int]:
+    """(rank, degree) of E_0 + ... + E_n, from the model's integers: with
+    R and E the sums of the r_j and e_j, d = len(omega) and w = sum(omega),
+    E_i has rank R*d^i and degree d^i*E + i*d^(i-1)*w*R, which is E at
+    i = 0."""
+    big_r, big_e = sum(r for r, _ in summands), sum(e for _, e in summands)
+    d, w = len(omega), sum(omega)
+    rank = big_r * sum(d**i for i in range(n + 1))
+    degree = big_e + sum(d**i * big_e + i * d ** (i - 1) * w * big_r for i in range(1, n + 1))
+    return rank, degree
+
+
+def _excess(degree: int, rank: int, whole: tuple[int, int]) -> int:
     """Positive, zero or negative as degree/rank is above, at or below the
-    slope of ``total``."""
-    return degree * total.rank - total.degree * rank
+    slope of ``whole``, a (rank, degree) pair."""
+    whole_rank, whole_degree = whole
+    return degree * whole_rank - whole_degree * rank
 
 
 def coordinate_chains(summands: Summands, w: int, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -255,7 +270,7 @@ def coordinate_chains(summands: Summands, w: int, n: int) -> Iterator[tuple[tupl
 def best_coordinate_excess(summands: Summands, w: int, n: int) -> int | None:
     """The largest ``_excess`` over ``coordinate_chains`` against the
     whole system, or None when there is no proper subsystem."""
-    whole = totals(split_components(summands, (w,), n))
+    whole = split_whole(summands, (w,), n)
     return max(
         (_excess(sum(e for _, e in c), sum(r for r, _ in c), whole)
          for c in coordinate_chains(summands, w, n)),
@@ -270,7 +285,7 @@ def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
     no proper subsystem."""
     rank = sum(r for r, _ in summands)
     bound = [subsheaf_bound(summands, s) for s in range(rank + 1)]
-    whole = totals(split_components(summands, (w,), n))
+    whole = split_whole(summands, (w,), n)
     best = None
     for chain in itertools.combinations_with_replacement(range(rank, -1, -1), n + 1):
         if chain[0] == 0 or chain[-1] == rank:
@@ -348,7 +363,7 @@ def split_refutations(
     coordinates, that is the excess first and then the fewest
     coordinates.  The whole system has excess 0 and N coordinates, so it
     is the best exactly when no proper subsystem reaches excess 0."""
-    whole = totals(split_components(summands, omega, n))
+    whole = split_whole(summands, omega, n)
     big_n = len(summands) * sum(len(omega) ** i for i in range(n + 1))
 
     def best(r: int, e: int, i: int, shift: int) -> int:

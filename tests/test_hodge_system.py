@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,12 +17,15 @@ from hodgeslope.hodge_system import (
     criterion_semistable,
     criterion_stable,
     derive_components,
+    merge_verdicts,
     system_from_json,
     system_to_json,
     transport_subsystem,
 )
+from hodgeslope.oper import ConnectionPair, connection_verdict
 from hodgeslope.profiles import SubsystemProfile
-from hodgeslope.slope_core import BundleData, GeometricContext, format_slope
+from hodgeslope.search_oracle import MODES, _declared_verdict, check_declared, verdict_from_search
+from hodgeslope.slope_core import SEMISTABLE, STABLE, BundleData, GeometricContext, format_slope
 
 from support import curve, slope, total_slope, totals
 
@@ -332,6 +336,59 @@ class TestVerdictInvariants:
         witness = SubsystemProfile(((1, 5),))
         v = Verdict(NO, UNKNOWN, witness)
         assert v.stable == NO
+
+    def test_a_single_verdict_is_its_own_merge(self):
+        """Every verdict the library returns has a provenance and a
+        certificate only on a no side, so merging it alone gives it back:
+        ``merge_verdicts`` needs no rule of its own for one verdict."""
+        rng = random.Random(32)
+        verdicts = []
+        for _ in range(150):
+            d, w, n = rng.randint(1, 2), rng.randint(-1, 3), rng.randint(0, 2)
+            context = GeometricContext(rng.choice((0, 0, 3)), d, w, rng.random() < 0.8)
+            r0, e0 = rng.randint(1, 4), rng.randint(-4, 4)
+            flags = rng.choice(
+                ((True, True), (True, None), (True, False), (False, None), (None, None))
+            )
+            tower = derive_components(BundleData(r0, e0), context, n).components
+            sys = HodgeSystem(context, tuple(BundleData(c.rank, c.degree, *flags) for c in tower))
+            g = gcd(r0, e0)
+            if w >= 0:
+                # a destabilizer of the base above its slope, and an equal-slope one
+                above = BundleData(1, e0 // r0 + 1) if r0 > 1 else None
+                verdicts.append(criterion_semistable(sys, above))
+            if w > 0:
+                equal = BundleData(r0 // g, e0 // g) if g > 1 else None
+                verdicts.append(criterion_stable(sys, equal))
+            for mode in MODES if flags[0] else ():
+                verdicts.append(verdict_from_search(sys, mode, SEMISTABLE))
+                if flags[1]:
+                    verdicts.append(verdict_from_search(sys, mode, STABLE))
+            profiles = tuple(
+                SubsystemProfile(tuple(
+                    (rng.randint(1, c.rank), rng.randint(-4, 8)) for c in tower[:k]
+                ))
+                for k in range(1, n + 2)
+            )
+            declared = HodgeSystem(context, sys.components, profiles)
+            for profile in profiles:
+                try:
+                    verdicts.append(check_declared(declared, profile))
+                except ValueError:  # over a bound: a refusal, not a verdict
+                    pass
+            try:
+                verdicts.append(_declared_verdict(declared))
+            except ValueError:
+                pass
+            pair = ConnectionPair(BundleData(r0, e0), rng.random() < 0.5,
+                                  context=rng.choice((context, None)))
+            verdicts.append(connection_verdict(pair, rng.choice((None, *verdicts))))
+        assert {(v.semistable, v.stable, v.certificate is None) for v in verdicts} >= {
+            (NO, NO, False), (YES, NO, False), (YES, NO, True), (UNKNOWN, NO, False),
+            (YES, YES, True), (YES, UNKNOWN, True), (UNKNOWN, UNKNOWN, True),
+        }
+        for v in verdicts:
+            assert merge_verdicts(v) == v, v
 
 
 class TestJson:

@@ -23,6 +23,7 @@ from hodgeslope.oper import (
     graded_of_filtration,
     is_generalized_oper,
     oper_semistability,
+    oper_verdict,
     pair_from_json,
 )
 from hodgeslope.slope_core import BundleData, GeometricContext
@@ -95,6 +96,16 @@ class TestFiltrationConstruction:
     def test_json_round_trip(self):
         f = iso_filtration((BundleData(1, 0, semistable=True), BundleData(1, 2, semistable=True)), curve(2))
         assert GriffithsFiltration.from_json(filtration_to_json(f)) == f
+
+    def test_totals_sum_the_pieces(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            pieces = tuple(
+                BundleData(rng.randint(1, 4), rng.randint(-9, 9)) for _ in range(rng.randint(1, 4))
+            )
+            f = GriffithsFiltration(curve(rng.randint(-2, 3)), pieces, True, True, False)
+            whole = totals(pieces)
+            assert (f.total_rank, f.total_degree) == (whole.rank, whole.degree)
 
 
 class TestGradedOfFiltration:
@@ -216,6 +227,29 @@ class TestOperSemistability:
             f = iso_filtration(pieces, ctx)
             assert is_generalized_oper(f)
             assert oper_semistability(f).semistable == YES
+
+    def test_is_the_verdict_of_oper_verdict(self):
+        """On a generalized oper it is ``oper_verdict``'s verdict; on any
+        other filtration it refuses with the clauses ``oper_verdict`` finds."""
+        rng = random.Random(32)
+        opers = 0
+        for _ in range(200):
+            ctx = GeometricContext(rng.choice((0, 3)), rng.randint(1, 2), rng.randint(0, 3), True)
+            base = BundleData(rng.randint(1, 3), rng.randint(-5, 5), rng.choice((True, None)))
+            pieces = tower_pieces(base, ctx, rng.randint(1, 3))
+            flags = [rng.random() < 0.8 for _ in range(3)]
+            if not flags[2]:  # any pieces may then follow the first
+                pieces = pieces[:1] + tuple(BundleData(p.rank, p.degree + 1) for p in pieces[1:])
+            f = GriffithsFiltration(ctx, pieces, *flags)
+            check, verdict = oper_verdict(f)
+            if check:
+                opers += 1
+                assert oper_semistability(f) == verdict
+                continue
+            with pytest.raises(ValueError) as refused:
+                oper_semistability(f)
+            assert str(refused.value) == "not a generalized oper: " + "; ".join(check.reasons)
+        assert 0 < opers < 200
 
 
 class TestConnectionPair:

@@ -30,6 +30,7 @@ from support import (
     split_document,
     split_refutations,
     split_truth,
+    split_whole,
     subsheaf_bound,
     summand_bound,
     totals,
@@ -116,6 +117,23 @@ class TestHigherRankBound:
             if found is not None:
                 assert semistable in (None, found <= 0) and stable in (None, found < 0)
             assert not (stable is True and semistable is not True)
+
+    def test_every_side_is_decided_on_a_bounded_domain(self):
+        """The three-valued path is never taken here: every model of one to
+        three summands of rank at most 3 and degree in -2..2, of total rank
+        at most 6, with w in -1..2 and n at most 2, is decided on both
+        sides.  This is evidence, not a proof that no model abstains."""
+        types = [(r, e) for r in range(1, 4) for e in range(-2, 3)]
+        summand_sets = [
+            chosen
+            for size in (1, 2, 3)
+            for chosen in itertools.combinations_with_replacement(types, size)
+            if sum(r for r, _ in chosen) <= 6
+        ]
+        assert len(summand_sets) == 555
+        for summands in summand_sets:
+            for w, n in itertools.product(range(-1, 3), range(3)):
+                assert None not in split_truth(summands, w, n), (summands, w, n)
 
     def test_attestations(self):
         for summands, w, n in models(max_rank=3):
@@ -278,6 +296,13 @@ class TestSplitCotangent:
                     assert semistable is False, (summands, omega, n)
                 if excess >= 0:
                     assert stable is False, (summands, omega, n)
+
+    def test_whole_system_meets_the_library_tower(self):
+        # the model's own integers against tower_component's components
+        curves = (curve_model(random.Random(seed)) for seed in SEEDS)
+        for summands, omega, n in itertools.chain(tower_models(), curves):
+            whole = totals(split_components(summands, omega, n))
+            assert split_whole(summands, omega, n) == (whole.rank, whole.degree)
 
     def test_attestations(self):
         for summands, omega, n in tower_models():
