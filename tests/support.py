@@ -21,17 +21,18 @@ characteristic.  E_i is the sum, over the words u of length i in the
 letters 1..d, of S_j (x) M_u with M_u = M_{u_1} (x) ... (x) M_{u_i}, of
 slope mu(S_j) + w(u) for w(u) = w_{u_1} + ... + w_{u_i}.
 ``split_components`` writes the components with their true
-attestations, and ``split_document`` writes a model as a
-``hodge_system`` document that forgets attestations at random.
-``split_whole`` gives the whole system's rank and degree from the model
-alone, so the truths below never read the library's tower.
+attestations, ``split_whole`` sums them, and ``split_document`` writes a
+model as a ``hodge_system`` document that forgets attestations at
+random.  The model is stated in its own integers: none of its functions
+names library code, so its truths never read the library's tower.
 
 On a curve (d = 1, omega = (w,)) the theta-invariant subsystems are
 exactly the decreasing chains G_0 >= ... >= G_n of subsheaves of E_0,
-F_i = G_i (x) Omega^i, with deg F_i = deg G_i + i*w*rank G_i.
-``split_truth`` answers both sides from the subsheaf bound
-``summand_bound`` and from the chains of coordinate sub-sums, every one
-of which exists.
+F_i = G_i (x) Omega^i, with deg F_i = deg G_i + i*w*rank G_i.  The
+subsheaf bound ``summand_bound`` limits every chain, and the chains of
+coordinate sub-sums all exist; ``split_truth`` proves that the two
+always agree in sign, so on a curve a side the coordinate subsystems do
+not refute holds, and the model is exact.
 
 At any d, theta maps S_j (x) M_u into (S_j (x) M_{u'}) (x) Omega, where
 u' is u less its last letter.  So for each summand a set of words closed
@@ -49,9 +50,10 @@ import types
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from hodgeslope.hn_profiles import HNProfile, validate_hn
-from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components, tower_component
+from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.slope_core import BundleData, GeometricContext
 
@@ -211,37 +213,46 @@ def subsheaf_bound(summands: Summands, s: int) -> int:
     return best[s]
 
 
-def split_components(summands: Summands, omega: tuple[int, ...], n: int) -> tuple[BundleData, ...]:
-    """E_0..E_n with their true attestations.  E_i is a sum of stable
-    bundles, so it is semistable exactly when they share one slope: every
-    S_j has the same slope, and for i >= 1 every w_k is the same.  It is
-    stable exactly when it is one stable summand: one S_j, and i = 0 or
-    d = 1 (so every rank-1 component is stable)."""
-    base = totals(BundleData(r, e) for r, e in summands)
+class SplitComponent(NamedTuple):
+    """A component E_i of a split model with its true attestations."""
+
+    rank: int
+    degree: int
+    semistable: bool
+    stable: bool
+
+
+def split_components(
+    summands: Summands, omega: tuple[int, ...], n: int
+) -> tuple[SplitComponent, ...]:
+    """E_0..E_n with their true attestations.  With R and E the sums of
+    the r_j and e_j, d = len(omega) and w = sum(omega), E_i has rank R*d^i
+    and degree d^i*E + i*d^(i-1)*w*R, the second term read as 0 at i = 0
+    (where d^(i-1) would be a fraction).  E_i is a sum of stable bundles,
+    so it is semistable exactly when they share one slope: every S_j has
+    the same slope, and for i >= 1 every w_k is the same.  It is stable
+    exactly when it is one stable summand: one S_j, and i = 0 or d = 1 (so
+    every rank-1 component is stable)."""
+    big_r, big_e = sum(r for r, _ in summands), sum(e for _, e in summands)
+    d, w = len(omega), sum(omega)
     r0, e0 = summands[0]
     same_slope = all(e * r0 == e0 * r for r, e in summands)
     same_w = len(set(omega)) == 1
-    context = GeometricContext(0, len(omega), sum(omega))
     return tuple(
-        BundleData(
-            *tower_component(base, context, i),
+        SplitComponent(
+            big_r * d**i,
+            big_e * d**i + (i * d ** (i - 1) * w * big_r if i else 0),
             same_slope and (i == 0 or same_w),
-            len(summands) == 1 and (i == 0 or len(omega) == 1),
+            len(summands) == 1 and (i == 0 or d == 1),
         )
         for i in range(n + 1)
     )
 
 
 def split_whole(summands: Summands, omega: tuple[int, ...], n: int) -> tuple[int, int]:
-    """(rank, degree) of E_0 + ... + E_n, from the model's integers: with
-    R and E the sums of the r_j and e_j, d = len(omega) and w = sum(omega),
-    E_i has rank R*d^i and degree d^i*E + i*d^(i-1)*w*R, which is E at
-    i = 0."""
-    big_r, big_e = sum(r for r, _ in summands), sum(e for _, e in summands)
-    d, w = len(omega), sum(omega)
-    rank = big_r * sum(d**i for i in range(n + 1))
-    degree = big_e + sum(d**i * big_e + i * d ** (i - 1) * w * big_r for i in range(1, n + 1))
-    return rank, degree
+    """(rank, degree) of E_0 + ... + E_n."""
+    components = split_components(summands, omega, n)
+    return sum(c.rank for c in components), sum(c.degree for c in components)
 
 
 def _excess(degree: int, rank: int, whole: tuple[int, int]) -> int:
@@ -296,18 +307,41 @@ def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
     return best
 
 
-def split_truth(summands: Summands, w: int, n: int) -> tuple[bool | None, bool | None]:
-    """(semistable, stable) of the split model.  Each side is True when
-    the bound decides it, False when a coordinate chain does, and None
-    otherwise; when every r_j is 1 the two meet and no side is None."""
-    bound = best_bound_excess(summands, w, n)
-    if bound is None:  # a lone line bundle: no proper subsystem
-        return True, True
-    # None when E_0 is one stable bundle and n = 0: no chain of sub-sums
-    found = best_coordinate_excess(summands, w, n)
-    semistable = True if bound <= 0 else False if found is not None and found > 0 else None
-    stable = True if bound < 0 else False if found is not None and found >= 0 else None
-    return semistable, stable
+def split_truth(summands: Summands, w: int, n: int) -> tuple[bool, bool]:
+    """(semistable, stable) of the split model on a curve: each side holds
+    exactly when no coordinate subsystem refutes it.
+
+    The subsheaf bound ``best_bound_excess`` decides both sides, since
+    every theta-invariant subsystem is a chain within it, and the best
+    coordinate chain ``best_coordinate_excess`` is realizable, so it is
+    never above the bound.  They always agree in sign:
+
+    Sort the summands by slope, highest first; let p_a be the rank of the
+    first a of them and P the concave polygon through their partial sums
+    (p_a, deg).  A rank-s_j piece of S_j has degree at most s_j*mu(S_j),
+    and ranks s_j summing to s earn the most when they go to the highest
+    slopes first, so every rank-s subsheaf of E_0 has degree at most
+    ``subsheaf_bound(s)`` <= P(s).  Over real chains R >= s_0 >= ... >=
+    s_n >= 0, the bound's excess over mu(E), divided by the whole rank,
+    is then at most F(s) = sum_i (P(s_i) + (i*w - mu(E))*s_i), which is 0
+    at the empty system and at the whole one.  The planes s_i = p_a and
+    s_i = s_(i+1) cut the chains into cells on each of which F is affine,
+    so F reaches its maximum M >= 0 at a vertex.  Each coordinate of a
+    vertex is pinned, directly or through equal neighbours, to some p_a,
+    so nested prefix sums of the sorted summands realize the vertex as a
+    coordinate chain whose excess is F there.  If the bound is above 0, so is M, at
+    a vertex that is neither the empty system nor the whole one.  If
+    instead a proper chain s* meets the bound at 0 and M = 0, then
+    F(s*) = 0, and F vanishes on the least face of a cell through s*.
+    That face has a proper vertex unless it is the diagonal from the
+    empty system to the whole one, which lies in one cell only when there
+    is one summand; and then a partial rank's bound is strictly below P,
+    so s* cannot meet it.  So the bound and the coordinate chains agree
+    on both sides, and a side ``split_refutations`` leaves open holds.
+    With no proper coordinate chain (one summand and n = 0) the bound is
+    below 0 or, for a line bundle, has no proper subsystem at all."""
+    semistable, stable = split_refutations(summands, (w,), n)
+    return semistable is None, stable is None
 
 
 def random_split_model(rng: random.Random, max_rank: int = 2) -> tuple[Summands, int, int]:
@@ -327,25 +361,29 @@ def split_document(
     the cotangent bundle's stable flag are kept or forgotten at random, and
     so is its semistable flag when the stable one is forgotten.  Omega is
     semistable exactly when every w_k is the same, and stable exactly when
-    d = 1."""
+    d = 1.  A kept stable flag brings semistable=true with it, and a kept
+    semistable=false brings stable=false, as a reader infers them."""
     omega_stable = len(omega) == 1 and rng.random() < 0.5
     omega_semistable = len(set(omega)) == 1 and (omega_stable or rng.random() < 0.5)
-    context = GeometricContext(
-        characteristic, len(omega), sum(omega), omega_semistable, omega_stable
-    )
-    components = [
-        BundleData(
-            c.rank,
-            c.degree,
-            c.semistable if rng.random() < 0.5 else None,
-            c.stable if rng.random() < 0.5 else None,
-        )
-        for c in split_components(summands, omega, n)
-    ]
+    context = {
+        "characteristic": characteristic,
+        "dim": len(omega),
+        "omega_degree": sum(omega),
+        "omega_semistable": omega_semistable,
+        "omega_stable": omega_stable,
+    }
+    components = []
+    for c in split_components(summands, omega, n):
+        semistable = c.semistable if rng.random() < 0.5 else None
+        stable = c.stable if rng.random() < 0.5 else None
+        if stable:
+            semistable = True
+        if semistable is False:
+            stable = False
+        entry = {"rank": c.rank, "degree": c.degree, "semistable": semistable, "stable": stable}
+        components.append({key: value for key, value in entry.items() if value is not None})
     return {"hodge_system": {
-        "context": context.to_json(),
-        "components": [c.to_json() for c in components],
-        "theta": ISOMORPHISMS,
+        "context": context, "components": components, "theta": "isomorphisms"
     }}
 
 
