@@ -130,14 +130,6 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     return options
 
 
-def _verdict_report(verdict: Verdict, degree: int, rank: int) -> dict:
-    """The verdict's report, with the total slope degree/rank as mu_total."""
-    mu = format_slope(degree, rank)
-    report = verdict_json(verdict, mu)
-    report["mu_total"] = mu
-    return report
-
-
 def _summary(command: str, verdict: Verdict) -> str:
     return (
         f"{command}: semistable={verdict.semistable} stable={verdict.stable}"
@@ -145,47 +137,47 @@ def _summary(command: str, verdict: Verdict) -> str:
     )
 
 
+def _emit_verdict(label: str, verdict: Verdict, degree: int, rank: int, **extra) -> int:
+    """Emit the verdict's report, with the total slope degree/rank as
+    mu_total and the ``extra`` keys, and its summary under ``label``."""
+    mu = format_slope(degree, rank)
+    report = verdict_json(verdict, mu)
+    report.update(extra, mu_total=mu)
+    _emit(report, _summary(label, verdict))
+    return 0
+
+
 def _cmd_check_system(args: SimpleNamespace) -> int:
     doc, payload = _load_document(args, "hodge_system")
     system = system_from_json(payload)
-    options = _search_options(doc, args)
-    verdict = search_oracle.system_verdict(system, options["mode"])
-    report = _verdict_report(verdict, system.total_degree, system.total_rank)
-    _emit(report, _summary("check-system", verdict))
-    return 0
+    verdict = search_oracle.system_verdict(system, _search_options(doc, args)["mode"])
+    return _emit_verdict("check-system", verdict, system.total_degree, system.total_rank)
 
 
 def _cmd_search(args: SimpleNamespace) -> int:
     doc, payload = _load_document(args, "hodge_system")
     system = system_from_json(payload)
     options = _search_options(doc, args)
-    verdict = search_oracle.verdict_from_search(
-        system, options["mode"], options["subsheaf"]
-    )
-    report = _verdict_report(verdict, system.total_degree, system.total_rank)
-    _emit(report, _summary("search", verdict))
-    return 0
+    verdict = search_oracle.verdict_from_search(system, options["mode"], options["subsheaf"])
+    return _emit_verdict("search", verdict, system.total_degree, system.total_rank)
 
 
 def _cmd_check_oper(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "griffiths_filtration")
     filtration = GriffithsFiltration.from_json(payload)
     check, verdict = oper_verdict(filtration)
-    report = _verdict_report(verdict, filtration.total_degree, filtration.total_rank)
-    report["generalized_oper"] = bool(check)
-    report["classical_oper"] = check.classical
-    report["reasons"] = list(check.reasons)
-    _emit(report, f"check-oper: generalized_oper={bool(check)} " + _summary("verdict", verdict))
-    return 0
+    return _emit_verdict(
+        f"check-oper: generalized_oper={bool(check)} verdict", verdict,
+        filtration.total_degree, filtration.total_rank,
+        generalized_oper=bool(check), classical_oper=check.classical, reasons=list(check.reasons),
+    )
 
 
 def _cmd_check_connection(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "connection_pair")
     pair = pair_from_json(payload)
     verdict = pair_verdict(pair)
-    report = _verdict_report(verdict, pair.total.degree, pair.total.rank)
-    _emit(report, _summary("check-connection", verdict))
-    return 0
+    return _emit_verdict("check-connection", verdict, pair.total.degree, pair.total.rank)
 
 
 def _cmd_hn_tensor(args: SimpleNamespace) -> int:
@@ -234,7 +226,7 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
         },
         "recomputed": verdict_json(recomputed, mu),
     }
-    _emit(report, f"gallery {args.name}: " + _summary("verdict", recomputed))
+    _emit(report, _summary(f"gallery {args.name}: verdict", recomputed))
     return 0
 
 

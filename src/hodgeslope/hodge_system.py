@@ -329,14 +329,24 @@ def criterion_stable(
     return Verdict(semistable_side, UNKNOWN, provenance=provenance)
 
 
+def first_no(verdicts: tuple[Verdict, ...], side: str) -> Verdict | None:
+    """The verdict that justifies a no on ``side``, "semistable" or
+    "stable": the first of ``verdicts`` that answers no there and carries a
+    certificate, or None."""
+    for v in verdicts:
+        if getattr(v, side) == NO and v.certificate is not None:
+            return v
+    return None
+
+
 def merge_verdicts(*verdicts: Verdict) -> Verdict:
     """Combine verdicts on the same object side by side.
 
     Each side takes the first answer that is not unknown.  The certificate
-    is one that justifies a surviving no, and the provenance lists every
-    source that decided something, in order.  A single verdict is its own
-    merge, as every verdict the library builds has a provenance and a
-    certificate only on a no side.
+    is ``first_no``'s for the surviving no, semistable before stable, and
+    the provenance lists every source that decided something, in order.  A
+    single verdict is its own merge, as every verdict the library builds
+    has a provenance and a certificate only on a no side.
     """
     semistable = stable = UNKNOWN
     for v in verdicts:
@@ -344,24 +354,17 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
             semistable = v.semistable
         if stable == UNKNOWN:
             stable = v.stable
-    # a certificate is only meaningful when it justifies a surviving no
-    certificate = None
-    if semistable == NO:
-        for v in verdicts:
-            if v.semistable == NO and v.certificate is not None:
-                certificate = v.certificate
-                break
-    elif stable == NO:
-        for v in verdicts:
-            if v.stable == NO and v.certificate is not None:
-                certificate = v.certificate
-                break
+    # a certificate is only meaningful when it justifies a surviving no,
+    # and a merged semistable no always comes with a stable no
+    backing = None
+    if stable == NO:
+        backing = first_no(verdicts, "semistable" if semistable == NO else "stable")
     parts: list[str] = []
     for v in verdicts:
         if v.provenance and v.provenance != PROV_INCONCLUSIVE and v.provenance not in parts:
             parts.append(v.provenance)
     provenance = "; ".join(parts) if parts else PROV_INCONCLUSIVE
-    return Verdict(semistable, stable, certificate, provenance)
+    return Verdict(semistable, stable, backing and backing.certificate, provenance)
 
 
 def criteria_verdicts(sys: HodgeSystem) -> list[Verdict]:

@@ -59,6 +59,7 @@ from .hodge_system import (
     HodgeSystem,
     Verdict,
     criteria_verdicts,
+    first_no,
     merge_verdicts,
     require_isomorphisms,
     transport_subsystem,
@@ -317,14 +318,9 @@ def _declared_verdict(sys: HodgeSystem) -> Verdict:
     wins, then the first that refutes stability."""
     if not sys.theta:
         return Verdict(provenance="no declared profiles")
-    verdicts = [check_declared(sys, p) for p in sys.theta]
-    for v in verdicts:
-        if v.semistable == NO:
-            return v
-    for v in verdicts:
-        if v.stable == NO:
-            return v
-    return Verdict(provenance="declared profiles do not destabilize")
+    verdicts = tuple(check_declared(sys, p) for p in sys.theta)
+    return (first_no(verdicts, SEMISTABLE) or first_no(verdicts, STABLE)
+            or Verdict(provenance="declared profiles do not destabilize"))
 
 
 def _require_agreement(criterion: str, oracle: str, side: str) -> None:

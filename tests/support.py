@@ -10,7 +10,8 @@ documents that ``GriffithsFiltration.from_json`` and ``pair_from_json``
 read back.
 ``hn_valid`` reads ``validate_hn``'s check as a truth value.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
-must keep.
+must keep.  ``run_python`` runs a fresh interpreter with the package's
+source directory on the path, which ``python_env`` gives.
 
 The split model is the ground truth for isomorphism towers.  A model is
 its summands ``((r_j, e_j), ...)``, each the type of a stable bundle S_j,
@@ -45,13 +46,17 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import types
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+import hodgeslope
 from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
@@ -181,6 +186,25 @@ def load_tracer() -> types.ModuleType:
     code = compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec")
     exec(code, module.__dict__)
     return module
+
+
+def python_env() -> dict:
+    """The environment with the package's source directory on the path."""
+    src = str(Path(hodgeslope.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args: str, timeout: float = 60, preexec_fn=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package's source directory on the path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=python_env(),
+        preexec_fn=preexec_fn,
+    )
 
 
 Summands = tuple[tuple[int, int], ...]

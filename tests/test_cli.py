@@ -32,7 +32,7 @@ from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import curve, filtration_to_json, pair_to_json
+from support import curve, filtration_to_json, pair_to_json, python_env, run_python
 
 
 def write_doc(tmp_path: Path, payload: dict, name: str = "doc.json") -> str:
@@ -50,25 +50,6 @@ def run_raw(capsys, argv: list[str]) -> tuple[int, str, str]:
 def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
     code, out, err = run_raw(capsys, argv)
     return code, json.loads(out), err
-
-
-def python_env() -> dict:
-    """The environment with the package's source directory on the path."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
-
-
-def run_python(*args: str, timeout: float = 60, preexec_fn=None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the package's source directory on the path."""
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env=python_env(),
-        preexec_fn=preexec_fn,
-    )
 
 
 @pytest.fixture

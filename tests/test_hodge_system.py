@@ -24,7 +24,9 @@ from hodgeslope.hodge_system import (
 )
 from hodgeslope.oper import ConnectionPair, connection_verdict
 from hodgeslope.profiles import SubsystemProfile
-from hodgeslope.search_oracle import MODES, _declared_verdict, check_declared, verdict_from_search
+from hodgeslope.search_oracle import (
+    MODES, PROV_DECLARED, _declared_verdict, check_declared, verdict_from_search,
+)
 from hodgeslope.slope_core import SEMISTABLE, STABLE, BundleData, GeometricContext, format_slope
 
 from support import curve, slope, total_slope, totals
@@ -323,19 +325,39 @@ class TestCriterionStable:
             criterion_stable(sys)
 
 
-class TestVerdictInvariants:
-    def test_stable_yes_needs_semistable_yes(self):
-        with pytest.raises(ValueError):
-            Verdict(UNKNOWN, YES)
+class TestMergeVerdicts:
+    """The certificate a merge keeps is the one that backs its surviving
+    no: a semistable no's before a stable no's, and none for a merge that
+    has no no."""
 
-    def test_semistable_no_needs_certificate(self):
-        with pytest.raises(ValueError):
-            Verdict(NO, NO)
+    A = SubsystemProfile(((1, 5),))
+    B = SubsystemProfile(((1, 6),))
+    C = SubsystemProfile(((1, 7),))
 
-    def test_semistable_no_forces_stable_no(self):
-        witness = SubsystemProfile(((1, 5),))
-        v = Verdict(NO, UNKNOWN, witness)
-        assert v.stable == NO
+    def test_a_semistable_no_is_backed_by_a_semistable_no(self):
+        # the first verdict's certificate backs only a stable no
+        v = merge_verdicts(Verdict(UNKNOWN, NO, self.A, "x"), Verdict(NO, NO, self.B, "y"))
+        assert v == Verdict(NO, NO, self.B, "x; y")
+
+    def test_a_stable_no_is_backed_by_the_first_certified_one(self):
+        # the criterion's converse may say no without a certificate
+        v = merge_verdicts(Verdict(YES, NO, None, "converse"), Verdict(YES, NO, self.C, "oracle"))
+        assert v == Verdict(YES, NO, self.C, "converse; oracle")
+
+    @pytest.mark.parametrize("later", [
+        Verdict(YES, NO, C, "oracle"), Verdict(YES, YES, C, "oracle"), Verdict(YES, UNKNOWN),
+    ])
+    def test_a_stable_yes_carries_no_certificate(self, later):
+        v = merge_verdicts(Verdict(YES, YES, provenance="criteria"), later)
+        assert (v.semistable, v.stable, v.certificate) == (YES, YES, None)
+
+    def test_declared_profiles_refuting_semistability_come_first(self):
+        # (1, 0) only meets mu(E) = 0, so it refutes stability alone;
+        # (1, 1) exceeds it and refutes both sides
+        meets, exceeds = SubsystemProfile(((1, 0),)), SubsystemProfile(((1, 1),))
+        sys = HodgeSystem(curve(1), (BundleData(2, 0), BundleData(2, 0)), (meets, exceeds))
+        assert check_declared(sys, meets) == Verdict(UNKNOWN, NO, meets, PROV_DECLARED)
+        assert _declared_verdict(sys) == Verdict(NO, NO, exceeds, PROV_DECLARED)
 
     def test_a_single_verdict_is_its_own_merge(self):
         """Every verdict the library returns has a provenance and a

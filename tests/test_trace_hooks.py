@@ -16,19 +16,14 @@ the benchmark directory gains no bytecode cache.
 from __future__ import annotations
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from hodgeslope import profiles, search_oracle
 
-from support import load_tracer
+from support import load_tracer, run_python
 
 HOOKS = [target for targets in load_tracer().LAYERS.values() for target in targets]
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_benchmark_imports_load_every_layer_module():
@@ -40,11 +35,8 @@ def test_benchmark_imports_load_every_layer_module():
         "import sys, hodgeslope.cli, hodgeslope.inequalities; "
         f"print(*[m for m in {modules!r} if m not in sys.modules])"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == []
+    done = run_python("-S", "-c", code)
+    assert (done.returncode, done.stdout.split()) == (0, []), done.stderr
 
 
 @pytest.mark.parametrize("module_name, attr", HOOKS, ids=[f"{m}.{a}" for m, a in HOOKS])

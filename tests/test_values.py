@@ -7,11 +7,7 @@ machinery."""
 from __future__ import annotations
 
 import inspect
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +27,8 @@ from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck, pair
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from support import run_python
+
 EMPTY = inspect.Parameter.empty
 
 CTX = GeometricContext(0, 1, 2, omega_semistable=True)
@@ -224,10 +221,6 @@ def test_cli_import_loads_no_class_generation_or_typing_machinery():
         "assert hodgeslope.cli.main(['verify-inequalities', '--d-max', '1', '--n-max', '2']) == 0; "
         "sys.stdout = sys.__stdout__; "
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     for run in ("", sweep):
-        code = f"import io, sys, hodgeslope.cli; {run}{loaded}"
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.split() == [], run
+        done = run_python("-S", "-c", f"import io, sys, hodgeslope.cli; {run}{loaded}")
+        assert (done.returncode, done.stdout.split()) == (0, []), (run, done.stderr)
