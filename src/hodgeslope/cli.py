@@ -121,8 +121,8 @@ def _search_options(doc: dict, args: SimpleNamespace) -> dict:
     line, else from the document's search_options, else its default.  The
     document may set only the fields of the command's own options."""
     fields = _READ_TABLE[args.command][4]
-    raw = doc.get("search_options")
-    data = {} if raw is None else _check_keys(raw, "search_options", frozenset(), fields.keys())
+    raw = doc.get("search_options", {})
+    data = _check_keys(raw, "search_options", frozenset(), fields.keys())
     options = {}
     for field, (choices, dest) in fields.items():
         from_document = require_token(field, data.get(field, _SEARCH_DEFAULTS[field]), choices)

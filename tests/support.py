@@ -40,7 +40,9 @@ u' is u less its last letter.  So for each summand a set of words closed
 under dropping the last letter spans a theta-invariant coordinate
 subsystem, and every union of those exists.  They only refute:
 ``split_refutations`` finds the best of them.  All of it is integer
-arithmetic.
+arithmetic.  One brute force, ``best_coordinate_excess`` in
+``test_split_model``, tries every coordinate subsystem at any d; on a
+curve its closed word sets are the chains of coordinate sub-sums.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import random
 import subprocess
 import sys
 import types
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -286,33 +288,6 @@ def _excess(degree: int, rank: int, whole: tuple[int, int]) -> int:
     return degree * whole_rank - whole_degree * rank
 
 
-def coordinate_chains(summands: Summands, w: int, n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every proper subsystem made of coordinate sub-sums, as its entries
-    (rank F_i, deg F_i): J_i holds the summands of height above i, J_0 is
-    not empty, and not every J_i holds all summands."""
-    full = len(summands)
-    for heights in itertools.product(range(n + 2), repeat=full):
-        if max(heights) == 0 or min(heights) == n + 1:
-            continue
-        entries = []
-        for i in range(n + 1):
-            chosen = [summands[j] for j in range(full) if heights[j] > i]
-            rank = sum(r for r, _ in chosen)
-            entries.append((rank, sum(e for _, e in chosen) + i * w * rank))
-        yield tuple(entries)
-
-
-def best_coordinate_excess(summands: Summands, w: int, n: int) -> int | None:
-    """The largest ``_excess`` over ``coordinate_chains`` against the
-    whole system, or None when there is no proper subsystem."""
-    whole = split_whole(summands, (w,), n)
-    return max(
-        (_excess(sum(e for _, e in c), sum(r for r, _ in c), whole)
-         for c in coordinate_chains(summands, w, n)),
-        default=None,
-    )
-
-
 def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
     """The largest ``_excess`` any proper subsystem can have by the
     subsheaf bound: over ranks R >= s_0 >= ... >= s_n >= 0 with s_0 >= 1,
@@ -337,8 +312,9 @@ def split_truth(summands: Summands, w: int, n: int) -> tuple[bool, bool]:
 
     The subsheaf bound ``best_bound_excess`` decides both sides, since
     every theta-invariant subsystem is a chain within it, and the best
-    coordinate chain ``best_coordinate_excess`` is realizable, so it is
-    never above the bound.  They always agree in sign:
+    coordinate chain, which the tests' brute force
+    ``best_coordinate_excess`` finds, is realizable, so it is never above
+    the bound.  They always agree in sign:
 
     Sort the summands by slope, highest first; let p_a be the rank of the
     first a of them and P the concave polygon through their partial sums

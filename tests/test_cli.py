@@ -333,6 +333,8 @@ class TestSearch:
         # the document's field is checked even where the command line overrides it
         ({"constraint_mode": "bogus"}, ["--mode", "paper"],
          "constraint_mode must be one of ['conservative', 'paper']"),
+        # a null section is refused, as every other optional field's null is
+        (None, [], "search_options must be a JSON object"),
     ])
     def test_misspelled_mode_texts(self, capsys, tmp_path, options, flags, error):
         system = example_strictly_semistable(2).system

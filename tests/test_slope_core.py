@@ -345,7 +345,7 @@ class TestDirectSum:
             assert min(slopes) <= slope(totals(parts)) <= max(slopes)
 
 
-class TestTensor:
+class TestTensorProduct:
     def test_examples(self):
         # genus-2 curve: rank-2 degree-2 bundle twisted down by the cotangent line
         twisted = tensor(BundleData(2, 2), BundleData(1, -2))

@@ -1,10 +1,12 @@
-"""The split model as ground truth.  That it names no library code.  On a
-curve: its exact answers, the sign agreement of its subsheaf bound and
-its coordinate chains that makes them exact, the documents it generates,
-and where today's ``check-system`` disagrees with it.  Over a split
-cotangent bundle of rank d: its components against the library's tower,
-its coordinate subsystems against a brute force, its attestations, and
-again where ``check-system`` disagrees with the refutations they give."""
+"""The split model as ground truth.  That it names no library code.  One
+brute force, ``best_coordinate_excess``, tries every coordinate
+subsystem at any cotangent rank d.  On a curve: its exact answers, the
+sign agreement of its subsheaf bound and that brute force that makes
+them exact, the documents it generates, and where today's
+``check-system`` disagrees with it.  Over a split cotangent bundle of
+rank d: its components against the library's tower, its refutations
+against the brute force, its attestations, and again where
+``check-system`` disagrees with the refutations."""
 
 from __future__ import annotations
 
@@ -27,8 +29,6 @@ from hodgeslope.slope_core import BundleData, GeometricContext
 import support
 from support import (
     best_bound_excess,
-    best_coordinate_excess,
-    coordinate_chains,
     random_split_model,
     random_tower_model,
     split_components,
@@ -80,6 +80,48 @@ def models(max_rank: int):
         yield random_split_model(random.Random(seed), max_rank)
 
 
+def words(d: int, n: int) -> list[tuple[int, ...]]:
+    """Every word of length at most n in the letters 0..d-1."""
+    return [u for i in range(n + 1) for u in itertools.product(range(d), repeat=i)]
+
+
+def closed_word_sets(d: int, n: int) -> list[set]:
+    """Every set of words closed under dropping the last letter, the empty
+    set included, found among all subsets of the words."""
+    every = words(d, n)
+    subsets = (
+        {u for bit, u in enumerate(every) if mask >> bit & 1} for mask in range(1 << len(every))
+    )
+    return [chosen for chosen in subsets if all(u[:-1] in chosen for u in chosen if u)]
+
+
+def best_coordinate_excess(summands, omega, n) -> int | None:
+    """The largest excess over mu(E) of a proper coordinate subsystem, by
+    trying every one: one closed word set per summand, not all empty and
+    not all full.  None when there is none (one summand at n = 0)."""
+    whole = totals(split_components(summands, omega, n))
+    every = len(words(len(omega), n))
+    best = None
+    for choice in itertools.product(closed_word_sets(len(omega), n), repeat=len(summands)):
+        if not any(choice) or all(len(chosen) == every for chosen in choice):
+            continue
+        rank = sum(r * len(chosen) for (r, _), chosen in zip(summands, choice))
+        degree = sum(
+            e + r * sum(omega[k] for k in u) for (r, e), chosen in zip(summands, choice) for u in chosen
+        )
+        excess = degree * whole.rank - whole.degree * rank
+        best = excess if best is None else max(best, excess)
+    return best
+
+
+def brute_refutations(summands, omega, n) -> tuple[bool | None, bool | None]:
+    """``split_refutations`` read off the sign of ``best_coordinate_excess``."""
+    found = best_coordinate_excess(summands, omega, n)
+    if found is None:
+        return None, None
+    return (False if found > 0 else None), (False if found >= 0 else None)
+
+
 class TestSummandBound:
     @pytest.mark.parametrize("r", range(1, 6))
     def test_largest_degree_below_the_slope(self, r):
@@ -106,20 +148,22 @@ class TestSummandBound:
 class TestExactModel:
     def test_line_bundle_summands_meet_the_brute_force(self):
         for summands, w, n in models(max_rank=1):
-            found = best_coordinate_excess(summands, w, n)
+            found = best_coordinate_excess(summands, (w,), n)
             assert best_bound_excess(summands, w, n) == found, (summands, w, n)
             expected = (True, True) if found is None else (found <= 0, found < 0)
             assert split_truth(summands, w, n) == expected, (summands, w, n)
 
     def test_chains_are_decreasing_and_proper(self):
-        summands, w, n = ((1, 2), (1, -1)), 1, 2
-        chains = list(coordinate_chains(summands, w, n))
-        # a height in 0..n+1 for each summand, less all zero and all full
-        assert len(chains) == (n + 2) ** 2 - 2
-        for entries in chains:
-            ranks = [rank for rank, _ in entries]
-            assert ranks[0] >= 1 and ranks == sorted(ranks, reverse=True)
-            assert ranks != [2] * (n + 1)
+        # on a curve a closed set holds the words shorter than a height in
+        # 0..n+1, so rank F_i, the rank of the summands above height i,
+        # decreases, and each subsystem is a chain
+        for n in range(4):
+            prefixes = [{(0,) * i for i in range(h)} for h in range(n + 2)]
+            assert sorted(closed_word_sets(1, n), key=len) == prefixes
+        # proper: a lone summand at n = 0 has none, and a stable tower's
+        # whole system, at excess 0, is not among them
+        assert best_coordinate_excess(((2, 1),), (0,), 0) is None
+        assert best_coordinate_excess(((2, 1),), (2,), 2) < 0
 
     def test_known_answers(self):
         # a stable tower at w > 0, and the prefix E_0 at w = 0 meeting mu(E)
@@ -133,7 +177,7 @@ class TestExactModel:
 class TestHigherRankBound:
     def test_bound_is_never_below_a_realizable_chain(self):
         for summands, w, n in models(max_rank=3):
-            found = best_coordinate_excess(summands, w, n)
+            found = best_coordinate_excess(summands, (w,), n)
             bound = best_bound_excess(summands, w, n)
             # a lone summand at n = 0 has partial subsheaves but no chain
             assert bound is not None or found is None
@@ -149,7 +193,7 @@ class TestHigherRankBound:
     def test_a_decided_side_agrees_with_the_chains(self):
         for summands, w, n in models(max_rank=3):
             semistable, stable = split_truth(summands, w, n)
-            found = best_coordinate_excess(summands, w, n)
+            found = best_coordinate_excess(summands, (w,), n)
             if found is not None:
                 assert (semistable, stable) == (found <= 0, found < 0), (summands, w, n)
             assert not (stable is True and semistable is not True)
@@ -172,7 +216,7 @@ class TestHigherRankBound:
             for w, n in itertools.product(range(-1, 3), range(3)):
                 model = summands, w, n
                 bound = best_bound_excess(*model)
-                found = best_coordinate_excess(*model)
+                found = best_coordinate_excess(summands, (w,), n)
                 if found is None:
                     # no proper coordinate chain: a lone summand at n = 0,
                     # whose partial ranks all lie below its slope
@@ -260,41 +304,6 @@ def test_check_system_disagrees_with_the_model_only_in_the_recorded_ways(tmp_pat
         assert "oracle" in report["provenance"], doc
 
 
-def words(d: int, n: int) -> list[tuple[int, ...]]:
-    """Every word of length at most n in the letters 0..d-1."""
-    return [u for i in range(n + 1) for u in itertools.product(range(d), repeat=i)]
-
-
-def closed_word_sets(d: int, n: int) -> list[set]:
-    """Every set of words closed under dropping the last letter, the empty
-    set included, found among all subsets of the words."""
-    every = words(d, n)
-    subsets = (
-        {u for bit, u in enumerate(every) if mask >> bit & 1} for mask in range(1 << len(every))
-    )
-    return [chosen for chosen in subsets if all(u[:-1] in chosen for u in chosen if u)]
-
-
-def brute_refutations(summands, omega, n) -> tuple[bool | None, bool | None]:
-    """``split_refutations`` by trying every coordinate subsystem: one
-    closed word set per summand, not all empty."""
-    whole = totals(split_components(summands, omega, n))
-    every = len(words(len(omega), n))
-    semistable = stable = None
-    for choice in itertools.product(closed_word_sets(len(omega), n), repeat=len(summands)):
-        if not any(choice):
-            continue
-        rank = sum(r * len(chosen) for (r, _), chosen in zip(summands, choice))
-        degree = sum(
-            e + r * sum(omega[k] for k in u) for (r, e), chosen in zip(summands, choice) for u in chosen
-        )
-        excess = degree * whole.rank - whole.degree * rank
-        proper = any(len(chosen) < every for chosen in choice)
-        semistable = False if excess > 0 else semistable
-        stable = False if excess >= 0 and proper else stable
-    return semistable, stable
-
-
 def tower_models():
     for seed in SEEDS:
         yield random_tower_model(random.Random(seed))
@@ -321,10 +330,7 @@ class TestSplitCotangent:
 
     def test_search_meets_the_chains_on_a_curve(self):
         for summands, w, n in models(max_rank=3):
-            found = best_coordinate_excess(summands, w, n)
-            expected = (None, None) if found is None else (
-                False if found > 0 else None, False if found >= 0 else None
-            )
+            expected = brute_refutations(summands, (w,), n)
             assert split_refutations(summands, (w,), n) == expected, (summands, w, n)
 
     def test_semistable_towers_are_never_refuted(self):
