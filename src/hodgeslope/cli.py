@@ -71,37 +71,73 @@ def _emit(report: dict, summary: str) -> None:
     sys.stderr.write(summary + "\n")
 
 
-def _open_nonblocking(path: str, flags: int) -> int:
-    return os.open(path, flags | os.O_NONBLOCK)
+#: Bytes a FIFO document's buffer starts with, and the most each read past
+#: the first asks for: a pipe's default capacity.
+_BLOCK = 1 << 16
 
 
-def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
-    """The document the command line names, and its ``key`` payload.  The
-    bytes are decoded as a text-mode open with encoding="utf-8" decodes
-    them: strict UTF-8, a byte-order mark kept, universal newlines.  The
-    path must name a regular file or a FIFO (a device could block or never
-    end), and a FIFO waits up to FIFO_WRITER_WAIT seconds for a writer."""
+def _read_bytes(path: str) -> bytearray:
+    """The bytes of the regular file or FIFO at ``path``, in one buffer.
+    A regular file's buffer holds its size and one byte more, so the first
+    read reaches its end; whatever later reads find is appended, which
+    grows the buffer amortized.  Any other file is refused (a device could
+    block or never end), and a FIFO waits up to FIFO_WRITER_WAIT seconds
+    for a writer."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        with open(args.document, "rb", buffering=0, opener=_open_nonblocking) as handle:
-            mode = os.fstat(handle.fileno()).st_mode
-            if stat.S_ISFIFO(mode):
-                import select  # here, so a regular file's command never loads it
-                select.select([handle], [], [], FIFO_WRITER_WAIT)
-                os.set_blocking(handle.fileno(), True)  # with no writer, it reads as empty
-            elif not stat.S_ISREG(mode):
-                raise OSError(f"not a regular file or a FIFO: {args.document!r}")
-            raw = handle.read()
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            size = info.st_size + 1
+        elif stat.S_ISFIFO(info.st_mode):
+            import select  # here, so a regular file's command never loads it
+            select.select([fd], [], [], FIFO_WRITER_WAIT)
+            os.set_blocking(fd, True)  # with no writer, it reads as empty
+            size = _BLOCK
+        elif stat.S_ISDIR(info.st_mode):
+            import errno  # here, as select is
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        else:
+            raise OSError(f"not a regular file or a FIFO: {path!r}")
+        buf = bytearray(size)
+        end = os.readv(fd, [buf])
+        del buf[end:]
+        if end:
+            while more := os.read(fd, _BLOCK):
+                buf += more
+        return buf
+    finally:
+        os.close(fd)
+
+
+def _parse_document(path: str) -> object:
+    """The JSON value of the document at ``path``.  The bytes are decoded
+    as a text-mode open with encoding="utf-8" decodes them: strict UTF-8, a
+    byte-order mark kept, universal newlines."""
+    try:
+        raw = _read_bytes(path)
     except OSError as exc:
         raise ValueError(f"cannot read document: {exc}")
     text = raw.decode("utf-8")
+    del raw  # so the bytes are not held while the text is parsed
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"document is not valid JSON: {exc}")
     except RecursionError:
         raise ValueError("document nests too deeply to parse")
+
+
+def _load_document(args: SimpleNamespace, key: str) -> tuple[dict, object]:
+    """The document the command line names, and its ``key`` payload."""
+    fits = True
+    try:
+        obj = _parse_document(args.document)
+    except MemoryError:
+        fits = False
+    if not fits:  # raised here, once the buffers have gone with the traceback
+        raise ValueError("document does not fit in memory")
     _check_keys(obj, "document", frozenset(), _READ_TABLE[args.command][5])
     present = [key for key in PAYLOAD_KEYS if key in obj]
     if len(present) != 1:

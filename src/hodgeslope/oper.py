@@ -91,13 +91,16 @@ class GriffithsFiltration(Frozen):
     def from_json(obj: object) -> "GriffithsFiltration":
         keys = GriffithsFiltration._keys
         data = _check_keys(obj, "griffiths filtration", keys, keys)
-        if not isinstance(data["graded"], list) or not data["graded"]:
+        graded = data["graded"]
+        if not isinstance(graded, list) or not graded:
             raise ValueError("graded must be a nonempty JSON array")
-        return GriffithsFiltration(**{
-            **data,
-            "context": GeometricContext.from_json(data["context"]),
-            "graded": tuple(BundleData.from_json(g) for g in data["graded"]),
-        })
+        return GriffithsFiltration(
+            GeometricContext.from_json(data["context"]),
+            tuple([BundleData.from_json(g) for g in graded]),
+            data["transversal"],
+            data["theta_squares_to_zero"],
+            data["theta_iso"],
+        )
 
 
 class ConnectionPair(Frozen):

@@ -212,7 +212,8 @@ class BundleData(Frozen):
             # a flag of None is unattested, but a JSON null is no boolean:
             # it goes on as its JSON text, which the constructor rejects
             data = {key: "null" if value is None else value for key, value in data.items()}
-        return BundleData(**data)
+        get = data.get
+        return BundleData(data["rank"], data["degree"], get("semistable"), get("stable"))
 
 
 class GeometricContext(Frozen):
@@ -262,8 +263,14 @@ class GeometricContext(Frozen):
 
     @staticmethod
     def from_json(obj: object) -> "GeometricContext":
+        data = _check_keys(obj, "context", GeometricContext._required, GeometricContext._keys)
+        get = data.get  # a JSON null is passed on, and refused
         return GeometricContext(
-            **_check_keys(obj, "context", GeometricContext._required, GeometricContext._keys)
+            data["characteristic"],
+            data["dim"],
+            data["omega_degree"],
+            get("omega_semistable", False),
+            get("omega_stable", False),
         )
 
 

@@ -47,6 +47,7 @@ curve its closed word sets are the chains of coordinate sub-sums.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -153,6 +154,15 @@ def hn_valid(p: HNProfile) -> bool:
     except ValueError:
         return False
     return True
+
+
+def outcome(check, *args) -> tuple:
+    """("returned", value) or ("raised", the ValueError's text): how a
+    reader and its reference are compared."""
+    try:
+        return ("returned", check(*args))
+    except ValueError as exc:
+        return ("raised", str(exc))
 
 
 def filtration_to_json(f: GriffithsFiltration) -> dict:
@@ -355,11 +365,12 @@ def random_split_model(rng: random.Random, max_rank: int = 2) -> tuple[Summands,
 
 def split_document(
     rng: random.Random, summands: Summands, omega: tuple[int, ...], n: int,
-    characteristic: int = 0,
+    characteristic: int = 0, keep: float = 0.5,
 ) -> dict:
-    """A ``hodge_system`` document of the model.  Each component flag and
-    the cotangent bundle's stable flag are kept or forgotten at random, and
-    so is its semistable flag when the stable one is forgotten.  Omega is
+    """A ``hodge_system`` document of the model.  Each component flag is
+    kept with chance ``keep`` and forgotten otherwise.  The cotangent
+    bundle's stable flag is kept or forgotten at random, and so is its
+    semistable flag when the stable one is forgotten.  Omega is
     semistable exactly when every w_k is the same, and stable exactly when
     d = 1.  A kept stable flag brings semistable=true with it, and a kept
     semistable=false brings stable=false, as a reader infers them."""
@@ -374,8 +385,8 @@ def split_document(
     }
     components = []
     for c in split_components(summands, omega, n):
-        semistable = c.semistable if rng.random() < 0.5 else None
-        stable = c.stable if rng.random() < 0.5 else None
+        semistable = c.semistable if rng.random() < keep else None
+        stable = c.stable if rng.random() < keep else None
         if stable:
             semistable = True
         if semistable is False:
@@ -404,6 +415,7 @@ def split_refutations(
     whole = split_whole(summands, omega, n)
     big_n = len(summands) * sum(len(omega) ** i for i in range(n + 1))
 
+    @functools.cache  # the value depends on the summand, the length and w(u) alone
     def best(r: int, e: int, i: int, shift: int) -> int:
         """The best value of a word u of length i with w(u) = shift together
         with a set of its extensions closed under dropping the last letter."""

@@ -896,6 +896,37 @@ class TestDocumentRead:
         assert expected[0] == 0
         assert run_raw(capsys, ["check-system", str(crlf)]) == expected
 
+    def test_document_padded_past_a_mebibyte_gives_the_compact_report(
+        self, capsys, tmp_path, tower_doc
+    ):
+        expected = run_raw(capsys, ["check-system", tower_doc])
+        assert expected[0] == 0
+        compact = Path(tower_doc).read_text(encoding="utf-8")
+        padded = tmp_path / "padded.json"
+        padded.write_text(compact[:-1] + " " * (1 << 20) + compact[-1], encoding="utf-8")
+        assert run_raw(capsys, ["check-system", str(padded)]) == expected
+
+    @pytest.mark.parametrize("size", [160 << 20, 1 << 30], ids=["decode", "read"])
+    def test_document_past_the_memory_limit_is_refused(self, tmp_path, size):
+        # a sparse file of NUL bytes under a 256 MiB address space: the
+        # larger one cannot be read, the smaller one read but not decoded
+        path = tmp_path / "huge.json"
+        with open(path, "wb") as handle:
+            handle.truncate(size)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        done = run_python(
+            "-m", "hodgeslope.cli", "check-system", str(path), timeout=10, preexec_fn=cap_memory
+        )
+        error = "document does not fit in memory"
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            json.dumps({"error": error}) + "\n",
+            f"invalid input: {error}\n",
+        )
+
     @pytest.mark.parametrize("target", ["directory", "missing"])
     def test_unreadable(self, capsys, tmp_path, target):
         path = tmp_path if target == "directory" else tmp_path / "missing.json"
@@ -953,6 +984,40 @@ class TestDocumentFileType:
                 child.kill()
         finally:
             os.close(keeper)
+        assert (child.returncode, out, err) == (0, expected.stdout, expected.stderr)
+
+    def test_fifo_past_the_pipe_buffer_gives_the_regular_files_report(
+        self, fifo, tmp_path, tower_doc
+    ):
+        # a document padded to 200 KiB, written in 20 KiB pieces by a child
+        # whose open waits for the reader and whose timeout ends the wait
+        compact = Path(tower_doc).read_text(encoding="utf-8")
+        path = tmp_path / "padded.json"
+        path.write_text(compact[:-1] + " " * (200 << 10) + compact[-1], encoding="utf-8")
+        expected = run_python("-m", "hodgeslope.cli", "check-system", str(path))
+        assert expected.returncode == 0
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hodgeslope.cli", "check-system", fifo],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=python_env(),
+        )
+        feed = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "data = Path(sys.argv[2]).read_bytes()\n"
+            "with open(sys.argv[1], 'wb', buffering=0) as writer:\n"
+            "    for start in range(0, len(data), 20 << 10):\n"
+            "        writer.write(data[start:start + (20 << 10)])\n"
+        )
+        try:
+            fed = run_python("-c", feed, fifo, str(path), timeout=10)
+            out, err = child.communicate(timeout=10)
+        finally:
+            child.kill()
+            child.communicate()
+        assert fed.returncode == 0, fed.stderr
         assert (child.returncode, out, err) == (0, expected.stdout, expected.stderr)
 
     def test_fifo_whose_writer_starts_late_gives_the_regular_files_report(self, fifo, tower_doc):

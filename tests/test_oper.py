@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgeslope import cli
 from hodgeslope.hn_profiles import HNProfile
@@ -26,12 +28,13 @@ from hodgeslope.oper import (
     oper_verdict,
     pair_from_json,
 )
-from hodgeslope.slope_core import BundleData, GeometricContext
+from hodgeslope.slope_core import BundleData, GeometricContext, _check_keys
 
 from support import (
     curve,
     filtration_to_json,
     hn_valid,
+    outcome,
     pair_to_json,
     slope,
     slope_text,
@@ -106,6 +109,104 @@ class TestFiltrationConstruction:
             f = GriffithsFiltration(curve(rng.randint(-2, 3)), pieces, True, True, False)
             whole = totals(pieces)
             assert (f.total_rank, f.total_degree) == (whole.rank, whole.degree)
+
+
+def reference_filtration_from_json(obj) -> GriffithsFiltration:
+    """``GriffithsFiltration.from_json`` as written before its fields went
+    positionally: each part read by keyword, a bundle's JSON null passed on
+    as its text.  The reference the positional reader is compared against."""
+    keys = GriffithsFiltration._keys
+    data = _check_keys(obj, "griffiths filtration", keys, keys)
+    if not isinstance(data["graded"], list) or not data["graded"]:
+        raise ValueError("graded must be a nonempty JSON array")
+    context = GeometricContext(
+        **_check_keys(data["context"], "context", GeometricContext._required, GeometricContext._keys)
+    )
+    graded = []
+    for g in data["graded"]:
+        piece = _check_keys(g, "bundle", BundleData._required, BundleData._keys)
+        graded.append(BundleData(**{k: "null" if v is None else v for k, v in piece.items()}))
+    return GriffithsFiltration(**{**data, "context": context, "graded": tuple(graded)})
+
+
+def mostly(valid, invalid):
+    """A draw from ``valid`` three times in four, else from ``invalid``."""
+    return st.sampled_from([valid, valid, valid, invalid]).flatmap(lambda strategy: strategy)
+
+
+#: Contexts, valid and not: missing, unknown, null and mistyped fields, a
+#: composite characteristic, and values that are no JSON object
+CONTEXT = mostly(
+    st.sampled_from([
+        {"characteristic": 0, "dim": 1, "omega_degree": 2},
+        {"characteristic": 3, "dim": 2, "omega_degree": 1, "omega_semistable": True},
+    ]),
+    st.sampled_from([
+        {"characteristic": 0, "dim": "1", "omega_degree": 2},
+        {"characteristic": 4, "dim": 1, "omega_degree": 2},
+        {"characteristic": 0, "dim": 1},
+        {"characteristic": 0, "dim": 1, "omega_degree": 2, "omega_stable": None},
+        {"characteristic": 0, "dim": 1, "omega_degree": 2, "slope": 0},
+        None, [], "context",
+    ]),
+)
+#: Pieces, valid and not.  The valid ones are on the towers of the two
+#: valid contexts, (1, 0), (1, 2), (1, 4) on the curve and (1, 0), (2, 1),
+#: (4, 4) at d = 2, so a drawn list is on a tower or off it.
+PIECE = mostly(
+    st.sampled_from([
+        {"rank": 1, "degree": 0},
+        {"rank": 1, "degree": 2, "semistable": True},
+        {"rank": 2, "degree": 1},
+        {"rank": 1, "degree": 4},
+        {"rank": 4, "degree": 4, "stable": False},
+    ]),
+    st.sampled_from([
+        {"rank": 1, "degree": "0"},
+        {"rank": 0, "degree": 0},
+        {"rank": 1, "degree": 0, "stable": None},
+        {"rank": 1},
+        {"rank": 1, "degree": 0, "theta": 1},
+        None, 3,
+    ]),
+)
+TOWER = st.sampled_from([
+    [{"rank": 1, "degree": 0}, {"rank": 1, "degree": 2}, {"rank": 1, "degree": 4}],
+    [{"rank": 1, "degree": 0}, {"rank": 2, "degree": 1}, {"rank": 4, "degree": 4}],
+])
+GRADED = mostly(
+    st.one_of(TOWER, st.lists(PIECE, min_size=1, max_size=3)),
+    st.sampled_from([[], {}, "[]", None]),
+)
+FLAG = mostly(st.booleans(), st.sampled_from([None, 0, "true"]))
+FIELDS = {
+    "context": CONTEXT,
+    "graded": GRADED,
+    "transversal": FLAG,
+    "theta_squares_to_zero": FLAG,
+    "theta_iso": FLAG,
+}
+
+
+@st.composite
+def filtration_objects(draw) -> dict:
+    """Every field; one time in four a field is missing or an unknown one
+    is added."""
+    obj = draw(st.fixed_dictionaries(FIELDS))
+    shape = draw(st.sampled_from(range(8)))
+    if shape == 0:
+        del obj[draw(st.sampled_from(sorted(FIELDS)))]
+    elif shape == 1:
+        obj["total"] = draw(FLAG)
+    return obj
+
+
+class TestFiltrationFromJson:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(filtration_objects())
+    def test_matches_the_reference(self, obj):
+        expected = outcome(reference_filtration_from_json, obj)
+        assert outcome(GriffithsFiltration.from_json, obj) == expected
 
 
 class TestGradedOfFiltration:

@@ -26,7 +26,7 @@ from hodgeslope.slope_core import (
     tensor,
 )
 
-from support import slope, totals
+from support import outcome, slope, totals
 
 
 def reference_check_keys(obj, what, required, optional=frozenset()) -> dict:
@@ -41,13 +41,6 @@ def reference_check_keys(obj, what, required, optional=frozenset()) -> dict:
     if unknown:
         raise ValueError(f"{what} has unknown field(s): {', '.join(sorted(unknown))}")
     return obj
-
-
-def outcome(check, *args) -> tuple:
-    try:
-        return ("returned", check(*args))
-    except ValueError as exc:
-        return ("raised", str(exc))
 
 
 def reference_bundle_from_json(obj) -> BundleData:

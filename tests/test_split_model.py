@@ -393,29 +393,48 @@ def test_check_system_answers_o_plus_o_stable_though_the_model_refutes_it(tmp_pa
     assert split_refutations(*model) == brute_refutations(*model) == (None, False)
 
 
-def test_check_system_disagrees_with_the_split_cotangent_model_only_in_the_recorded_ways(tmp_path):
-    """Every definite ``check-system`` side on a model document at d = 2
-    or 3 agrees with the model's refutations, but for the two
+def assert_tower_disagreements_are_recorded(
+    tmp_path, rng, summands, omega, n, keep: float = 0.5
+) -> None:
+    """``check-system`` on a model document at d = 2 or 3 agrees with the
+    model's refutations on every definite side, but for the two
     disagreements recorded in CHANGES.md: a negative cotangent degree is
     refused, as on a curve, and the oracle's monotone class answers
     ``stable=yes`` for a tower of several summands of one slope under
     equal w_k, where the transport of one summand reaches mu(E)."""
+    doc = split_document(rng, summands, omega, n, rng.choice((0, 0, 2, 3, 5)), keep)
+    code, report = check_system(tmp_path, doc)
+    if sum(omega) < 0:
+        assert (code, report) == (
+            1, {"error": "hypothesis violated: the cotangent degree must be nonnegative"}
+        )
+        return
+    assert code == 0
+    semistable, stable = split_refutations(summands, omega, n)
+    assert agrees(report["semistable"], semistable), doc
+    if agrees(report["stable"], stable):
+        return
+    assert (report["stable"], n >= 1, len(summands) >= 2, len(set(omega))) == (
+        "yes", True, True, 1
+    ), doc
+    assert report["provenance"].endswith("; oracle"), doc
+
+
+def test_check_system_disagrees_with_the_split_cotangent_model_only_in_the_recorded_ways(tmp_path):
     rng = random.Random(27)
     for _ in range(400):
-        summands, omega, n = random_tower_model(rng)
-        doc = split_document(rng, summands, omega, n, rng.choice((0, 0, 2, 3, 5)))
-        code, report = check_system(tmp_path, doc)
-        if sum(omega) < 0:
-            assert (code, report) == (
-                1, {"error": "hypothesis violated: the cotangent degree must be nonnegative"}
-            )
-            continue
-        assert code == 0
-        semistable, stable = split_refutations(summands, omega, n)
-        assert agrees(report["semistable"], semistable), doc
-        if agrees(report["stable"], stable):
-            continue
-        assert (report["stable"], n >= 1, len(summands) >= 2, len(set(omega))) == (
-            "yes", True, True, 1
-        ), doc
-        assert report["provenance"].endswith("; oracle"), doc
+        assert_tower_disagreements_are_recorded(tmp_path, rng, *random_tower_model(rng))
+
+
+def test_tall_towers_disagree_with_the_split_cotangent_model_only_in_the_recorded_ways(tmp_path):
+    """The same at heights 10 to 14, with up to 3^14 words per summand,
+    which the tree programme reaches because it caches each word's value
+    by its summand, length and w(u).  Every component flag is kept: with
+    a dozen components, a forgotten one is all but certain, and without
+    every semistable flag the oracle does not run and each side is
+    unknown."""
+    rng = random.Random(28)
+    for _ in range(300):
+        summands, omega, _ = random_tower_model(rng)
+        n = rng.randint(10, 14)
+        assert_tower_disagreements_are_recorded(tmp_path, rng, summands, omega, n, keep=1.0)
