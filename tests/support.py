@@ -8,10 +8,15 @@ exact rationals the library compares by cross-multiplication, and
 judges a polygon, and ``filtration_to_json`` and ``pair_to_json`` write
 documents that ``GriffithsFiltration.from_json`` and ``pair_from_json``
 read back.
-``hn_valid`` reads ``validate_hn``'s check as a truth value.
+``hn_valid`` reads ``validate_hn``'s check as a truth value, ``outcome``
+any check as what it returned or the text it raised, and the counting
+bundle ``CountedBundle`` counts each read of a bundle's four fields.
 ``load_tracer`` reads the benchmark's tracer, whose names the library
-must keep.  ``run_python`` runs a fresh interpreter with the package's
-source directory on the path, which ``python_env`` gives.
+must keep.  One runner runs the CLI in process: ``write_doc`` writes a
+document, and ``run_raw`` returns the exit code, stdout and stderr of
+``cli.main`` on an argv, ``run`` with the stdout read as JSON.
+``run_python`` runs a fresh interpreter with the package's source
+directory on the path, which ``python_env`` gives.
 
 The split model is the ground truth for isomorphism towers.  A model is
 its summands ``((r_j, e_j), ...)``, each the type of a stable bundle S_j,
@@ -49,17 +54,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import hodgeslope
+from hodgeslope import cli
 from hodgeslope.hn_profiles import HNProfile, validate_hn
 from hodgeslope.hodge_system import ISOMORPHISMS, HodgeSystem, derive_components
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration
@@ -165,6 +173,17 @@ def outcome(check, *args) -> tuple:
         return ("raised", str(exc))
 
 
+class CountedBundle(BundleData):
+    """A bundle that counts each read of its four fields in ``reads``."""
+
+    reads: Counter = Counter()
+
+    def __getattribute__(self, name: str):
+        if name in BundleData._fields:
+            CountedBundle.reads[name] += 1
+        return super().__getattribute__(name)
+
+
 def filtration_to_json(f: GriffithsFiltration) -> dict:
     """A griffiths_filtration payload."""
     return {
@@ -217,6 +236,26 @@ def run_python(*args: str, timeout: float = 60, preexec_fn=None) -> subprocess.C
         env=python_env(),
         preexec_fn=preexec_fn,
     )
+
+
+def write_doc(tmp_path: Path, payload: dict, name: str = "doc.json") -> str:
+    """Write ``payload`` as JSON under ``tmp_path`` and return its path."""
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def run_raw(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Run the CLI in process: its exit code, stdout and stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
+    """``run_raw`` with the stdout read as JSON."""
+    code, out, err = run_raw(capsys, argv)
+    return code, json.loads(out), err
 
 
 Summands = tuple[tuple[int, int], ...]

@@ -7,11 +7,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
-from hodgeslope import cli
 from hodgeslope.gallery import (
     example_injective_not_iso,
     example_strictly_semistable,
@@ -48,11 +46,13 @@ from support import (
     is_strictly_concave,
     random_quotients,
     random_valid_profile,
+    run_raw,
     semistable_tower,
     slope,
     stable_tower,
     total_slope,
     totals,
+    write_doc,
 )
 
 
@@ -318,21 +318,18 @@ def test_criterion_8_search_determinism(tmp_path, capsys):
     ]
     mismatches = []
     for builder, params in entries:
-        entry = builder(*params)
-        path = tmp_path / f"{builder.__name__}.json"
-        path.write_text(
-            json.dumps({"hodge_system": system_to_json(entry.system)}), encoding="utf-8"
-        )
-        outputs = []
-        for argv in (
-            ["search", str(path)],
-            ["search", str(path)],
-            ["search", str(path), "--mode", "paper"],
-            ["search", str(path), "--mode", "paper"],
-        ):
-            code = cli.main(argv)
-            outputs.append((code, capsys.readouterr().out.encode()))
-        if len({out for out in outputs}) != 1:
+        doc = {"hodge_system": system_to_json(builder(*params).system)}
+        path = write_doc(tmp_path, doc, f"{builder.__name__}.json")
+        outputs = {
+            run_raw(capsys, argv)[:2]
+            for argv in (
+                ["search", path],
+                ["search", path],
+                ["search", path, "--mode", "paper"],
+                ["search", path, "--mode", "paper"],
+            )
+        }
+        if len(outputs) != 1:
             mismatches.append(builder.__name__)
     report(
         "criterion 8 (search determinism, including the default --mode spelled out)",

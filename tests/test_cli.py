@@ -32,24 +32,9 @@ from hodgeslope.oper import ConnectionPair, GriffithsFiltration
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import curve, filtration_to_json, pair_to_json, python_env, run_python
-
-
-def write_doc(tmp_path: Path, payload: dict, name: str = "doc.json") -> str:
-    path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return str(path)
-
-
-def run_raw(capsys, argv: list[str]) -> tuple[int, str, str]:
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run(capsys, argv: list[str]) -> tuple[int, dict, str]:
-    code, out, err = run_raw(capsys, argv)
-    return code, json.loads(out), err
+from support import (
+    curve, filtration_to_json, pair_to_json, python_env, run, run_python, run_raw, write_doc
+)
 
 
 @pytest.fixture

@@ -25,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from hodgeslope import cli, search_oracle
+from hodgeslope import search_oracle
 from hodgeslope.hodge_system import Verdict
 from hodgeslope.profiles import SubsystemProfile
+
+from support import run_raw
 
 CASES = [
     json.loads(line)
@@ -76,9 +78,7 @@ def test_replay(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(search_oracle, "max_slope_profile", _no_solver)
     if "oracle" in case:
         _fake_oracle(monkeypatch, case["oracle"])
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+    assert run_raw(capsys, argv) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def replay_installed() -> int:

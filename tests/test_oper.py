@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeslope import cli
 from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
@@ -36,9 +34,11 @@ from support import (
     hn_valid,
     outcome,
     pair_to_json,
+    run,
     slope,
     slope_text,
     totals,
+    write_doc,
 )
 
 
@@ -364,16 +364,15 @@ class TestConnectionPair:
         # check-connection reports mu_total as the slope of the graded
         # sums, "p/q" in lowest terms
         rng = random.Random(61)
-        doc = tmp_path / "pair.json"
         for _ in range(100):
             ctx = GeometricContext(0, rng.randint(1, 2), rng.randint(0, 3), omega_semistable=True)
             base = BundleData(rng.randint(1, 3), rng.randint(-4, 4), semistable=True)
             pieces = tower_pieces(base, ctx, rng.randint(1, 3))
             total = totals(pieces)
             pair = ConnectionPair(total, flat=bool(rng.getrandbits(1)), filtration=iso_filtration(pieces, ctx))
-            doc.write_text(json.dumps({"connection_pair": pair_to_json(pair)}), encoding="utf-8")
-            assert cli.main(["check-connection", str(doc)]) == 0
-            report = json.loads(capsys.readouterr().out)
+            doc = write_doc(tmp_path, {"connection_pair": pair_to_json(pair)})
+            code, report, _ = run(capsys, ["check-connection", doc])
+            assert code == 0
             assert report["mu_total"] == slope_text(slope(totals(pieces)))
 
     def test_json_round_trip(self):

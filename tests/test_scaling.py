@@ -12,42 +12,14 @@ bundle, so that case also counts the entries checked, with the same bound.
 
 from __future__ import annotations
 
-import io
-import json
-from contextlib import redirect_stderr, redirect_stdout
-
 import pytest
 
-from hodgeslope import cli, profiles
+from hodgeslope import profiles
 from hodgeslope.slope_core import BundleData
 
+from support import CountedBundle, run_raw, write_doc
+
 N = 150
-
-
-class CountedBundle(BundleData):
-    """A bundle that counts every read of its rank, degree and attestations."""
-
-    reads = 0
-
-    @property
-    def rank(self):
-        CountedBundle.reads += 1
-        return self.__dict__["rank"]
-
-    @property
-    def degree(self):
-        CountedBundle.reads += 1
-        return self.__dict__["degree"]
-
-    @property
-    def semistable(self):
-        CountedBundle.reads += 1
-        return self.__dict__["semistable"]
-
-    @property
-    def stable(self):
-        CountedBundle.reads += 1
-        return self.__dict__["stable"]
 
 
 CURVE = {"characteristic": 0, "dim": 1, "omega_degree": 2, "omega_semistable": True}
@@ -110,26 +82,24 @@ def counted(monkeypatch):
     monkeypatch.setattr(BundleData, "from_json", staticmethod(from_json))
 
 
-def reads(tmp_path, command: str, doc: dict) -> int:
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    CountedBundle.reads = 0
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-        code = cli.main([command, str(path)])
-    assert code == 0, err.getvalue()
-    return CountedBundle.reads
+def reads(capsys, tmp_path, command: str, doc: dict) -> int:
+    """Every read of a bundle's four fields while ``command`` runs on ``doc``."""
+    CountedBundle.reads.clear()
+    code, _, err = run_raw(capsys, [command, write_doc(tmp_path, doc)])
+    assert code == 0, err
+    return sum(CountedBundle.reads.values())
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_reads_grow_at_most_linearly(tmp_path, counted, case):
+def test_reads_grow_at_most_linearly(capsys, tmp_path, counted, case):
     command, build = CASES[case]
-    small = reads(tmp_path, command, build(N))
-    large = reads(tmp_path, command, build(2 * N))
+    small = reads(capsys, tmp_path, command, build(N))
+    large = reads(capsys, tmp_path, command, build(2 * N))
     assert small >= N  # every bundle is read at least once
     assert 10 * large <= 21 * small, (small, large)
 
 
-def test_declared_entries_grow_at_most_linearly(tmp_path, monkeypatch):
+def test_declared_entries_grow_at_most_linearly(capsys, tmp_path, monkeypatch):
     checked = []
     entry = profiles._entry
 
@@ -141,7 +111,7 @@ def test_declared_entries_grow_at_most_linearly(tmp_path, monkeypatch):
     counts = []
     for n in (N, 2 * N):
         checked.clear()
-        reads(tmp_path, "check-system", declared_system(n))
+        reads(capsys, tmp_path, "check-system", declared_system(n))
         counts.append(len(checked))
     small, large = counts
     assert small >= N  # every declared entry is checked at least once

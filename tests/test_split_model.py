@@ -2,27 +2,27 @@
 brute force, ``best_coordinate_excess``, tries every coordinate
 subsystem at any cotangent rank d.  On a curve: its exact answers, the
 sign agreement of its subsheaf bound and that brute force that makes
-them exact, the documents it generates, and where today's
-``check-system`` disagrees with it.  Over a split cotangent bundle of
-rank d: its components against the library's tower, its refutations
-against the brute force, its attestations, and again where
-``check-system`` disagrees with the refutations."""
+them exact, and the documents it generates.  Over a split cotangent
+bundle of rank d: its components against the library's tower, its
+refutations against the brute force, and its attestations.  One loop,
+``test_check_system_against_the_model``, runs ``check-system`` through
+``support.run`` on three seeded streams of model documents, tallies its
+answers against the model in the exact table ``TABLE``, and checks the
+twist and dual relations on the same documents."""
 
 from __future__ import annotations
 
 import ast
-import io
 import itertools
 import json
 import random
-from contextlib import redirect_stderr, redirect_stdout
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from hodgeslope import cli
 from hodgeslope.hodge_system import system_from_json, system_to_json, tower_component
 from hodgeslope.slope_core import BundleData, GeometricContext
 
@@ -31,6 +31,8 @@ from support import (
     best_bound_excess,
     random_split_model,
     random_tower_model,
+    run,
+    slope_text,
     split_components,
     split_document,
     split_refutations,
@@ -38,6 +40,7 @@ from support import (
     subsheaf_bound,
     summand_bound,
     totals,
+    write_doc,
 )
 
 SEEDS = range(300)
@@ -262,48 +265,6 @@ def test_generated_documents_parse_and_attest_only_the_truth(draw):
         assert context.omega_stable in (False, len(omega) == 1)
 
 
-def agrees(answer: str, truth: bool | None) -> bool:
-    """Whether a report's side is unknown, or the model's where it decides."""
-    return answer == "unknown" or truth is None or answer == ("yes" if truth else "no")
-
-
-def check_system(tmp_path, doc: dict) -> tuple[int, dict]:
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = cli.main(["check-system", str(path)])
-    return code, json.loads(out.getvalue())
-
-
-def test_check_system_disagrees_with_the_model_only_in_the_recorded_ways(tmp_path):
-    """Every definite ``check-system`` side on a model document agrees with
-    the model, but for the two disagreements recorded in CHANGES.md, which
-    this test keeps from spreading: a negative cotangent degree is refused
-    as a violated hypothesis, and the stable side reads the oracle's
-    semistable-bound answer as ``no`` unless the bounds are stable ones,
-    that is unless w > 0 and every component is attested stable."""
-    rng = random.Random(26)
-    for _ in range(400):
-        summands, w, n = random_split_model(rng, rng.choice((1, 2, 3)))
-        doc = split_document(rng, summands, (w,), n, rng.choice((0, 0, 2, 3, 5)))
-        code, report = check_system(tmp_path, doc)
-        if w < 0:
-            assert (code, report) == (
-                1, {"error": "hypothesis violated: the cotangent degree must be nonnegative"}
-            )
-            continue
-        assert code == 0
-        semistable, stable = split_truth(summands, w, n)
-        assert agrees(report["semistable"], semistable), doc
-        if agrees(report["stable"], stable):
-            continue
-        components = doc["hodge_system"]["components"]
-        stable_bounds = w > 0 and all(c.get("stable") for c in components)
-        assert (report["stable"], stable, stable_bounds) == ("no", True, False), doc
-        assert "oracle" in report["provenance"], doc
-
-
 def tower_models():
     for seed in SEEDS:
         yield random_tower_model(random.Random(seed))
@@ -383,58 +344,132 @@ O_PLUS_O = {"hodge_system": {
 }}
 
 
-def test_check_system_answers_o_plus_o_stable_though_the_model_refutes_it(tmp_path):
+def test_check_system_answers_o_plus_o_stable_though_the_model_refutes_it(capsys, tmp_path):
     """The recorded d > 1 class at its smallest: E_0 = O + O, d = 2, w = 2,
     n = 1.  The monotone class misses the transport (O, Omega), of ranks 1
     then 2 and slope mu(E) = 2/3."""
-    code, report = check_system(tmp_path, O_PLUS_O)
+    code, report, _ = run(capsys, ["check-system", write_doc(tmp_path, O_PLUS_O)])
     assert (code, report["semistable"], report["stable"]) == (0, "yes", "yes")
     model = ((1, 0), (1, 0)), (1, 1), 1
     assert split_refutations(*model) == brute_refutations(*model) == (None, False)
 
 
-def assert_tower_disagreements_are_recorded(
-    tmp_path, rng, summands, omega, n, keep: float = 0.5
-) -> None:
-    """``check-system`` on a model document at d = 2 or 3 agrees with the
-    model's refutations on every definite side, but for the two
-    disagreements recorded in CHANGES.md: a negative cotangent degree is
-    refused, as on a curve, and the oracle's monotone class answers
-    ``stable=yes`` for a tower of several summands of one slope under
-    equal w_k, where the transport of one summand reaches mu(E)."""
-    doc = split_document(rng, summands, omega, n, rng.choice((0, 0, 2, 3, 5)), keep)
-    code, report = check_system(tmp_path, doc)
-    if sum(omega) < 0:
-        assert (code, report) == (
-            1, {"error": "hypothesis violated: the cotangent degree must be nonnegative"}
-        )
-        return
-    assert code == 0
-    semistable, stable = split_refutations(summands, omega, n)
-    assert agrees(report["semistable"], semistable), doc
-    if agrees(report["stable"], stable):
-        return
+def curve_stream(rng: random.Random):
+    """A curve model of rank up to 1, 2 or 3, half its flags kept."""
+    summands, w, n = random_split_model(rng, rng.choice((1, 2, 3)))
+    return summands, (w,), n, 0.5
+
+
+def tall_stream(rng: random.Random):
+    """A ``random_tower_model`` at height 10 to 14 with every flag kept: the
+    oracle needs every semistable flag, and a dozen would lose one."""
+    summands, omega, _ = random_tower_model(rng)
+    return summands, omega, rng.randint(10, 14), 1.0
+
+
+STREAMS = {  # seed, documents, draw
+    "curve": (26, 400, curve_stream),
+    "split": (27, 400, lambda rng: (*random_tower_model(rng), 0.5)),
+    "tall": (28, 300, tall_stream),
+}
+
+# per stream: the refused documents; per side, the definite answers and
+# the sides the model decides; the contradictions per recorded class.  A
+# change to any answer changes this table in the same diff.
+TABLE = {
+    "curve": (119, (57, 281), (100, 281), {"semistable-bound stable no": 2}),
+    "split": (99, (61, 155), (61, 241), {"monotone-class stable yes": 5}),
+    "tall": (54, (105, 141), (105, 210), {"monotone-class stable yes": 39}),
+}
+
+SIDES = ("semistable", "stable")
+REFUSAL = {"error": "hypothesis violated: the cotangent degree must be nonnegative"}
+
+
+def recorded_class(report: dict, doc: dict, summands, omega, n) -> str:
+    """The class of a ``stable`` answer that contradicts the model, held to
+    its shape.  On a curve the oracle's semistable-bound answer reads
+    ``no`` unless w > 0 and every component is attested stable.  At d > 1
+    the monotone class answers ``yes`` for several summands of one slope
+    under equal w_k, where one summand's transport reaches mu(E)."""
+    if len(omega) == 1:
+        components = doc["hodge_system"]["components"]
+        stable_bounds = omega[0] > 0 and all(c.get("stable") for c in components)
+        assert (report["stable"], stable_bounds) == ("no", False), doc
+        assert "oracle" in report["provenance"], doc
+        return "semistable-bound stable no"
     assert (report["stable"], n >= 1, len(summands) >= 2, len(set(omega))) == (
         "yes", True, True, 1
     ), doc
     assert report["provenance"].endswith("; oracle"), doc
+    return "monotone-class stable yes"
 
 
-def test_check_system_disagrees_with_the_split_cotangent_model_only_in_the_recorded_ways(tmp_path):
-    rng = random.Random(27)
-    for _ in range(400):
-        assert_tower_disagreements_are_recorded(tmp_path, rng, *random_tower_model(rng))
+def regraded(doc: dict, degree, order: int = 1) -> dict:
+    """The document with each component's degree mapped by ``degree``,
+    the components in reverse when ``order`` is -1, the flags kept."""
+    system = doc["hodge_system"]
+    components = [{**c, "degree": degree(c)} for c in system["components"][::order]]
+    return {"hodge_system": {**system, "components": components}}
 
 
-def test_tall_towers_disagree_with_the_split_cotangent_model_only_in_the_recorded_ways(tmp_path):
-    """The same at heights 10 to 14, with up to 3^14 words per summand,
-    which the tree programme reaches because it caches each word's value
-    by its summand, length and w(u).  Every component flag is kept: with
-    a dozen components, a forgotten one is all but certain, and without
-    every semistable flag the oracle does not run and each side is
-    unknown."""
-    rng = random.Random(28)
-    for _ in range(300):
-        summands, omega, _ = random_tower_model(rng)
-        n = rng.randint(10, 14)
-        assert_tower_disagreements_are_recorded(tmp_path, rng, summands, omega, n, keep=1.0)
+def shifted(report: dict, t: int) -> dict:
+    """The report on the document twisted by a line bundle of degree t:
+    every slope rises by t, and a certificate entry (r, e) is (r, e + t*r)."""
+
+    def rise(part: dict) -> dict:
+        keys = [key for key in ("slope", "mu_total") if key in part]
+        return {**part, **{key: slope_text(Fraction(part[key]) + t) for key in keys}}
+
+    out = rise(report)
+    if cert := report.get("certificate"):
+        profile = [[r, e + t * r] for r, e in cert["profile"]]
+        out["certificate"] = {**rise(cert), "profile": profile}
+    return out
+
+
+@pytest.mark.parametrize("stream", list(STREAMS))
+def test_check_system_against_the_model(capsys, tmp_path, stream):
+    """Every definite ``check-system`` side on a stream's documents agrees
+    with the model, ``split_truth`` at d = 1 and ``split_refutations`` at
+    d > 1, but in a ``recorded_class``, and a negative cotangent degree is
+    refused; the tally is the stream's ``TABLE`` row.  Twisted by a line
+    bundle of degree t != 0, a document keeps its exit code and its report
+    but for ``shifted``; at d = 1 its dual E'_j = E_(n-j)^* keeps its exit
+    code and both answers."""
+    seed, size, draw = STREAMS[stream]
+
+    def check(doc: dict) -> tuple[int, dict]:
+        code, report, _ = run(capsys, ["check-system", write_doc(tmp_path, doc)])
+        return code, report
+
+    rng = random.Random(seed)
+    refused, answered, decided, classes = 0, Counter(), Counter(), Counter()
+    for index in range(size):
+        summands, omega, n, keep = draw(rng)
+        doc = split_document(rng, summands, omega, n, rng.choice((0, 0, 2, 3, 5)), keep)
+        code, report = check(doc)
+        t = index % 5 - 2 or 3
+        twist = regraded(doc, lambda c: c["degree"] + t * c["rank"])
+        assert check(twist) == (code, shifted(report, t)), (doc, t)
+        if len(omega) == 1:
+            dual_code, dual = check(regraded(doc, lambda c: -c["degree"], -1))
+            assert (dual_code, *map(dual.get, SIDES)) == (code, *map(report.get, SIDES)), doc
+        if sum(omega) < 0:
+            assert (code, report) == (1, REFUSAL), doc
+            refused += 1
+            continue
+        assert code == 0, doc
+        if len(omega) == 1:
+            truths = split_truth(summands, omega[0], n)
+        else:
+            truths = split_refutations(summands, omega, n)
+        for side, truth in zip(SIDES, truths):
+            answer = report[side]
+            answered[side] += answer != "unknown"
+            decided[side] += truth is not None
+            if answer != "unknown" and truth is not None and answer != ("yes" if truth else "no"):
+                assert side == "stable", doc
+                classes[recorded_class(report, doc, summands, omega, n)] += 1
+    sides = [(answered[side], decided[side]) for side in SIDES]
+    assert (refused, *sides, classes) == TABLE[stream]
