@@ -301,19 +301,19 @@ def criterion_stable(
     sys: HodgeSystem, equal_slope_sub: BundleData | None = None
 ) -> Verdict:
     """Stability verdict for an isomorphism tower of positive cotangent
-    degree.
+    degree; the semistable side is ``criterion_semistable``'s.
 
-    All components attested stable gives yes.  On a curve in
-    characteristic zero, any component attested NOT stable gives no; the
-    certificate is the transport of an equal-slope proper subobject datum
-    of the base when one is supplied.  Anything else is unknown.
+    All components attested stable gives yes, which forces semistable=yes.
+    On a curve in characteristic zero, any component attested NOT stable
+    gives no; the certificate is the transport of an equal-slope proper
+    subobject datum of the base when one is supplied.  Anything else is
+    unknown on both sides.
     """
     require_isomorphisms(sys, "the stability criterion")
     if sys.context.omega_degree <= 0:
         raise ValueError("hypothesis violated: the cotangent degree must be positive")
     if sys.components_stable is True:
         return Verdict(YES, YES, provenance=PROV_TOWER_STABLE)
-    semistable_side = YES if sys.components_semistable is True else UNKNOWN
     if sys.context.characteristic == 0 and sys.context.dim == 1 and sys.components_stable is False:
         certificate = None
         if equal_slope_sub is not None:
@@ -324,9 +324,8 @@ def criterion_stable(
                             base.degree, base.rank) != 0:
                 raise ValueError("equal-slope datum must match the base slope")
             certificate = transport_subsystem(sys, equal_slope_sub)
-        return Verdict(semistable_side, NO, certificate, PROV_CURVE_CONVERSE)
-    provenance = PROV_TOWER_SEMISTABLE if semistable_side == YES else PROV_INCONCLUSIVE
-    return Verdict(semistable_side, UNKNOWN, provenance=provenance)
+        return Verdict(UNKNOWN, NO, certificate, PROV_CURVE_CONVERSE)
+    return Verdict(provenance=PROV_INCONCLUSIVE)
 
 
 def first_no(verdicts: tuple[Verdict, ...], side: str) -> Verdict | None:

@@ -211,29 +211,21 @@ def oper_semistability(f: GriffithsFiltration) -> Verdict:
 
 
 def connection_verdict(pair: ConnectionPair, graded_verdict: Verdict | None = None) -> Verdict:
-    """Semistability of a connection pair via the available transfers.
+    """Semistability of a connection pair via the one transfer that applies.
 
-    A semistable (respectively stable) graded verdict transfers to the
-    pair.  Independently, a flat connection in characteristic zero makes
-    the pair semistable with no filtration at all; the characteristic is
-    the pair's context's, unknown when it has none.  With no applicable
-    transfer the verdict is unknown, never an error.
+    A semistable graded verdict transfers to the pair, with its stable=yes
+    when it has one.  Failing that, a flat connection in characteristic
+    zero makes the pair semistable with no filtration at all; the
+    characteristic is the pair's context's, unknown when it has none.  With
+    no applicable transfer the verdict is unknown, never an error.
     """
-    semistable = UNKNOWN
-    stable = UNKNOWN
-    sources = []
-    if graded_verdict is not None:
-        if graded_verdict.semistable == YES:
-            semistable = YES
-            sources.append(PROV_GRADED_TRANSFER)
-        if graded_verdict.stable == YES:  # a Verdict's stable=yes carries semistable=yes
-            stable = YES
+    if graded_verdict is not None and graded_verdict.semistable == YES:
+        stable = YES if graded_verdict.stable == YES else UNKNOWN
+        return Verdict(YES, stable, provenance=PROV_GRADED_TRANSFER)
     context = pair.context
-    if semistable != YES and pair.flat and context is not None and context.characteristic == 0:
-        semistable = YES
-        sources.append(PROV_FLAT_CHAR_ZERO)
-    provenance = "; ".join(sources) if sources else PROV_NO_TRANSFER
-    return Verdict(semistable, stable, provenance=provenance)
+    if pair.flat and context is not None and context.characteristic == 0:
+        return Verdict(YES, provenance=PROV_FLAT_CHAR_ZERO)
+    return Verdict(provenance=PROV_NO_TRANSFER)
 
 
 def pair_verdict(pair: ConnectionPair) -> Verdict:

@@ -9,11 +9,13 @@ import pytest
 from hodgeslope.gallery import example_strictly_semistable
 from hodgeslope.hodge_system import (
     NO,
+    PROV_INCONCLUSIVE,
     UNKNOWN,
     YES,
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
+    criteria_verdicts,
     criterion_semistable,
     criterion_stable,
     derive_components,
@@ -286,10 +288,14 @@ class TestCriterionStable:
         assert verdict.semistable == YES
 
     def test_strictly_semistable_tower_not_stable(self):
-        verdict = criterion_stable(example_strictly_semistable().system)
-        assert verdict.stable == NO
-        assert verdict.semistable == YES
+        # the criterion answers the stable side only; the merge takes the
+        # semistable side from the semistability criterion
+        sys = example_strictly_semistable().system
+        verdict = criterion_stable(sys)
+        assert (verdict.semistable, verdict.stable) == (UNKNOWN, NO)
         assert verdict.certificate is None
+        merged = merge_verdicts(*criteria_verdicts(sys))
+        assert (merged.semistable, merged.stable) == (YES, NO)
 
     def test_equal_slope_datum_builds_certificate(self):
         sys = example_strictly_semistable().system
@@ -317,7 +323,7 @@ class TestCriterionStable:
             4, 1 * 1 * 3 * 2 + 2 * 1, semistable=True, stable=False
         )
         sys = HodgeSystem(ctx, (base, e1), ISOMORPHISMS)
-        assert criterion_stable(sys).stable == UNKNOWN
+        assert criterion_stable(sys) == Verdict(provenance=PROV_INCONCLUSIVE)
 
     def test_nonpositive_cotangent_degree_rejected(self):
         sys = derive_components(BundleData(1, 0, semistable=True), curve(0), 1)
@@ -406,7 +412,7 @@ class TestMergeVerdicts:
                                   context=rng.choice((context, None)))
             verdicts.append(connection_verdict(pair, rng.choice((None, *verdicts))))
         assert {(v.semistable, v.stable, v.certificate is None) for v in verdicts} >= {
-            (NO, NO, False), (YES, NO, False), (YES, NO, True), (UNKNOWN, NO, False),
+            (NO, NO, False), (YES, NO, False), (UNKNOWN, NO, True), (UNKNOWN, NO, False),
             (YES, YES, True), (YES, UNKNOWN, True), (UNKNOWN, UNKNOWN, True),
         }
         for v in verdicts:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 from hodgeslope.hn_profiles import HNProfile
 from hodgeslope.hodge_system import (
     ISOMORPHISMS,
+    NO,
     UNKNOWN,
     YES,
     criterion_semistable,
     criterion_stable,
 )
 from hodgeslope.oper import (
+    PROV_GRADED_TRANSFER,
     ConnectionPair,
     GriffithsFiltration,
     OperCheck,
@@ -443,6 +447,94 @@ class TestConnectionVerdict:
         assert connection_verdict(pair).semistable == UNKNOWN
         pair = ConnectionPair(BundleData(3, 0), flat=True)
         assert connection_verdict(pair).semistable == UNKNOWN
+
+
+#: W's attestations for each kind of W, and the truth for the pair
+#: (F^*F_*W, nabla) on each side: None where the kind leaves a side open.
+FROBENIUS_KINDS = {
+    "stable": ((True, True), (YES, YES)),
+    "semistable": ((True, None), (YES, None)),
+    "strictly semistable": ((True, False), (YES, NO)),
+    "not semistable": ((False, False), (NO, NO)),
+}
+
+
+def frobenius_family():
+    """Each (p, g, r, e, kind) of the family: characteristic p, genus g, W
+    of type (r, e), and a kind of W that exists.  A strictly semistable W
+    needs an equal-slope proper subsheaf, so gcd(r, e) > 1; a line bundle
+    is stable."""
+    for p in (2, 3, 5, 7):
+        for g in (2, 3):
+            for r in (1, 2, 3):
+                for e in range(-2, 3):
+                    for kind in FROBENIUS_KINDS:
+                        if kind == "strictly semistable" and gcd(r, e) == 1:
+                            continue
+                        if kind == "not semistable" and r == 1:
+                            continue
+                        yield p, g, r, e, kind
+
+
+class TestFrobeniusDirectImages:
+    """Frobenius direct images on a curve X of genus g >= 2 in
+    characteristic p, checked against the literature.
+
+    F^*F_*W carries its canonical connection, which is flat, and its
+    canonical filtration, whose graded maps are isomorphisms with
+    gr^l = W (x) K^l for l = 0..p-1 (Joshi, Ramanan, Xia and Yu, Compositio
+    Math. 142, 2006): the isomorphism tower over W with w = 2g - 2, of
+    total degree p*(e + r(p-1)(g-1)).  F_*W is stable for stable W and
+    semistable for semistable W (Sun, Invent. Math. 173, 2008), and by
+    Cartier descent the invariant subsheaves of F^*F_*W are the pullbacks
+    of subsheaves of F_*W, so the pair is as stable as F_*W.  A subsheaf
+    W' of W gives the invariant F^*F_*W', whose slope exceeds the pair's
+    by (mu(W') - mu(W)) up to a positive factor: an equal-slope W' makes
+    the pair not stable, a destabilizing one not semistable.
+    """
+
+    def test_every_definite_side_agrees_with_the_literature(self, capsys, tmp_path):
+        """Each definite side must equal the truth; an unknown is a gap.
+        The pair is flat of nonzero degree in characteristic p, so a rule
+        that holds only in characteristic 0 must leave it alone."""
+        tally: Counter = Counter()
+        for p, g, r, e, kind in frobenius_family():
+            flags, truth = FROBENIUS_KINDS[kind]
+            pieces = tuple(BundleData(r, e + l * r * (2 * g - 2), *flags) for l in range(p))
+            f = iso_filtration(pieces, curve(2 * g - 2, char=p))
+            pair = ConnectionPair(totals(pieces), flat=True, filtration=f)
+            assert pair.total.degree == p * (e + r * (p - 1) * (g - 1))
+            if pair.total.degree != 0:
+                tally["nonzero degree"] += 1
+            documents = {
+                "check-connection": {"connection_pair": pair_to_json(pair)},
+                "check-oper": {"griffiths_filtration": filtration_to_json(f)},
+            }
+            for command, payload in documents.items():
+                code, report, _ = run(capsys, [command, write_doc(tmp_path, payload)])
+                assert code == 0
+                for side, true in zip(("semistable", "stable"), truth):
+                    if report[side] == UNKNOWN:
+                        tally[command, side, "gap"] += 1
+                        continue
+                    assert report[side] == true, (command, side, p, g, r, e, kind, report)
+                    tally[command, side, "agrees"] += 1
+                if command == "check-connection" and flags[0]:
+                    assert report["provenance"] == PROV_GRADED_TRANSFER, (p, g, r, e, kind)
+                if command == "check-oper" and report["generalized_oper"]:
+                    assert report["semistable"] == YES
+                    tally["generalized opers"] += 1
+        assert tally == {
+            "nonzero degree": 342,
+            ("check-connection", "semistable", "agrees"): 272,
+            ("check-connection", "semistable", "gap"): 80,
+            ("check-connection", "stable", "agrees"): 120,
+            ("check-connection", "stable", "gap"): 232,
+            ("check-oper", "semistable", "agrees"): 272,
+            ("check-oper", "semistable", "gap"): 80,
+            ("check-oper", "stable", "gap"): 352,
+            "generalized opers": 272,
+        }
 
 
 class TestHnBridge:
