@@ -4,9 +4,9 @@ stderr.
 
 Exit codes: 0 means a verdict was computed (including no/unknown), 1 means
 invalid input, 2 means an internal inconsistency (the criteria and the
-search oracle disagree, which is always a bug).  Reports are
-byte-deterministic for a fixed input and flag set: keys are sorted and
-rationals are rendered canonically as "p/q".
+search oracle disagree, or a gallery verdict drifted; always a bug).
+Reports are byte-deterministic for a fixed input and flag set: keys are
+sorted and rationals are rendered canonically as "p/q".
 
 The command-line grammar is one table, _GRAMMAR.  A well-formed command
 line (a known command, exact option names with valid values, exactly the

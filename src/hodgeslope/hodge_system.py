@@ -15,11 +15,7 @@ three-valued; the criteria are one-directional outside characteristic zero
 
 The tower's degree sums are the power sums W(k) = sum_{i<=k} i d^(i-1)
 and S(k) = sum_{j<=k} d^j >= 1.  Its partial slopes W(k)/S(k) increase with
-the grade: W(r) S(n) <= W(n) S(r), r <= n.  The proof, which verify_hodge_sums
-states in place of a sweep: W(k-1) S(k) - W(k) S(k-1) = -d^(k-1) g(k), where
-g(k) = sum_{i<k} (k-i) d^i.  For d >= 1 the i = 0 term alone gives
-g(k) >= k >= 1, and d^(k-1) >= 1, so every adjacent pair holds strictly; as
-S >= 1, the adjacent pairs chain by transitivity to every pair r <= n.
+the grade: W(r) S(n) <= W(n) S(r), r <= n, as verify_hodge_sums proves.
 
 Two statements are recorded here as documentation only, with no operation
 behind them: for dimension at least 2 one expects stable towers to force
@@ -88,11 +84,11 @@ def verify_hodge_sums(d_max: int, n_max: int) -> int:
     pair 0 <= r <= n <= n_max, and return the pairs established per d.  A
     sweep of more than MAX_SWEEP_CHECKS pairs is refused.
 
-    No pair is evaluated: the module docstring's proof holds for every
-    d >= 1.  W(k-1) S(k) - W(k) S(k-1) = -d^(k-1) g(k) with
-    g(k) = sum_{i<k} (k-i) d^i >= k >= 1 and d^(k-1) >= 1, so each adjacent
-    pair holds strictly, and as S >= 1 they chain to all
-    (n_max+1)(n_max+2)/2 pairs.
+    No pair is evaluated: the proof holds for every d >= 1.
+    W(k-1) S(k) - W(k) S(k-1) = -d^(k-1) g(k) with
+    g(k) = sum_{i<k} (k-i) d^i; the i = 0 term alone gives g(k) >= k >= 1,
+    and d^(k-1) >= 1, so each adjacent pair holds strictly, and as S >= 1
+    they chain by transitivity to all (n_max+1)(n_max+2)/2 pairs.
     """
     if d_max < 1 or n_max < 0:
         raise ValueError("need d_max >= 1 and n_max >= 0")
@@ -306,12 +302,13 @@ def criterion_stable(
     All components attested stable gives yes, which forces semistable=yes.
     On a curve in characteristic zero, any component attested NOT stable
     gives no; the certificate is the transport of an equal-slope proper
-    subobject datum of the base when one is supplied.  Anything else is
+    subobject datum of the base when one is supplied.  Anything else, and
+    any tower of nonpositive cotangent degree (at 0, E_0 reaches mu(E)), is
     unknown on both sides.
     """
     require_isomorphisms(sys, "the stability criterion")
     if sys.context.omega_degree <= 0:
-        raise ValueError("hypothesis violated: the cotangent degree must be positive")
+        return Verdict(provenance=PROV_INCONCLUSIVE)
     if sys.components_stable is True:
         return Verdict(YES, YES, provenance=PROV_TOWER_STABLE)
     if sys.context.characteristic == 0 and sys.context.dim == 1 and sys.components_stable is False:
@@ -364,16 +361,6 @@ def merge_verdicts(*verdicts: Verdict) -> Verdict:
             parts.append(v.provenance)
     provenance = "; ".join(parts) if parts else PROV_INCONCLUSIVE
     return Verdict(semistable, stable, backing and backing.certificate, provenance)
-
-
-def criteria_verdicts(sys: HodgeSystem) -> list[Verdict]:
-    """The criteria's verdicts on an isomorphism tower, for ``merge_verdicts``:
-    the semistability criterion, then the stability criterion when the
-    cotangent degree is positive."""
-    verdicts = [criterion_semistable(sys)]
-    if sys.context.omega_degree > 0:
-        verdicts.append(criterion_stable(sys))
-    return verdicts
 
 
 def system_to_json(sys: HodgeSystem) -> dict:

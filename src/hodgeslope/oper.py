@@ -26,8 +26,8 @@ from .hodge_system import (
     YES,
     HodgeSystem,
     Verdict,
-    criteria_verdicts,
     criterion_semistable,
+    criterion_stable,
     merge_verdicts,
     require_tower,
 )
@@ -232,8 +232,8 @@ def pair_verdict(pair: ConnectionPair) -> Verdict:
     """Decide a connection pair.
 
     A filtration that induces an isomorphism tower of nonnegative
-    cotangent degree contributes the criteria's verdict on that tower;
-    ``connection_verdict`` then applies the transfers.
+    cotangent degree contributes the merge of the two criteria's verdicts
+    on that tower; ``connection_verdict`` then applies the transfers.
     """
     graded_verdict = None
     f = pair.filtration
@@ -244,7 +244,8 @@ def pair_verdict(pair: ConnectionPair) -> Verdict:
         and f.theta_iso
         and f.context.omega_degree >= 0
     ):
-        graded_verdict = merge_verdicts(*criteria_verdicts(graded_of_filtration(f)))
+        graded = graded_of_filtration(f)
+        graded_verdict = merge_verdicts(criterion_semistable(graded), criterion_stable(graded))
     return connection_verdict(pair, graded_verdict)
 
 

@@ -58,7 +58,8 @@ from .hodge_system import (
     YES,
     HodgeSystem,
     Verdict,
-    criteria_verdicts,
+    criterion_semistable,
+    criterion_stable,
     first_no,
     merge_verdicts,
     require_isomorphisms,
@@ -341,13 +342,15 @@ def system_verdict(
     every tower in closed form; it runs under semistable bounds, or under
     stable bounds when the cotangent degree is positive and every
     component is attested stable (as the system recorded when built), so
-    that its stability side is a check too.  A definite disagreement on
-    either side raises InconsistencyError.
+    that its stability side is a check too.  Both are the oracle's own
+    preconditions, read from the attestations, not from the criteria's
+    answers.  A definite disagreement on either side raises
+    InconsistencyError.
     """
     require_token("mode", mode, MODES)
     if sys.theta is not ISOMORPHISMS:
         return _declared_verdict(sys)
-    criteria = criteria_verdicts(sys)
+    criteria = criterion_semistable(sys), criterion_stable(sys)
     if sys.components_semistable is not True:
         return merge_verdicts(*criteria)
     check_stable = sys.context.omega_degree > 0 and sys.components_stable is True

@@ -32,22 +32,21 @@ model as a ``hodge_system`` document that forgets attestations at
 random.  The model is stated in its own integers: none of its functions
 names library code, so its truths never read the library's tower.
 
-On a curve (d = 1, omega = (w,)) the theta-invariant subsystems are
-exactly the decreasing chains G_0 >= ... >= G_n of subsheaves of E_0,
-F_i = G_i (x) Omega^i, with deg F_i = deg G_i + i*w*rank G_i.  The
-subsheaf bound ``summand_bound`` limits every chain, and the chains of
-coordinate sub-sums all exist; ``split_truth`` proves that the two
-always agree in sign, so on a curve a side the coordinate subsystems do
-not refute holds, and the model is exact.
-
 At any d, theta maps S_j (x) M_u into (S_j (x) M_{u'}) (x) Omega, where
 u' is u less its last letter.  So for each summand a set of words closed
 under dropping the last letter spans a theta-invariant coordinate
-subsystem, and every union of those exists.  They only refute:
-``split_refutations`` finds the best of them.  All of it is integer
-arithmetic.  One brute force, ``best_coordinate_excess`` in
-``test_split_model``, tries every coordinate subsystem at any d; on a
-curve its closed word sets are the chains of coordinate sub-sums.
+subsystem, and every union of those exists.  They refute:
+``split_refutations`` finds the best of them.  The subsheaf bound
+``best_bound_excess``, built from ``summand_bound``, limits every
+theta-invariant subsystem, so it confirms; ``split_truth`` reads both.
+On a curve (d = 1, omega = (w,)) the invariant subsystems are exactly
+the decreasing chains G_0 >= ... >= G_n of subsheaves of E_0,
+F_i = G_i (x) Omega^i, and ``split_truth`` proves that the bound and the
+chains of coordinate sub-sums always agree in sign, so there the model
+is exact.  All of it is integer arithmetic.  One brute force,
+``best_coordinate_excess`` in ``test_split_model``, tries every
+coordinate subsystem at any d; on a curve its closed word sets are the
+chains of coordinate sub-sums.
 """
 
 from __future__ import annotations
@@ -272,11 +271,12 @@ def summand_bound(r: int, e: int, s: int) -> int:
     return -((-s * e) // r) - 1
 
 
-def subsheaf_bound(summands: Summands, s: int) -> int:
-    """The largest degree a rank-``s`` subsheaf of the sum of the S_j can
-    have: the best ``summand_bound`` sum over ranks s_j with sum s.  A
-    subsheaf's images in S_1, S_2, ... filter it with pieces of rank s_j
-    in S_j, so its degree is at most this."""
+def subsheaf_bound(summands: Summands) -> list[int]:
+    """The largest degree a rank-s subsheaf of the sum of the S_j can
+    have, as a row indexed by s from 0 to the whole rank: the best
+    ``summand_bound`` sum over ranks s_j with sum s.  A subsheaf's images
+    in S_1, S_2, ... filter it with pieces of rank s_j in S_j, so its
+    degree is at most this."""
     best = {0: 0}  # rank -> largest degree over the summands so far
     for r, e in summands:
         step: dict[int, int] = {}
@@ -285,7 +285,7 @@ def subsheaf_bound(summands: Summands, s: int) -> int:
                 value = degree + summand_bound(r, e, part)
                 step[total + part] = max(step.get(total + part, value), value)
         best = step
-    return best[s]
+    return [best[s] for s in range(len(best))]
 
 
 class SplitComponent(NamedTuple):
@@ -337,42 +337,59 @@ def _excess(degree: int, rank: int, whole: tuple[int, int]) -> int:
     return degree * whole_rank - whole_degree * rank
 
 
-def best_bound_excess(summands: Summands, w: int, n: int) -> int | None:
+def best_bound_excess(summands: Summands, omega: tuple[int, ...], n: int) -> int | None:
     """The largest ``_excess`` any proper subsystem can have by the
-    subsheaf bound: over ranks R >= s_0 >= ... >= s_n >= 0 with s_0 >= 1,
-    not all R, of sum(subsheaf_bound(s_i) + i*w*s_i).  None when there is
-    no proper subsystem."""
-    rank = sum(r for r, _ in summands)
-    bound = [subsheaf_bound(summands, s) for s in range(rank + 1)]
-    whole = split_whole(summands, (w,), n)
-    best = None
-    for chain in itertools.combinations_with_replacement(range(rank, -1, -1), n + 1):
-        if chain[0] == 0 or chain[-1] == rank:
-            continue
-        degree = sum(bound[s] + i * w * s for i, s in enumerate(chain))
-        excess = _excess(degree, sum(chain), whole)
-        best = excess if best is None else max(best, excess)
-    return best
+    subsheaf bound, or None when there is no proper subsystem.
+
+    theta is injective, so a nonzero invariant subsystem F has ranks
+    r_0 >= 1 and r_i <= min(rank E_i, d*r_(i-1)), not all full.  E_i is
+    the sum of the stable S_j (x) M_u, of type (r_j, e_j + r_j*w(u)) for
+    the words u of length i, so deg F_i is at most ``subsheaf_bound`` over
+    those at rank r_i.  One rank programme over the chains, which also
+    carries whether a chain is yet proper, takes the largest sum of
+    R*b_i(r_i) - D*r_i, with (R, D) the whole system's rank and degree."""
+    whole = split_whole(summands, omega, n)
+    d = len(omega)
+    # (rank of the last F_i, proper so far) -> the largest excess so far;
+    # the start lets F_0 take any rank of E_0
+    best = {(sum(r for r, _ in summands), False): 0}
+    for i in range(n + 1):
+        shifts = [sum(u) for u in itertools.product(omega, repeat=i)]
+        parts = tuple((r, e + r * shift) for r, e in summands for shift in shifts)
+        row = [_excess(b, s, whole) for s, b in enumerate(subsheaf_bound(parts))]
+        full = len(row) - 1
+        step: dict[tuple[int, bool], int] = {}
+        for (last, proper), value in best.items():
+            for s in range(0 if i else 1, min(full, d * last) + 1):
+                key = s, proper or s < full
+                step[key] = max(step.get(key, value + row[s]), value + row[s])
+        best = step
+    proper = [value for (_, is_proper), value in best.items() if is_proper]
+    return max(proper) if proper else None
 
 
-def split_truth(summands: Summands, w: int, n: int) -> tuple[bool, bool]:
-    """(semistable, stable) of the split model on a curve: each side holds
-    exactly when no coordinate subsystem refutes it.
+def split_truth(
+    summands: Summands, omega: tuple[int, ...], n: int
+) -> tuple[bool | None, bool | None]:
+    """(semistable, stable) of the split model as far as it decides them:
+    False where a coordinate subsystem refutes the side
+    (``split_refutations``), True where ``best_bound_excess`` confirms it,
+    at most 0 for semistability and below 0 for stability, and None where
+    neither decides.  Every theta-invariant subsystem lies within the
+    bound, and every coordinate subsystem exists, so a side is never both.
 
-    The subsheaf bound ``best_bound_excess`` decides both sides, since
-    every theta-invariant subsystem is a chain within it, and the best
+    On a curve (omega = (w,)) every side is decided: the bound and the best
     coordinate chain, which the tests' brute force
-    ``best_coordinate_excess`` finds, is realizable, so it is never above
-    the bound.  They always agree in sign:
+    ``best_coordinate_excess`` finds, always agree in sign:
 
     Sort the summands by slope, highest first; let p_a be the rank of the
     first a of them and P the concave polygon through their partial sums
     (p_a, deg).  A rank-s_j piece of S_j has degree at most s_j*mu(S_j),
     and ranks s_j summing to s earn the most when they go to the highest
     slopes first, so every rank-s subsheaf of E_0 has degree at most
-    ``subsheaf_bound(s)`` <= P(s).  Over real chains R >= s_0 >= ... >=
-    s_n >= 0, the bound's excess over mu(E), divided by the whole rank,
-    is then at most F(s) = sum_i (P(s_i) + (i*w - mu(E))*s_i), which is 0
+    entry s of ``subsheaf_bound``, which is <= P(s).  Over real chains
+    R >= s_0 >= ... >= s_n >= 0, the bound's excess over mu(E), divided
+    by the whole rank, is then at most F(s) = sum_i (P(s_i) + (i*w - mu(E))*s_i), which is 0
     at the empty system and at the whole one.  The planes s_i = p_a and
     s_i = s_(i+1) cut the chains into cells on each of which F is affine,
     so F reaches its maximum M >= 0 at a vertex.  Each coordinate of a
@@ -386,11 +403,14 @@ def split_truth(summands: Summands, w: int, n: int) -> tuple[bool, bool]:
     empty system to the whole one, which lies in one cell only when there
     is one summand; and then a partial rank's bound is strictly below P,
     so s* cannot meet it.  So the bound and the coordinate chains agree
-    on both sides, and a side ``split_refutations`` leaves open holds.
-    With no proper coordinate chain (one summand and n = 0) the bound is
-    below 0 or, for a line bundle, has no proper subsystem at all."""
-    semistable, stable = split_refutations(summands, (w,), n)
-    return semistable is None, stable is None
+    on both sides.  With no proper coordinate chain (one summand and
+    n = 0) the bound is below 0 or, for a line bundle, has no proper
+    subsystem at all."""
+    refuted = split_refutations(summands, omega, n)
+    bound = best_bound_excess(summands, omega, n)
+    confirmed = (True, True) if bound is None else (bound <= 0, bound < 0)
+    assert not any(no is False and yes for no, yes in zip(refuted, confirmed)), (refuted, bound)
+    return tuple(yes or no for no, yes in zip(refuted, confirmed))
 
 
 def random_split_model(rng: random.Random, max_rank: int = 2) -> tuple[Summands, int, int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,6 @@ from hodgeslope.hodge_system import (
     HodgeSystem,
     ISOMORPHISMS,
     Verdict,
-    criteria_verdicts,
     criterion_semistable,
     criterion_stable,
     derive_components,
@@ -31,7 +31,7 @@ from hodgeslope.search_oracle import (
 )
 from hodgeslope.slope_core import SEMISTABLE, STABLE, BundleData, GeometricContext, format_slope
 
-from support import curve, slope, total_slope, totals
+from support import curve, slope, stable_tower, total_slope, totals
 
 
 def partial_slope(sys: HodgeSystem, k: int) -> Fraction:
@@ -294,7 +294,7 @@ class TestCriterionStable:
         verdict = criterion_stable(sys)
         assert (verdict.semistable, verdict.stable) == (UNKNOWN, NO)
         assert verdict.certificate is None
-        merged = merge_verdicts(*criteria_verdicts(sys))
+        merged = merge_verdicts(criterion_semistable(sys), criterion_stable(sys))
         assert (merged.semistable, merged.stable) == (YES, NO)
 
     def test_equal_slope_datum_builds_certificate(self):
@@ -325,10 +325,37 @@ class TestCriterionStable:
         sys = HodgeSystem(ctx, (base, e1), ISOMORPHISMS)
         assert criterion_stable(sys) == Verdict(provenance=PROV_INCONCLUSIVE)
 
-    def test_nonpositive_cotangent_degree_rejected(self):
-        sys = derive_components(BundleData(1, 0, semistable=True), curve(0), 1)
-        with pytest.raises(ValueError, match="hypothesis violated"):
-            criterion_stable(sys)
+    def test_nonpositive_cotangent_degree_is_inconclusive(self):
+        # outside the hypothesis the answer is unknown, never yes: at w = 0
+        # the prefix E_0 reaches mu(E)
+        for w in (0, -1):
+            sys = stable_tower(2, 1, curve(w), 1)
+            assert criterion_stable(sys) == Verdict(provenance=PROV_INCONCLUSIVE), w
+
+    def test_each_criterion_answers_yes_exactly_on_its_hypothesis(self):
+        # uniform and mixed (semistable, stable) flags over small towers:
+        # stable=yes exactly when w > 0 and every component is attested
+        # stable; semistable=yes, for w >= 0, exactly when every component
+        # is attested semistable
+        flags = [(True, None), (True, True), (True, False), (None, None), (False, None)]
+        for d, w, n, r0 in itertools.product((1, 2), range(-1, 3), range(3), range(1, 4)):
+            context = GeometricContext(0, d, w, omega_semistable=True)
+            shape = derive_components(BundleData(r0, 1), context, n).components
+            choices = [[flag] * (n + 1) for flag in flags] + [
+                [flags[(i + k) % len(flags)] for i in range(n + 1)] for k in range(len(flags))
+            ]
+            for chosen in choices:
+                components = tuple(
+                    BundleData(c.rank, c.degree, semistable=ss, stable=st)
+                    for c, (ss, st) in zip(shape, chosen)
+                )
+                sys = HodgeSystem(context, components, ISOMORPHISMS)
+                case = (d, w, n, r0, chosen)
+                stable = criterion_stable(sys).stable == YES
+                assert stable == (w > 0 and sys.components_stable is True), case
+                if w >= 0:
+                    semistable = criterion_semistable(sys).semistable == YES
+                    assert semistable == (sys.components_semistable is True), case
 
 
 class TestMergeVerdicts:

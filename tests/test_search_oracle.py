@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeslope import hodge_system, search_oracle
+from hodgeslope import search_oracle
 from hodgeslope.hodge_system import (
     NO,
     UNKNOWN,
@@ -553,7 +553,7 @@ class TestClosedForm:
         # semistable bounds, since only E_0 is attested stable
         sys = flagged_tower(2, 1, 1, 2, 2, [(True, True), (True, None), (True, None)])
         stable = Verdict(YES, YES, provenance="stable base component")
-        monkeypatch.setattr(hodge_system, "criterion_stable", lambda sys: stable)
+        monkeypatch.setattr(search_oracle, "criterion_stable", lambda sys: stable)
         verdict = system_verdict(sys)
         assert (verdict.semistable, verdict.stable) == (YES, YES)
 
