@@ -19,21 +19,19 @@ argparse's own.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
 import stat
 import sys
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
-from . import search_oracle
-from .gallery import BUILDERS, checked_entry
-from .hn_profiles import HNProfile, hn_polygon, tensor_hn
 from .hodge_system import (
     Verdict, system_from_json, system_to_json, verdict_json, verify_hodge_sums,
 )
-from .oper import GriffithsFiltration, oper_verdict, pair_from_json, pair_verdict
-from .search_oracle import MODES, MONOTONE
 from .slope_core import (
+    MODES,
+    MONOTONE,
     SEMISTABLE,
     SUBSHEAF_MODES,
     BundleData,
@@ -43,6 +41,34 @@ from .slope_core import (
     require_token,
     too_large,
 )
+
+
+def _deferred(name: str) -> ModuleType:
+    """The package's module ``name``, run on its first attribute read.
+
+    It is registered in sys.modules and on the package, as an import
+    would register it, by importlib's LazyLoader recipe; one already
+    imported is returned as it is.  So a process compiles only the modules
+    its commands use, and an error inside one surfaces at its command's
+    first use.  Nothing that runs when cli is imported may read one."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# each command's own module; hodge_system and slope_core, imported above,
+# are what the commands share
+gallery = _deferred("gallery")
+hn_profiles = _deferred("hn_profiles")
+oper = _deferred("oper")
+search_oracle = _deferred("search_oracle")
 
 PAYLOAD_KEYS = ("hodge_system", "griffiths_filtration", "connection_pair", "hn_request")
 _PAYLOADS = frozenset(PAYLOAD_KEYS)
@@ -200,8 +226,8 @@ def _cmd_search(args: SimpleNamespace) -> int:
 
 def _cmd_check_oper(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "griffiths_filtration")
-    filtration = GriffithsFiltration.from_json(payload)
-    check, verdict = oper_verdict(filtration)
+    filtration = oper.GriffithsFiltration.from_json(payload)
+    check, verdict = oper.oper_verdict(filtration)
     return _emit_verdict(
         f"check-oper: generalized_oper={bool(check)} verdict", verdict,
         filtration.total_degree, filtration.total_rank,
@@ -211,8 +237,8 @@ def _cmd_check_oper(args: SimpleNamespace) -> int:
 
 def _cmd_check_connection(args: SimpleNamespace) -> int:
     _, payload = _load_document(args, "connection_pair")
-    pair = pair_from_json(payload)
-    verdict = pair_verdict(pair)
+    pair = oper.pair_from_json(payload)
+    verdict = oper.pair_verdict(pair)
     return _emit_verdict("check-connection", verdict, pair.total.degree, pair.total.rank)
 
 
@@ -221,13 +247,13 @@ def _cmd_hn_tensor(args: SimpleNamespace) -> int:
     request = _check_keys(payload, "hn_request", _REQUEST_FIELDS, _REQUEST_FIELDS)
     if not isinstance(request["profile"], list) or not request["profile"]:
         raise ValueError("profile must be a nonempty JSON array of bundles")
-    profile = HNProfile(tuple(BundleData.from_json(b) for b in request["profile"]))
+    profile = hn_profiles.HNProfile(tuple(BundleData.from_json(b) for b in request["profile"]))
     factor = BundleData.from_json(request["tensor_with"])
-    result = tensor_hn(profile, factor)
+    result = hn_profiles.tensor_hn(profile, factor)
     report = {
         "valid": True,
         "quotients": [q.to_json() for q in result.quotients],
-        "polygon": hn_polygon(result),
+        "polygon": hn_profiles.hn_polygon(result),
     }
     _emit(report, f"hn-tensor: {len(result.quotients)} quotients, polygon computed")
     return 0
@@ -250,7 +276,7 @@ def _cmd_verify_inequalities(args: SimpleNamespace) -> int:
 def _cmd_gallery(args: SimpleNamespace) -> int:
     options = _READ_TABLE["gallery"][2]  # the option destinations, from _GRAMMAR
     params = {k: v for k, v in vars(args).items() if k in options and v is not None}
-    entry, recomputed = checked_entry(args.name, **params)
+    entry, recomputed = gallery.checked_entry(args.name, **params)
     mu = format_slope(entry.system.total_degree, entry.system.total_rank)
     expected = entry.expected
     report = {
@@ -264,6 +290,17 @@ def _cmd_gallery(args: SimpleNamespace) -> int:
     }
     _emit(report, _summary(f"gallery {args.name}: verdict", recomputed))
     return 0
+
+
+class _EntryNames:
+    """The gallery's entry names in sorted order, read from
+    gallery.BUILDERS only when a gallery command line is checked."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in gallery.BUILDERS
+
+    def __iter__(self):
+        return iter(sorted(gallery.BUILDERS))
 
 
 #: The command-line grammar: for each command, its handler, its help line,
@@ -295,7 +332,7 @@ _GRAMMAR = {
         (("--d-max", int, 6, None), ("--n-max", int, 14, None)),
     ),
     "gallery": (
-        _cmd_gallery, "emit a worked example with its verdict", ("name", BUILDERS),
+        _cmd_gallery, "emit a worked example with its verdict", ("name", _EntryNames()),
         (("--g", int, None, None), ("--d-line", int, None, None), ("--d0", int, None, None)),
     ),
 }
@@ -340,7 +377,7 @@ def _build_parser():
         p = sub.add_parser(command, help=help_line)
         if positional is not None:
             name, choices = positional
-            p.add_argument(name, choices=None if choices is None else sorted(choices))
+            p.add_argument(name, choices=choices)
         for option, kind, default, _ in options:
             if kind is int:
                 p.add_argument(option, dest=_dest(option), type=int, default=default)

@@ -68,6 +68,9 @@ from .hodge_system import (
 from .profiles import SubsystemProfile
 from .slope_core import (
     BundleData,
+    CONSERVATIVE,
+    MODES,
+    MONOTONE,
     SEMISTABLE,
     STABLE,
     SUBSHEAF_MODES,
@@ -92,11 +95,6 @@ MAX_RANK_CELLS = 1 << 18
 
 class BudgetExceededError(ValueError):
     """The search is larger than the solver's cell limit (``max_slope_profile`` only)."""
-
-
-#: The rank-chain constraints on admissible profiles, as --mode spells them.
-MONOTONE, CONSERVATIVE = "paper", "conservative"
-MODES = frozenset({MONOTONE, CONSERVATIVE})
 
 
 def _rank_step(sys: HodgeSystem, mode: str) -> int:

@@ -114,6 +114,11 @@ class InconsistencyError(RuntimeError):
 SEMISTABLE, STABLE = "semistable", "stable"
 SUBSHEAF_MODES = frozenset({SEMISTABLE, STABLE})
 
+#: The rank-chain constraints on the search's admissible profiles
+#: (``search_oracle``), as --mode spells them.
+MONOTONE, CONSERVATIVE = "paper", "conservative"
+MODES = frozenset({MONOTONE, CONSERVATIVE})
+
 
 def require_token(name: str, value: object, tokens: frozenset) -> str:
     """``value`` if it is a string among ``tokens``, else a ValueError naming ``name``."""

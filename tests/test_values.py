@@ -1,8 +1,8 @@
 """What the value types keep: immutability, equality and hashing by type
 and fields, the ``Name(field=value, ...)`` repr, their constructor
-signatures, and which keys a document type's reader requires; plus a
-guard that importing the CLI loads no class-generation or typing
-machinery."""
+signatures, and which keys a document type's reader requires; plus
+guards that importing the CLI loads no class-generation or typing
+machinery and that each command runs only its own modules."""
 
 from __future__ import annotations
 
@@ -21,13 +21,16 @@ from hodgeslope.hodge_system import (
     HodgeSystem,
     Verdict,
     system_from_json,
+    system_to_json,
 )
 from hodgeslope.inequalities import InequalityCheck, SequencePair
 from hodgeslope.oper import ConnectionPair, GriffithsFiltration, OperCheck, pair_from_json
 from hodgeslope.profiles import SubsystemProfile
 from hodgeslope.slope_core import BundleData, GeometricContext
 
-from support import run_python
+from support import (
+    curve, filtration_to_json, pair_to_json, run_python, semistable_tower, write_doc,
+)
 
 EMPTY = inspect.Parameter.empty
 
@@ -224,3 +227,50 @@ def test_cli_import_loads_no_class_generation_or_typing_machinery():
     for run in ("", sweep):
         done = run_python("-S", "-c", f"import io, sys, hodgeslope.cli; {run}{loaded}")
         assert (done.returncode, done.stdout.split()) == (0, []), (run, done.stderr)
+
+
+TOWER = {"hodge_system": system_to_json(semistable_tower(1, 0, CTX, 1))}
+HN_LINE = BundleData(1, 0, semistable=True).to_json()
+# a command line, its document's payload or None, and the modules cli
+# defers that the command runs
+COMMAND_MODULES = [
+    (None, None, ()),
+    (["verify-inequalities", "--d-max", "1", "--n-max", "2"], None, ()),
+    (["check-system"], TOWER, ("search_oracle",)),
+    (["search"], TOWER, ("search_oracle",)),
+    (["check-oper"], {"griffiths_filtration": filtration_to_json(FILTRATION)}, ("oper",)),
+    (
+        ["check-connection"],
+        {"connection_pair": pair_to_json(ConnectionPair(BundleData(3, 0), True, context=curve(2)))},
+        ("oper",),
+    ),
+    (["hn-tensor"], {"hn_request": {"profile": [HN_LINE], "tensor_with": HN_LINE}}, ("hn_profiles",)),
+    (["gallery", "strictly-semistable"], None, ("gallery", "search_oracle")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, payload, runs", COMMAND_MODULES,
+    ids=[argv[0] if argv else "import" for argv, _, _ in COMMAND_MODULES],
+)
+def test_each_command_runs_only_its_own_modules(argv, payload, runs, tmp_path):
+    # -S as above.  cli registers each deferred module without running it;
+    # LazyLoader gives a module back the plain module type once it has
+    # run.  The command's reports go to a buffer, so stdout holds its exit
+    # code and the names of the modules that ran.
+    deferred = ("gallery", "hn_profiles", "oper", "search_oracle")
+    command = "code = 0; "
+    if argv is not None:
+        if payload is not None:
+            argv = [*argv, write_doc(tmp_path, payload)]
+        command = (
+            "sys.stdout = sys.stderr = io.StringIO(); "
+            f"code = hodgeslope.cli.main({argv!r}); "
+            "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__; "
+        )
+    ran = (
+        f"print(code, *[m for m in {deferred!r} "
+        "if type(sys.modules['hodgeslope.' + m]) is types.ModuleType])"
+    )
+    done = run_python("-S", "-c", f"import io, sys, types, hodgeslope.cli; {command}{ran}")
+    assert (done.returncode, done.stdout.split()) == (0, ["0", *runs]), done.stderr
